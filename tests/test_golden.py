@@ -1,0 +1,63 @@
+"""Golden traces: sha256 digests of the artifacts that fixed grids write.
+
+The digests pin every per-generation log (``logs/*.jsonl``) and final front
+(``fronts/*.csv``) byte for byte, so a change that claims to keep behaviour
+can prove it. A change that moves a digest must name the behavioural reason.
+
+Regenerate the stored digests with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from dpcmo.engine import RunConfig
+from dpcmo.harness import ExperimentConfig, run_experiment
+from dpcmo.problems import PROBLEM_IDS
+
+GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+
+# maxFE >= 2 * N * 252, so the g > 250 switch cap puts every run in stage 2.
+GRIDS = {
+    "grid": dict(problems=[(pid, 10) for pid in PROBLEM_IDS], seeds=[1, 2],
+                 variants=["full", "Wo3P"], run=RunConfig(pop_size=30, max_fe=15_200)),
+    "p3_full_budget": dict(problems=[("P3-separated", 10)], seeds=[1], variants=["full"],
+                           run=RunConfig(pop_size=100, max_fe=50_000)),
+}
+
+
+def artifact_digests(name: str, outdir: Path) -> dict[str, str]:
+    """sha256 of each log and front file the named grid writes into outdir."""
+    report = run_experiment(ExperimentConfig(outdir=outdir, **GRIDS[name]))
+    assert not report.failed
+    return {
+        f"{name}/{path.relative_to(outdir).as_posix()}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for sub in ("logs", "fronts")
+        for path in sorted((outdir / sub).iterdir())
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_artifacts_match_golden_digests(name, tmp_path):
+    stored = json.loads(GOLDEN.read_text())
+    want = {key: digest for key, digest in stored.items() if key.startswith(f"{name}/")}
+    assert want, f"no stored digests for {name}"
+    assert artifact_digests(name, tmp_path) == want
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    digests: dict[str, str] = {}
+    for grid in sorted(GRIDS):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests.update(artifact_digests(grid, Path(tmp)))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")
