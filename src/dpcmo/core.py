@@ -134,12 +134,17 @@ class Solution:
 
 class Population:
     """Ordered collection of solutions with cached ideal, nadir and average
-    objective points (per-objective min, max and mean)."""
+    objective points (per-objective min, max and mean).
 
-    __slots__ = ("members", "ideal", "nadir", "average")
+    ``ranked`` maps an epsilon to the (ranks, crowding) pair that selection
+    computed for this population, so it is computed at most once.
+    """
+
+    __slots__ = ("members", "ideal", "nadir", "average", "ranked")
 
     def __init__(self, members):
         self.members: tuple[Solution, ...] = tuple(members)
+        self.ranked: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         if self.members:
             F = np.array([s.objectives for s in self.members])
             self.ideal = _frozen(F.min(axis=0))

@@ -103,6 +103,23 @@ class RunConfig:
     disable_dra: bool = False
     ll_signal: Callable | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        if not self.eps0 > 0:
+            raise ValueError(f"eps0 must be positive, got {self.eps0}")
+        if not self.curvature > 0:
+            raise ValueError(f"curvature must be positive, got {self.curvature}")
+        if self.fixed_aux_size is not None and self.fixed_aux_size < 2:
+            raise ValueError(f"fixed_aux_size must be at least 2, got {self.fixed_aux_size}")
+        if not 0 < self.pbest_fraction <= 1:
+            raise ValueError(f"pbest_fraction must lie in (0, 1], got {self.pbest_fraction}")
+        if self.igd_points < 2:
+            raise ValueError(f"igd_points must be at least 2, got {self.igd_points}")
+        if not 0 <= self.phase3_eps < self.phase1_eps:
+            raise ValueError("need 0 <= phase3_eps < phase1_eps, got "
+                             f"phase3_eps={self.phase3_eps}, phase1_eps={self.phase1_eps}")
+        if self.history_gap < 1:
+            raise ValueError(f"history_gap must be at least 1, got {self.history_gap}")
+
     def operator_params(self, _dimension: int) -> OperatorParams:
         return OperatorParams(pbest_fraction=self.pbest_fraction)
 

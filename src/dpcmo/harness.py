@@ -170,7 +170,11 @@ def load_config(path) -> ExperimentConfig:
             attr, kind = _RUN_KEYS[key]
             run_kwargs[attr] = _parse_scalar(key, value, kind, line_no)
 
-    config = ExperimentConfig(run=RunConfig(**run_kwargs), **top)
+    try:
+        run_config = RunConfig(**run_kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    config = ExperimentConfig(run=run_config, **top)
     if problems:
         config.problems = problems
     if seeds is not None:

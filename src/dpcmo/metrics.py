@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 IGD_EMPTY = float("inf")
 
@@ -112,5 +113,5 @@ def igd(front, ref_points) -> float:
     pts = np.atleast_2d(np.asarray(front, dtype=float))
     if pts.size == 0:
         return IGD_EMPTY
-    d2 = ((ref[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.min(axis=1)).mean())
+    distances, _ = cKDTree(pts).query(ref)
+    return float(distances.mean())

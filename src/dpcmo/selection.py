@@ -11,6 +11,14 @@ The epsilon-relaxed ordering compares solutions by max(0, cv - epsilon)
 first; ties fall through to Pareto dominance on objectives. epsilon = 0 is
 strict feasible-first comparison, epsilon = inf ignores constraints.
 
+Under that ordering every solution with a lower adjusted violation dominates
+every solution with a higher one, so nondominated sorting splits into groups
+of equal adjusted violation: a solution's rank is the number of fronts in all
+lower-violation groups plus its Pareto rank inside its own group. With two
+objectives the in-group rank is one sort plus a binary search per solution
+(Jensen 2003; ENS-BS, Zhang et al. 2015). With three or more objectives the
+ranks come from a dense pairwise dominance matrix.
+
 Tie-break contract (shared by every consumer, including test oracles):
 fronts are filled in rank order; a split front is truncated by descending
 crowding distance, ties kept in original index order.
@@ -19,6 +27,7 @@ crowding distance, ties kept in original index order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +72,10 @@ def _dominance_matrix(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
     return less_cv | (eq_cv & le & lt)
 
 
-def nondominated_ranks(F: np.ndarray, cvs: np.ndarray, epsilon: float) -> np.ndarray:
-    """Fast nondominated sorting; rank 0 is the best front."""
+def _dense_ranks(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
+    """Front peeling over the full dominance matrix; any number of objectives."""
     n = len(F)
-    if math.isinf(epsilon):
-        cv_adj = np.zeros(n)
-    else:
-        cv_adj = np.maximum(0.0, np.asarray(cvs, dtype=float) - epsilon)
-    dom = _dominance_matrix(np.asarray(F, dtype=float), cv_adj)
+    dom = _dominance_matrix(F, cv_adj)
     n_dominators = dom.sum(axis=0)
     ranks = np.full(n, -1, dtype=int)
     current = np.flatnonzero(n_dominators == 0)
@@ -84,36 +89,103 @@ def nondominated_ranks(F: np.ndarray, cvs: np.ndarray, epsilon: float) -> np.nda
     return ranks
 
 
+def _sweep_ranks(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
+    """Group-and-sweep ranks for two objectives.
+
+    Rows are visited by (cv_adj, f1, f2). Within a group, each front keeps the
+    f2 of its last member; those values never decrease from one front to the
+    next, and a row joins the first front whose last f2 exceeds its own.
+    Exact duplicates share a front, since neither dominates the other.
+    """
+    order = np.lexsort((F[:, 1], F[:, 0], cv_adj))
+    rows = zip(cv_adj[order].tolist(), F[order, 0].tolist(), F[order, 1].tolist())
+    sorted_ranks = []
+    offset = 0
+    lasts: list[float] = []  # last f2 of each front of the current group
+    prev = None
+    for row in rows:
+        if prev is None or row[0] != prev[0]:
+            offset += len(lasts)
+            lasts = [row[2]]
+            k = 0
+        elif row != prev:
+            k = bisect_right(lasts, row[2])
+            if k == len(lasts):
+                lasts.append(row[2])
+            else:
+                lasts[k] = row[2]
+        sorted_ranks.append(offset + k)
+        prev = row
+    ranks = np.empty(len(order), dtype=int)
+    ranks[order] = sorted_ranks
+    return ranks
+
+
+def nondominated_ranks(F: np.ndarray, cvs: np.ndarray, epsilon: float) -> np.ndarray:
+    """Nondominated sorting under the relaxed order; rank 0 is the best front.
+
+    Two objectives use the group-and-sweep rule of the module docstring;
+    three or more fall back to front peeling over the dense dominance matrix.
+    """
+    F = np.asarray(F, dtype=float)
+    n = len(F)
+    if math.isinf(epsilon):
+        cv_adj = np.zeros(n)
+    else:
+        cv_adj = np.maximum(0.0, np.asarray(cvs, dtype=float) - epsilon)
+    if F.shape[1] == 2:
+        return _sweep_ranks(F, cv_adj)
+    return _dense_ranks(F, cv_adj)
+
+
 def crowding_distances(F: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Cuboid crowding distance per front; boundary members get +inf."""
+    """Cuboid crowding distance per front; boundary members get +inf.
+
+    Each objective is sorted once over all fronts, by (rank, value), with ties
+    kept in index order.
+    """
     F = np.asarray(F, dtype=float)
     n, m = F.shape
     dist = np.zeros(n)
-    for r in np.unique(ranks):
-        idx = np.flatnonzero(ranks == r)
-        if idx.size <= 2:
-            dist[idx] = np.inf
-            continue
-        for j in range(m):
-            order = idx[np.argsort(F[idx, j], kind="stable")]
-            fmin, fmax = F[order[0], j], F[order[-1], j]
-            dist[order[0]] = np.inf
-            dist[order[-1]] = np.inf
-            span = fmax - fmin
-            if span <= 0:
-                continue
-            gaps = (F[order[2:], j] - F[order[:-2], j]) / span
-            dist[order[1:-1]] += gaps
+    if n == 0:
+        return dist
+    for j in range(m):
+        order = np.lexsort((F[:, j], ranks))
+        r = ranks[order]
+        f = F[order, j]
+        change = r[1:] != r[:-1]
+        first = np.concatenate(([True], change))
+        last = np.concatenate((change, [True]))
+        front = np.cumsum(first) - 1
+        span = (f[last] - f[first])[front]
+        gaps = np.zeros(n)
+        gaps[1:-1] = f[2:] - f[:-2]
+        interior = ~(first | last) & (span > 0)
+        dist[order[interior]] += gaps[interior] / span[interior]
+        dist[order[first | last]] = np.inf
     return dist
 
 
 def rank_and_crowd(solutions, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nondomination ranks and crowding distances of the solutions.
+
+    A Population is immutable, so its result is computed once per epsilon and
+    kept on the instance, read-only.
+    """
+    cache = solutions.ranked if isinstance(solutions, Population) else None
+    if cache is not None and epsilon in cache:
+        return cache[epsilon]
     members = list(solutions)
     F = np.array([s.objectives for s in members])
     cvs = np.array([s.cv for s in members])
     ranks = nondominated_ranks(F, cvs, epsilon)
     crowd = crowding_distances(F, ranks)
-    return ranks, crowd
+    if cache is None:
+        return ranks, crowd
+    ranks.setflags(write=False)
+    crowd.setflags(write=False)
+    cache[epsilon] = ranks, crowd
+    return cache[epsilon]
 
 
 def fitness_order(solutions, epsilon: float) -> list[int]:
@@ -126,8 +198,8 @@ def fitness_order(solutions, epsilon: float) -> list[int]:
 def environmental_select(union, n: int, epsilon: float) -> Population:
     """Keep the best min(n, |union|) solutions under the relaxed ordering.
 
-    Whole fronts are admitted in rank order; the front that overflows is
-    truncated by descending crowding distance.
+    Whole fronts are admitted in rank order, members in index order; the
+    front that overflows is truncated by descending crowding distance.
     """
     members = list(union)
     if not members:
@@ -135,18 +207,13 @@ def environmental_select(union, n: int, epsilon: float) -> Population:
     if len(members) <= n:
         return Population(members)
     ranks, crowd = rank_and_crowd(members, epsilon)
-    chosen: list[int] = []
-    for r in range(int(ranks.max()) + 1):
-        front = [i for i in range(len(members)) if ranks[i] == r]
-        if len(chosen) + len(front) <= n:
-            chosen.extend(front)
-            if len(chosen) == n:
-                break
-        else:
-            front.sort(key=lambda i: (-crowd[i], i))
-            chosen.extend(front[: n - len(chosen)])
-            break
-    return Population([members[i] for i in chosen])
+    order = np.argsort(ranks, kind="stable")
+    split = ranks[order[n - 1]]  # the front that holds the n-th place
+    if np.count_nonzero(ranks <= split) > n:
+        front = np.flatnonzero(ranks == split)
+        front = front[np.argsort(-crowd[front], kind="stable")]
+        order = np.concatenate([order[: np.count_nonzero(ranks < split)], front])
+    return Population([members[i] for i in order[:n]])
 
 
 @dataclass(frozen=True)
@@ -194,7 +261,10 @@ def das_dennis_vectors(m: int, target: int, pad_seed: int = _VECTOR_PAD_SEED) ->
 
 
 def unconstrained_nondominated(F: np.ndarray) -> np.ndarray:
-    """Indices of the Pareto-nondominated rows of an objective matrix."""
+    """Indices of the Pareto-nondominated rows of an objective matrix, in
+    ascending order."""
+    if F.shape[1] == 2:
+        return np.flatnonzero(_sweep_ranks(F, np.zeros(len(F))) == 0)
     le = (F[:, None, :] <= F[None, :, :]).all(axis=2)
     lt = (F[:, None, :] < F[None, :, :]).any(axis=2)
     dominated = (le & lt).any(axis=0)

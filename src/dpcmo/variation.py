@@ -54,7 +54,7 @@ def tournament_pool(pop, k: int, epsilon: float, rng: np.random.Generator) -> li
     n = len(members)
     if n == 1:
         return [members[0]] * k
-    ranks, crowd = rank_and_crowd(members, epsilon)
+    ranks, crowd = rank_and_crowd(pop, epsilon)
     out = []
     for _ in range(k):
         i, j = rng.choice(n, size=2, replace=False)
@@ -224,7 +224,7 @@ def de_current_to_pbest(pool_aux, pop_main, params: OperatorParams, bounds: Boun
         raise ValueError("empty main population")
     A = _decisions(pool_aux)
     n, d = A.shape
-    order = fitness_order(main_members, epsilon=0.0)
+    order = fitness_order(pop_main, epsilon=0.0)
     top = max(1, math.ceil(params.pbest_fraction * len(main_members)))
     elite = np.array([main_members[i].decisions for i in order[:top]])
 

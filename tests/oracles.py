@@ -216,3 +216,63 @@ def mc_hypervolume(points: np.ndarray, ref: np.ndarray, n_samples: int,
     estimate = p_hat * volume
     stderr = math.sqrt(p_hat * (1 - p_hat) / n_samples) * volume
     return estimate, stderr
+
+
+# ---------------------------------------------------------------------------
+# Loop forms of the vectorized selection and IGD steps. They keep the
+# arithmetic order of the vectorized code, so results must match with ==.
+
+
+def epsilon_ranks(objs, cvs, epsilon) -> list[int]:
+    """Front index of each solution under the epsilon-relaxed ordering."""
+    ranks = [0] * len(objs)
+    for r, front in enumerate(_epsilon_fronts([tuple(o) for o in objs], list(cvs), epsilon)):
+        for i in front:
+            ranks[i] = r
+    return ranks
+
+
+def crowding_per_front(F: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Cuboid crowding distance, one front and one objective at a time."""
+    F = np.asarray(F, dtype=float)
+    n, m = F.shape
+    dist = np.zeros(n)
+    for r in np.unique(ranks):
+        idx = np.flatnonzero(ranks == r)
+        if idx.size <= 2:
+            dist[idx] = np.inf
+            continue
+        for j in range(m):
+            order = idx[np.argsort(F[idx, j], kind="stable")]
+            dist[order[0]] = np.inf
+            dist[order[-1]] = np.inf
+            span = F[order[-1], j] - F[order[0], j]
+            if span <= 0:
+                continue
+            dist[order[1:-1]] += (F[order[2:], j] - F[order[:-2], j]) / span
+    return dist
+
+
+def truncation_scan(ranks, crowd, n: int) -> list[int]:
+    """Indices kept by rank-and-crowding truncation, in admission order:
+    whole fronts in rank order, the overflowing front by (-crowd, index)."""
+    chosen: list[int] = []
+    for r in range(int(max(ranks)) + 1):
+        front = [i for i in range(len(ranks)) if ranks[i] == r]
+        if len(chosen) + len(front) <= n:
+            chosen.extend(front)
+            if len(chosen) == n:
+                break
+        else:
+            front.sort(key=lambda i: (-crowd[i], i))
+            chosen.extend(front[: n - len(chosen)])
+            break
+    return chosen
+
+
+def igd_dense(front, ref) -> float:
+    """IGD from the full reference-by-front distance matrix."""
+    ref = np.atleast_2d(np.asarray(ref, dtype=float))
+    pts = np.atleast_2d(np.asarray(front, dtype=float))
+    d2 = ((ref[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    return float(np.sqrt(d2.min(axis=1)).mean())

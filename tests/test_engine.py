@@ -86,6 +86,27 @@ class TestInitialize:
             initialize(make_problem("P1-overlap", 10), RunConfig(pop_size=4), 0)
 
 
+class TestRunConfigBounds:
+    @pytest.mark.parametrize("field,value", [
+        ("eps0", 0.0),
+        ("curvature", 0.0),
+        ("fixed_aux_size", 1),
+        ("pbest_fraction", 0.0),
+        ("pbest_fraction", 1.5),
+        ("igd_points", 1),
+        ("phase3_eps", -0.001),
+        ("phase3_eps", 0.195),
+        ("history_gap", 0),
+    ])
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        RunConfig(fixed_aux_size=2, pbest_fraction=1.0, igd_points=2, phase3_eps=0.0,
+                  history_gap=1)
+
+
 class TestStage1:
     def test_consumes_two_batches(self):
         state = initialize(make_problem("P1-overlap", 10), RunConfig(pop_size=40), 1)

@@ -81,6 +81,15 @@ fixed_aux_size = 40
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.cfg")
 
+    @pytest.mark.parametrize("line", [
+        "eps0 = 0", "curvature = 0", "fixed_aux_size = 1", "pbest_fraction = 0",
+        "igd_points = 1", "phase3_eps = 0.3", "history_gap = 0",
+    ])
+    def test_out_of_range_run_value_rejected(self, tmp_path, line):
+        key = line.split(" ")[0]
+        with pytest.raises(ConfigError, match=key):
+            load_config(write_config(tmp_path, f"problem = P1-overlap\n{line}\n"))
+
     def test_n_seeds_shortcut(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "problem = P1-overlap\nn_seeds = 5\n"))
         assert cfg.seeds == [1, 2, 3, 4, 5]
@@ -235,6 +244,13 @@ class TestCli:
                        f"outdir = {tmp_path / 'out'}\n")
         assert main(["run", str(cfg)]) == 0
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    def test_invalid_run_value_stops_before_any_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"problem = P1-overlap\ncurvature = 0\noutdir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "curvature" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

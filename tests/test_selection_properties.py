@@ -1,0 +1,130 @@
+"""Property tests: the fast two-objective selection paths and the KD-tree
+IGD against their dense and loop forms, element for element."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from dpcmo import selection
+from dpcmo.core import Population, Solution
+from dpcmo.metrics import igd
+from dpcmo.selection import (
+    crowding_distances,
+    environmental_select,
+    nondominated_ranks,
+    rank_and_crowd,
+    unconstrained_nondominated,
+)
+
+from oracles import crowding_per_front, epsilon_ranks, igd_dense, truncation_scan
+
+EPSILONS = st.sampled_from([0.0, 0.15, math.inf])
+
+
+@st.composite
+def instances(draw, max_n=300, m=2):
+    """Integer-grid objectives (ties and duplicates are common) with an
+    all-feasible, all-infeasible or mixed violation vector on a 0.05 grid."""
+    n = draw(st.integers(1, max_n))
+    grid = draw(st.integers(1, 12))
+    F = draw(hnp.arrays(np.int64, (n, m), elements=st.integers(0, grid))).astype(float)
+    mix = draw(st.sampled_from(["feasible", "infeasible", "mixed"]))
+    low = {"feasible": 0, "infeasible": 1, "mixed": 0}[mix]
+    high = 0 if mix == "feasible" else 8
+    cv = draw(hnp.arrays(np.int64, n, elements=st.integers(low, high))) * 0.05
+    return F, cv
+
+
+def dense_ranks(F, cv, epsilon):
+    cv_adj = np.zeros(len(F)) if math.isinf(epsilon) else np.maximum(0.0, cv - epsilon)
+    return selection._dense_ranks(F, cv_adj)
+
+
+def solutions(F, cv):
+    return [Solution(row, row, np.empty(0), np.empty(0), float(c)) for row, c in zip(F, cv)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), EPSILONS)
+def test_ranks_equal_dense_path(inst, epsilon):
+    F, cv = inst
+    np.testing.assert_array_equal(nondominated_ranks(F, cv, epsilon), dense_ranks(F, cv, epsilon))
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(max_n=40), EPSILONS)
+def test_ranks_equal_front_oracle(inst, epsilon):
+    F, cv = inst
+    assert nondominated_ranks(F, cv, epsilon).tolist() == epsilon_ranks(F, cv, epsilon)
+
+
+@settings(max_examples=50, deadline=None)
+@given(instances(max_n=40, m=3), EPSILONS)
+def test_three_objectives_use_dense_path(inst, epsilon):
+    F, cv = inst
+    assert nondominated_ranks(F, cv, epsilon).tolist() == epsilon_ranks(F, cv, epsilon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_unconstrained_nondominated_equals_dense(inst):
+    F, _ = inst
+    want = np.flatnonzero(selection._dense_ranks(F, np.zeros(len(F))) == 0)
+    np.testing.assert_array_equal(unconstrained_nondominated(F), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), EPSILONS)
+def test_crowding_equals_per_front_loop(inst, epsilon):
+    F, cv = inst
+    ranks = nondominated_ranks(F, cv, epsilon)
+    np.testing.assert_array_equal(crowding_distances(F, ranks), crowding_per_front(F, ranks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(1, 200), st.just(2)),
+                  elements=st.floats(0, 1, allow_subnormal=False)))
+def test_crowding_equals_per_front_loop_on_real_values(F):
+    ranks = selection._dense_ranks(F, np.zeros(len(F)))
+    np.testing.assert_array_equal(crowding_distances(F, ranks), crowding_per_front(F, ranks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), EPSILONS, st.data())
+def test_environmental_select_equals_scan(inst, epsilon, data):
+    F, cv = inst
+    members = solutions(F, cv)
+    n = data.draw(st.integers(1, len(members)))
+    ranks, crowd = rank_and_crowd(members, epsilon)
+    want = truncation_scan(ranks, crowd, n) if n < len(members) else range(n)
+    got = [id(s) for s in environmental_select(members, n, epsilon)]
+    assert got == [id(members[i]) for i in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3), st.data())
+def test_igd_equals_dense_formula_exactly(m, data):
+    rows = data.draw(st.integers(1, 150))
+    front = data.draw(hnp.arrays(float, (rows, m), elements=st.floats(-2, 2, allow_subnormal=False)))
+    ref = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 300)), m),
+                               elements=st.floats(-2, 2, allow_subnormal=False)))
+    assert igd(front, ref) == igd_dense(front, ref)
+
+
+def test_population_ranks_once_per_epsilon():
+    rng = np.random.default_rng(3)
+    members = solutions(rng.integers(0, 5, size=(60, 2)).astype(float),
+                        rng.integers(0, 4, size=60) * 0.1)
+    pop = Population(members)
+    first = rank_and_crowd(pop, 0.0)
+    assert rank_and_crowd(pop, 0.0) is first
+    assert rank_and_crowd(pop, math.inf) is not first
+    for got, want in zip(first, rank_and_crowd(members, 0.0)):
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        first[0][0] = 7
