@@ -6,15 +6,10 @@ __version__ = "0.1.0"
 
 from .core import (  # noqa: F401
     Bounds,
-    BudgetExhausted,
     EvalCounter,
     Population,
     RngStream,
-    Solution,
-    clamp_to_bounds,
-    constraint_violation,
-    evaluate,
-    pareto_dominates,
+    evaluate_batch,
 )
 from .engine import RunConfig, RunResult, apply_ablation, run  # noqa: F401
 from .metrics import MetricConfig, hypervolume, igd  # noqa: F401

@@ -18,8 +18,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .core import (
     EvalCounter,
     Population,
     RngStream,
-    Solution,
     evaluate_batch,
 )
 from .metrics import IGD_EMPTY, MetricConfig, igd
@@ -101,7 +99,6 @@ class RunConfig:
     initial_epsilon_only: bool = False   # single-phase exponential relaxation
     force_hops_type: int | None = None
     disable_dra: bool = False
-    ll_signal: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.eps0 > 0:
@@ -119,17 +116,14 @@ class RunConfig:
                              f"phase3_eps={self.phase3_eps}, phase1_eps={self.phase1_eps}")
         if self.history_gap < 1:
             raise ValueError(f"history_gap must be at least 1, got {self.history_gap}")
+        if not self.delta > 0:
+            raise ValueError(f"delta must be positive, got {self.delta}")
 
     def operator_params(self, _dimension: int) -> OperatorParams:
         return OperatorParams(pbest_fraction=self.pbest_fraction)
 
     def fingerprint_payload(self) -> dict:
-        payload = {}
-        for f in fields(self):
-            if f.name == "ll_signal":
-                continue
-            payload[f.name] = getattr(self, f.name)
-        return payload
+        return asdict(self)
 
 
 def apply_ablation(config: RunConfig, variant: str) -> RunConfig:
@@ -182,8 +176,8 @@ class RunState:
         self.rng = RngStream(seed)
         self.counter = EvalCounter(config.max_fe)
         self.params = config.operator_params(problem.dimension)
-        self.pop_main: Population = Population([])
-        self.pop_aux: Population = Population([])
+        self.pop_main = Population.empty()
+        self.pop_aux = Population.empty()
         self.g = 1
         self.flag = 0
         self.switch_fe: int | None = None
@@ -246,8 +240,8 @@ def initialize(problem: Problem, config: RunConfig, seed: int) -> RunState:
     n = config.pop_size
     X_main = problem.bounds.sample(n, state.rng.gen)
     X_aux = problem.bounds.sample(n, state.rng.gen)
-    state.pop_main = Population(evaluate_batch(problem, X_main, state.counter, config.delta))
-    state.pop_aux = Population(evaluate_batch(problem, X_aux, state.counter, config.delta))
+    state.pop_main = evaluate_batch(problem, X_main, state.counter, config.delta)
+    state.pop_aux = evaluate_batch(problem, X_aux, state.counter, config.delta)
     state.history.record(0, state.pop_aux)
     _append_log(state, generation=0, stage=0)
     return state
@@ -255,10 +249,9 @@ def initialize(problem: Problem, config: RunConfig, seed: int) -> RunState:
 
 def feasible_front(pop: Population) -> np.ndarray:
     """Objective matrix of the feasible nondominated members (may be empty)."""
-    feas = [s for s in pop if s.cv == 0.0]
-    if not feas:
+    F = pop.F[pop.cv == 0.0]
+    if not len(F):
         return np.empty((0, 0))
-    F = np.array([s.objectives for s in feas])
     return F[unconstrained_nondominated(F)]
 
 
@@ -302,8 +295,7 @@ def try_switch(state: RunState) -> None:
         state.flag = 1
         state.switch_fe = state.fe
         state.switch_generation = state.g
-        seed_type = classify_relationship(state.pop_main, state.pop_aux,
-                                          state.config.coincident_threshold)
+        seed_type = classify_relationship(state.pop_aux, state.config.coincident_threshold)
         state.type_at_switch = seed_type
         state.tracker = TypeTracker(type=seed_type, cnt=0,
                                     reset_on_update=state.config.reset_cnt_on_update)
@@ -327,18 +319,19 @@ def stage1_step(state: RunState) -> None:
     rng = state.rng.gen
 
     pool_main = random_pool(state.pop_main, n, rng)
-    X1 = ga_offspring(pool_main, state.params, 1, state.problem.bounds, rng)
+    X1 = ga_offspring(state.pop_main.X[pool_main], state.params, 1, state.problem.bounds, rng)
     off1 = evaluate_batch(state.problem, X1, state.counter, cfg.delta)
 
     pool_aux = random_pool(state.pop_aux, n, rng)
-    X2 = ga_offspring(pool_aux, state.params, 1, state.problem.bounds, rng)
+    X2 = ga_offspring(state.pop_aux.X[pool_aux], state.params, 1, state.problem.bounds, rng)
     off2 = evaluate_batch(state.problem, X2, state.counter, cfg.delta)
 
-    main_union = list(state.pop_main) + off1
-    if not cfg.stage1_isolated_main:
-        main_union += off2
-    state.pop_main = environmental_select(main_union, n, epsilon=0.0)
-    state.pop_aux = environmental_select(list(state.pop_aux) + off2, n, epsilon=math.inf)
+    if cfg.stage1_isolated_main:
+        main_union = Population.concat(state.pop_main, off1)
+    else:
+        main_union = Population.concat(state.pop_main, off1, off2)
+    state.pop_main = _survivors(main_union, n, 0.0)
+    state.pop_aux = _survivors(Population.concat(state.pop_aux, off2), n, math.inf)
 
     state.history.record(state.g, state.pop_aux)
     _append_log(state, generation=state.g, stage=0)
@@ -350,13 +343,16 @@ def opposition_offspring(pop_aux: Population, bounds: Bounds) -> np.ndarray:
     if not len(pop_aux):
         raise ValueError("empty population")
     tc = math.tanh(math.log(len(pop_aux)) * 0.8)
-    X = pop_aux.decisions()
-    mirrored = (bounds.lower + bounds.upper) * tc - X
+    mirrored = (bounds.lower + bounds.upper) * tc - pop_aux.X
     return np.clip(mirrored, bounds.lower, bounds.upper)
 
 
+def _survivors(union: Population, n: int, epsilon: float) -> Population:
+    return union.take(environmental_select(union, n, epsilon))
+
+
 def _build_pool(pop: Population, kind: str, k: int, epsilon: float,
-                rng: np.random.Generator) -> list[Solution]:
+                rng: np.random.Generator) -> np.ndarray:
     if kind == "T":
         return tournament_pool(pop, k, epsilon, rng)
     if kind == "R":
@@ -373,12 +369,12 @@ def _run_operator(state: RunState, op: str, kind: str, k: int, source: str) -> n
     bounds = state.problem.bounds
     params = state.params
     if op == "transfer":
-        return de_transfer(state.pop_main, state.pop_aux, params, rng, count=k)
+        return de_transfer(state.pop_main.X, state.pop_aux.X, params, rng, count=k)
 
     pop = state.pop_main if source == "main" else state.pop_aux
     pool_eps = 0.0 if source == "main" else math.inf
     draw = max(k, 4) if op in _DE_FAMILY else k
-    pool = _build_pool(pop, kind, draw, pool_eps, rng)
+    pool = pop.X[_build_pool(pop, kind, draw, pool_eps, rng)]
     if op == "ga":
         X = ga_offspring(pool, params, 2, bounds, rng)
     elif op == "de":
@@ -393,7 +389,7 @@ def _run_operator(state: RunState, op: str, kind: str, k: int, source: str) -> n
 
 
 def hops_generate(state: RunState, eff_type: int, f1: float, f2: float
-                  ) -> tuple[list[Solution], list[Solution]]:
+                  ) -> tuple[Population, Population]:
     """Generate evaluated offspring batches per the type's operator plan.
 
     Pool sizes are round(f * N) per operator; a pool that rounds to zero
@@ -402,20 +398,21 @@ def hops_generate(state: RunState, eff_type: int, f1: float, f2: float
     """
     plan = HOPS_PLANS[eff_type]
     n = state.config.pop_size
-    off1: list[Solution] = []
-    off2: list[Solution] = []
-    for target, ops, kinds, factor, source in (
-        (off1, plan.main_ops, plan.main_pools, f1, "main"),
-        (off2, plan.aux_ops, plan.aux_pools, f2, "aux"),
+    out = []
+    for ops, kinds, factor, source in (
+        (plan.main_ops, plan.main_pools, f1, "main"),
+        (plan.aux_ops, plan.aux_pools, f2, "aux"),
     ):
         k = round(factor * n)
+        batches = []
         for op, kind in zip(ops, kinds):
             if k <= 0:
                 logger.debug("operator %s skipped: pool size rounded to 0", op)
                 continue
             X = _run_operator(state, op, kind, k, source)
-            target.extend(evaluate_batch(state.problem, X, state.counter, state.config.delta))
-    return off1, off2
+            batches.append(evaluate_batch(state.problem, X, state.counter, state.config.delta))
+        out.append(Population.concat(*batches))
+    return out[0], out[1]
 
 
 def stage2_step(state: RunState) -> None:
@@ -443,7 +440,7 @@ def stage2_step(state: RunState) -> None:
         eps = epsilon_final(state.schedule, state.fe, state.tracker.type)
     state.epsilon = eps
 
-    off3: list[Solution] = []
+    off3 = Population.empty()
     if (not cfg.disable_opposition and (fr_main == 1.0 or fr_main == 0.0)
             and fr_aux == 0.0 and eps > cfg.opposition_eps):
         X3 = opposition_offspring(state.pop_aux, state.problem.bounds)
@@ -456,30 +453,34 @@ def stage2_step(state: RunState) -> None:
         f1, f2 = no_dra_factors(len(plan.main_ops), len(plan.aux_ops))
         state.dra = DraState(f1=f1, f2=f2)
     else:
-        ll = cfg.ll_signal(state) if cfg.ll_signal is not None else 0.0
-        state.dra = dra_allocate(state.dra, state.tracker.type, ll, fr_main, fr_aux,
+        state.dra = dra_allocate(state.dra, state.tracker.type, 0.0, fr_main, fr_aux,
                                  state.tracker.cnt)
 
     off1, off2 = hops_generate(state, eff_type, state.dra.f1, state.dra.f2)
-    off = off1 + off2 + off3
+    off = Population.concat(off1, off2, off3)
 
-    state.pop_main = environmental_select(list(state.pop_main) + off, n, epsilon=0.0)
+    state.pop_main = _survivors(Population.concat(state.pop_main, off), n, 0.0)
 
     if cfg.force_angle_selection:
         state.phase = 2
-        state.pop_aux = angle_subregion_select(state.pop_aux, off, n_s, eps)
     elif eps >= cfg.phase1_eps:
         state.phase = 1
-        state.pop_aux = environmental_select(list(state.pop_aux) + off, n_s, epsilon=math.inf)
-        ntype = classify_relationship(state.pop_main, state.pop_aux, cfg.coincident_threshold)
-        state.tracker = track_type(state.tracker, ntype)
     elif eps <= cfg.phase3_eps or state.tracker.type in (1, 2):
         state.phase = 3
-        sel_eps = 0.0 if state.tracker.type == 1 else eps
-        state.pop_aux = environmental_select(list(state.pop_aux) + off, n_s, epsilon=sel_eps)
     else:
         state.phase = 2
-        state.pop_aux = angle_subregion_select(state.pop_aux, off, n_s, eps)
+
+    aux_union = Population.concat(state.pop_aux, off)
+    if state.phase == 1:
+        state.pop_aux = _survivors(aux_union, n_s, math.inf)
+        ntype = classify_relationship(state.pop_aux, cfg.coincident_threshold)
+        state.tracker = track_type(state.tracker, ntype)
+    elif state.phase == 3:
+        sel_eps = 0.0 if state.tracker.type == 1 else eps
+        state.pop_aux = _survivors(aux_union, n_s, sel_eps)
+    else:
+        picks = angle_subregion_select(aux_union, len(state.pop_aux), n_s, eps)
+        state.pop_aux = aux_union.take(picks)
 
     _append_log(state, generation=state.g, stage=1)
     state.g += 1
@@ -499,14 +500,10 @@ def run(problem: Problem, config: RunConfig | None = None, seed: int = 0) -> Run
             stage2_step(state)
     assert state.fe <= config.max_fe
 
-    feas = [s for s in state.pop_main if s.cv == 0.0]
-    if feas:
-        F = np.array([s.objectives for s in feas])
-        keep = unconstrained_nondominated(F)
-        front = [feas[i] for i in keep]
-        front_decisions = np.array([s.decisions for s in front])
-        front_objectives = np.array([s.objectives for s in front])
-        front_cv = np.array([s.cv for s in front])
+    feas = state.pop_main.take(state.pop_main.cv == 0.0)
+    if len(feas):
+        front = feas.take(unconstrained_nondominated(feas.F))
+        front_decisions, front_objectives, front_cv = front.X, front.F, front.cv
         final_igd = igd(front_objectives, state.ref_points)
         final_hv = state.metric_cfg.normalized_hypervolume(front_objectives)
     else:

@@ -53,8 +53,7 @@ class Problem:
     """Evaluation contract: decisions -> (objectives, inequality values,
     equality values), plus bounds and an analytic front sampler.
 
-    ``evaluate_matrix`` is the vectorized form (rows are decision vectors);
-    ``evaluate_decisions`` evaluates a single vector. Both are pure.
+    ``evaluate_matrix`` is pure and vectorized: rows are decision vectors.
     """
 
     id: str
@@ -63,10 +62,6 @@ class Problem:
     bounds: Bounds
     evaluate_matrix: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
     front_sampler: Callable[[int], np.ndarray] = field(repr=False)
-
-    def evaluate_decisions(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        F, G, H = self.evaluate_matrix(np.asarray(x, dtype=float)[None, :])
-        return F[0], G[0] if G.size else np.empty(0), H[0] if H.size else np.empty(0)
 
 
 def _tail(X: np.ndarray) -> np.ndarray:

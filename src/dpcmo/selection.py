@@ -1,21 +1,26 @@
-"""Environmental selection.
+"""Environmental selection on array-backed populations.
 
-Two selection mechanisms are provided:
+Two selection mechanisms are provided, both returning row indices into the
+union they select from:
 
 * rank-and-crowding truncation under an epsilon-relaxed feasible-first
   ordering (``environmental_select``), and
 * reference-vector subregion selection in the angular domain
   (``angle_subregion_select``).
 
-The epsilon-relaxed ordering compares solutions by max(0, cv - epsilon)
-first; ties fall through to Pareto dominance on objectives. epsilon = 0 is
-strict feasible-first comparison, epsilon = inf ignores constraints.
+A union is the row concatenation of the incoming population and its
+offspring, so an index names the same member as the position in that
+concatenation.
 
-Under that ordering every solution with a lower adjusted violation dominates
-every solution with a higher one, so nondominated sorting splits into groups
-of equal adjusted violation: a solution's rank is the number of fronts in all
+The epsilon-relaxed ordering compares rows by max(0, cv - epsilon) first;
+ties fall through to Pareto dominance on objectives. epsilon = 0 is strict
+feasible-first comparison, epsilon = inf ignores constraints.
+
+Under that ordering every row with a lower adjusted violation dominates every
+row with a higher one, so nondominated sorting splits into groups of equal
+adjusted violation: a row's rank is the number of fronts in all
 lower-violation groups plus its Pareto rank inside its own group. With two
-objectives the in-group rank is one sort plus a binary search per solution
+objectives the in-group rank is one sort plus a binary search per row
 (Jensen 2003; ENS-BS, Zhang et al. 2015). With three or more objectives the
 ranks come from a dense pairwise dominance matrix.
 
@@ -28,43 +33,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Population, Solution, pareto_dominates
+from .core import Population
 
 _VECTOR_PAD_SEED = 987654321
 
 
-def adjusted_cv(cv: float, epsilon: float) -> float:
-    """Violation remaining after the epsilon allowance."""
-    if math.isinf(epsilon):
-        return 0.0
-    return max(0.0, cv - epsilon)
-
-
-def epsilon_cdp_compare(a: Solution, b: Solution, epsilon: float) -> int:
-    """-1 if a is better, 1 if b is better, 0 if incomparable.
-
-    Lower adjusted violation wins outright; at equal adjusted violation the
-    comparison falls back to Pareto dominance on objectives.
-    """
-    ca = adjusted_cv(a.cv, epsilon)
-    cb = adjusted_cv(b.cv, epsilon)
-    if ca < cb:
-        return -1
-    if cb < ca:
-        return 1
-    if pareto_dominates(a.objectives, b.objectives):
-        return -1
-    if pareto_dominates(b.objectives, a.objectives):
-        return 1
-    return 0
-
-
 def _dominance_matrix(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
-    """dom[i, j] = solution i dominates solution j under the relaxed order."""
+    """dom[i, j] = row i dominates row j under the relaxed order."""
     less_cv = cv_adj[:, None] < cv_adj[None, :]
     eq_cv = cv_adj[:, None] == cv_adj[None, :]
     le = (F[:, None, :] <= F[None, :, :]).all(axis=2)
@@ -166,63 +144,47 @@ def crowding_distances(F: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return dist
 
 
-def rank_and_crowd(solutions, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nondomination ranks and crowding distances of the solutions.
+def rank_and_crowd(pop: Population, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nondomination ranks and crowding distances of the population's rows.
 
     A Population is immutable, so its result is computed once per epsilon and
     kept on the instance, read-only.
     """
-    cache = solutions.ranked if isinstance(solutions, Population) else None
-    if cache is not None and epsilon in cache:
-        return cache[epsilon]
-    members = list(solutions)
-    F = np.array([s.objectives for s in members])
-    cvs = np.array([s.cv for s in members])
-    ranks = nondominated_ranks(F, cvs, epsilon)
-    crowd = crowding_distances(F, ranks)
-    if cache is None:
-        return ranks, crowd
-    ranks.setflags(write=False)
-    crowd.setflags(write=False)
-    cache[epsilon] = ranks, crowd
+    cache = pop.ranked
+    if epsilon not in cache:
+        ranks = nondominated_ranks(pop.F, pop.cv, epsilon)
+        crowd = crowding_distances(pop.F, ranks)
+        ranks.setflags(write=False)
+        crowd.setflags(write=False)
+        cache[epsilon] = ranks, crowd
     return cache[epsilon]
 
 
-def fitness_order(solutions, epsilon: float) -> list[int]:
-    """Indices sorted best-first: rank ascending, crowding descending,
+def fitness_order(pop: Population, epsilon: float) -> np.ndarray:
+    """Row indices sorted best-first: rank ascending, crowding descending,
     original position as the final tie-break."""
-    ranks, crowd = rank_and_crowd(solutions, epsilon)
-    return sorted(range(len(ranks)), key=lambda i: (ranks[i], -crowd[i], i))
+    ranks, crowd = rank_and_crowd(pop, epsilon)
+    return np.lexsort((-crowd, ranks))
 
 
-def environmental_select(union, n: int, epsilon: float) -> Population:
-    """Keep the best min(n, |union|) solutions under the relaxed ordering.
+def environmental_select(union: Population, n: int, epsilon: float) -> np.ndarray:
+    """Indices of the best min(n, |union|) rows under the relaxed ordering.
 
     Whole fronts are admitted in rank order, members in index order; the
     front that overflows is truncated by descending crowding distance.
     """
-    members = list(union)
-    if not members:
+    if not len(union):
         raise ValueError("cannot select from an empty union")
-    if len(members) <= n:
-        return Population(members)
-    ranks, crowd = rank_and_crowd(members, epsilon)
+    if len(union) <= n:
+        return np.arange(len(union))
+    ranks, crowd = rank_and_crowd(union, epsilon)
     order = np.argsort(ranks, kind="stable")
     split = ranks[order[n - 1]]  # the front that holds the n-th place
     if np.count_nonzero(ranks <= split) > n:
         front = np.flatnonzero(ranks == split)
         front = front[np.argsort(-crowd[front], kind="stable")]
         order = np.concatenate([order[: np.count_nonzero(ranks < split)], front])
-    return Population([members[i] for i in order[:n]])
-
-
-@dataclass(frozen=True)
-class ReferenceVectorSet:
-    """Unit direction vectors in objective space; ``min_angle`` is the
-    smallest member-to-vector angle observed at the last assignment."""
-
-    vectors: np.ndarray
-    min_angle: float | None = None
+    return order[:n]
 
 
 def _simplex_lattice(m: int, h: int) -> np.ndarray:
@@ -237,8 +199,8 @@ def _simplex_lattice(m: int, h: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def das_dennis_vectors(m: int, target: int, pad_seed: int = _VECTOR_PAD_SEED) -> ReferenceVectorSet:
-    """Simplex-lattice directions, unit 2-norm.
+def das_dennis_vectors(m: int, target: int, pad_seed: int = _VECTOR_PAD_SEED) -> np.ndarray:
+    """Simplex-lattice directions in objective space, one per row, unit 2-norm.
 
     Uses the largest lattice parameter H whose point count does not exceed
     ``target``; any shortfall is padded with seeded uniform simplex points
@@ -256,8 +218,7 @@ def das_dennis_vectors(m: int, target: int, pad_seed: int = _VECTOR_PAD_SEED) ->
         rng = np.random.Generator(np.random.PCG64(pad_seed + 1000 * m + target))
         extra = rng.dirichlet(np.ones(m), size=target - len(pts))
         pts = np.vstack([pts, extra])
-    vectors = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    return ReferenceVectorSet(vectors=vectors)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def unconstrained_nondominated(F: np.ndarray) -> np.ndarray:
@@ -265,10 +226,7 @@ def unconstrained_nondominated(F: np.ndarray) -> np.ndarray:
     ascending order."""
     if F.shape[1] == 2:
         return np.flatnonzero(_sweep_ranks(F, np.zeros(len(F))) == 0)
-    le = (F[:, None, :] <= F[None, :, :]).all(axis=2)
-    lt = (F[:, None, :] < F[None, :, :]).any(axis=2)
-    dominated = (le & lt).any(axis=0)
-    return np.flatnonzero(~dominated)
+    return np.flatnonzero(~_dominance_matrix(F, np.zeros(len(F))).any(axis=0))
 
 
 def angular_distances(normalized: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -279,24 +237,23 @@ def angular_distances(normalized: np.ndarray, vectors: np.ndarray) -> np.ndarray
     return np.arccos(np.clip(cosine, -1.0, 1.0))
 
 
-def angle_subregion_select(pop_aux, offspring, n_s: int, epsilon: float) -> Population:
-    """Subregion selection in the angular domain.
+def angle_subregion_select(union: Population, n_aux: int, n_s: int,
+                           epsilon: float) -> np.ndarray:
+    """Subregion selection in the angular domain; returns row indices of
+    ``union``, whose first ``n_aux`` rows are the incoming population.
 
-    The nondominated subset of the combined candidates is normalized to
-    [0, 1] per objective and assigned to reference vectors. Each vector picks
-    one candidate: a feasible one with the smallest violation-plus-angle
-    score when any candidate falls strictly inside the global minimum-angle
-    radius, otherwise simply the angularly nearest candidate. When the
-    incoming population is smaller than 25, unselected candidates top up the
-    pool. The picks are then ranked under the epsilon ordering and the best
-    n_s returned.
+    The nondominated subset of the union is normalized to [0, 1] per
+    objective and assigned to reference vectors. Each vector picks one
+    candidate: a feasible one with the smallest violation-plus-angle score
+    when any candidate falls strictly inside the global minimum-angle radius,
+    otherwise simply the angularly nearest candidate. A candidate may be
+    picked by several vectors. When the incoming population is smaller than
+    25, unpicked rows top up the pool in index order. The pool is then ranked
+    under the epsilon ordering and the best n_s returned.
     """
-    aux_members = list(pop_aux)
-    members = aux_members + list(offspring)
-    if not members:
+    if not len(union):
         raise ValueError("cannot select from an empty candidate set")
-    F = np.array([s.objectives for s in members])
-    cvs = np.array([s.cv for s in members])
+    F, cvs = union.F, union.cv
     nd = unconstrained_nondominated(F)
 
     z_min = F[nd].min(axis=0)
@@ -304,8 +261,7 @@ def angle_subregion_select(pop_aux, offspring, n_s: int, epsilon: float) -> Popu
     span = np.maximum(z_max - z_min, 1e-12)
     normalized = (F[nd] - z_min) / span
 
-    ref = das_dennis_vectors(F.shape[1], n_s)
-    ang = angular_distances(normalized, ref.vectors)
+    ang = angular_distances(normalized, das_dennis_vectors(F.shape[1], n_s))
     h = float(ang.min())
 
     picks: list[int] = []
@@ -322,12 +278,8 @@ def angle_subregion_select(pop_aux, offspring, n_s: int, epsilon: float) -> Popu
                 local = int(inside[np.argmin(ang[inside, k])])
         picks.append(int(nd[local]))
 
-    selected = [members[i] for i in picks]
-    chosen_set = set(picks)
-    remainder = [members[i] for i in range(len(members)) if i not in chosen_set]
-    pool = list(selected)
-    if len(aux_members) < 25:
-        pool.extend(remainder[: 25 - len(aux_members)])
-
-    order = fitness_order(pool, epsilon)
-    return Population([pool[i] for i in order[:n_s]])
+    pool = np.array(picks)
+    if n_aux < 25:
+        unpicked = np.flatnonzero(~np.isin(np.arange(len(union)), pool))
+        pool = np.concatenate([pool, unpicked[: 25 - n_aux]])
+    return pool[fitness_order(union.take(pool), epsilon)[:n_s]]

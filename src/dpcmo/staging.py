@@ -88,22 +88,18 @@ def should_switch(rs: float, g: int, strict_only: bool = False) -> bool:
     return False
 
 
-def classify_relationship(pop_main: Population, pop_aux: Population,
-                          coincident_threshold: float = 0.9) -> int:
+def classify_relationship(pop_aux: Population, coincident_threshold: float = 0.9) -> int:
     """Classify the front relationship from the auxiliary population.
 
     Looks at the feasible fraction of the auxiliary population's
     unconstrained nondominated set: everything feasible means the fronts
     coincide, nothing feasible means they are separated, and anything in
-    between is partial overlap. The main population is accepted for
-    interface parity but the decision rests on the auxiliary one.
+    between is partial overlap.
     """
-    if not len(pop_main) or not len(pop_aux):
-        raise ValueError("both populations must be nonempty")
-    F = pop_aux.objectives()
-    nd = unconstrained_nondominated(F)
-    cvs = pop_aux.cvs()[nd]
-    phi = float(np.mean(cvs == 0.0))
+    if not len(pop_aux):
+        raise ValueError("the auxiliary population must be nonempty")
+    nd = unconstrained_nondominated(pop_aux.F)
+    phi = float(np.mean(pop_aux.cv[nd] == 0.0))
     if phi >= coincident_threshold:
         return TYPE_COINCIDENT
     if phi == 0.0:

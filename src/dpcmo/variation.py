@@ -1,7 +1,8 @@
 """Mating-pool construction and variation operators.
 
-Operators consume parent solutions and return decision matrices, one row
-per offspring; evaluation is the caller's job. All outputs are clamped to
+Pools are arrays of row indices into a population. Operators consume parent
+decision matrices (one row per pool slot) and return decision matrices, one
+row per offspring; evaluation is the caller's job. All outputs are clamped to
 the problem bounds except the coordinate-exchange operator, whose output
 coordinates are copied verbatim from in-bounds parents.
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bounds, Solution
+from .core import Bounds, Population
 from .selection import fitness_order, rank_and_crowd
 
 
@@ -41,44 +42,39 @@ class OperatorParams:
             raise ValueError("pbest_fraction must lie in (0, 1]")
 
 
-def tournament_pool(pop, k: int, epsilon: float, rng: np.random.Generator) -> list[Solution]:
-    """k parents by binary tournament under the epsilon ordering.
+def tournament_pool(pop: Population, k: int, epsilon: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Row indices of k parents by binary tournament under the epsilon
+    ordering.
 
     Each tournament draws two distinct members; lower nondomination rank
     wins, ties go to higher crowding distance, remaining ties to a coin
     flip.
     """
-    members = list(pop)
-    if not members:
+    n = len(pop)
+    if not n:
         raise ValueError("empty population")
-    n = len(members)
     if n == 1:
-        return [members[0]] * k
+        return np.zeros(k, dtype=int)
     ranks, crowd = rank_and_crowd(pop, epsilon)
-    out = []
-    for _ in range(k):
-        i, j = rng.choice(n, size=2, replace=False)
+    ranks, crowd = ranks.tolist(), crowd.tolist()
+    out = np.empty(k, dtype=int)
+    for t in range(k):
+        i, j = rng.choice(n, size=2, replace=False).tolist()
         if ranks[i] != ranks[j]:
-            winner = i if ranks[i] < ranks[j] else j
+            out[t] = i if ranks[i] < ranks[j] else j
         elif crowd[i] != crowd[j]:
-            winner = i if crowd[i] > crowd[j] else j
+            out[t] = i if crowd[i] > crowd[j] else j
         else:
-            winner = i if rng.random() < 0.5 else j
-        out.append(members[winner])
+            out[t] = i if rng.random() < 0.5 else j
     return out
 
 
-def random_pool(pop, k: int, rng: np.random.Generator) -> list[Solution]:
-    """k uniform draws with replacement."""
-    members = list(pop)
-    if not members:
+def random_pool(pop: Population, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Row indices of k uniform draws with replacement."""
+    if not len(pop):
         raise ValueError("empty population")
-    idx = rng.integers(0, len(members), size=k)
-    return [members[i] for i in idx]
-
-
-def _decisions(pool) -> np.ndarray:
-    return np.array([s.decisions for s in pool])
+    return rng.integers(0, len(pop), size=k)
 
 
 def sbx_crossover(X: np.ndarray, eta: float, prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -144,7 +140,7 @@ def polynomial_mutation(X: np.ndarray, bounds: Bounds, pm: float, eta: float,
     return np.clip(X, lb, ub)
 
 
-def ga_offspring(pool, params: OperatorParams, stage: int, bounds: Bounds,
+def ga_offspring(X: np.ndarray, params: OperatorParams, stage: int, bounds: Bounds,
                  rng: np.random.Generator) -> np.ndarray:
     """SBX plus polynomial mutation; one child per parent slot.
 
@@ -152,7 +148,6 @@ def ga_offspring(pool, params: OperatorParams, stage: int, bounds: Bounds,
     """
     if stage not in (1, 2):
         raise ValueError(f"stage must be 1 or 2, got {stage}")
-    X = _decisions(pool)
     n = len(X)
     children = sbx_crossover(X, params.eta_crossover, params.crossover_prob, rng)
     pm = params.mutation_prob if params.mutation_prob is not None else 1.0 / bounds.dimension
@@ -179,9 +174,9 @@ def _distinct_triples(n: int, rng: np.random.Generator, exclude_self: bool = Tru
     return out
 
 
-def de_rand_1(pool, params: OperatorParams, bounds: Bounds, rng: np.random.Generator) -> np.ndarray:
-    """rand/1 mutation with binomial crossover against each target."""
-    X = _decisions(pool)
+def de_rand_1(X: np.ndarray, params: OperatorParams, bounds: Bounds,
+              rng: np.random.Generator) -> np.ndarray:
+    """rand/1 mutation with binomial crossover against each target row."""
     n, d = X.shape
     idx = _distinct_triples(n, rng)
     F = rng.choice(params.f_choices, size=n)
@@ -194,14 +189,13 @@ def de_rand_1(pool, params: OperatorParams, bounds: Bounds, rng: np.random.Gener
     return np.clip(U, bounds.lower, bounds.upper)
 
 
-def de_current_to_rand(pool, params: OperatorParams, bounds: Bounds,
+def de_current_to_rand(X: np.ndarray, params: OperatorParams, bounds: Bounds,
                        rng: np.random.Generator) -> np.ndarray:
     """Base-plus-random-rescale mutation; no crossover.
 
     The base member is additionally scaled by a fresh uniform(0, 1) vector
     per offspring before the difference term is added.
     """
-    X = _decisions(pool)
     n, d = X.shape
     idx = _distinct_triples(n, rng)
     F = rng.choice(params.f_choices, size=n)
@@ -211,22 +205,20 @@ def de_current_to_rand(pool, params: OperatorParams, bounds: Bounds,
     return np.clip(V, bounds.lower, bounds.upper)
 
 
-def de_current_to_pbest(pool_aux, pop_main, params: OperatorParams, bounds: Bounds,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Pull auxiliary members toward elite members of the main population.
+def de_current_to_pbest(A: np.ndarray, pop_main: Population, params: OperatorParams,
+                        bounds: Bounds, rng: np.random.Generator) -> np.ndarray:
+    """Pull auxiliary decision rows toward elite members of the main
+    population.
 
     The elite set is the best ceil(pbest_fraction * |main|) members of the
     main population under the strict feasible-first ordering; each offspring
     draws its attractor uniformly from that set.
     """
-    main_members = list(pop_main)
-    if not main_members:
+    if not len(pop_main):
         raise ValueError("empty main population")
-    A = _decisions(pool_aux)
     n, d = A.shape
-    order = fitness_order(pop_main, epsilon=0.0)
-    top = max(1, math.ceil(params.pbest_fraction * len(main_members)))
-    elite = np.array([main_members[i].decisions for i in order[:top]])
+    top = max(1, math.ceil(params.pbest_fraction * len(pop_main)))
+    elite = pop_main.X[fitness_order(pop_main, epsilon=0.0)[:top]]
 
     idx = _distinct_triples(n, rng)
     F = rng.choice(params.f_choices, size=n)
@@ -236,28 +228,24 @@ def de_current_to_pbest(pool_aux, pop_main, params: OperatorParams, bounds: Boun
     return np.clip(V, bounds.lower, bounds.upper)
 
 
-def de_transfer(pop_main, pop_aux, params: OperatorParams, rng: np.random.Generator,
-                count: int | None = None) -> np.ndarray:
-    """Coordinate exchange between the two populations.
+def de_transfer(X_main: np.ndarray, X_aux: np.ndarray, params: OperatorParams,
+                rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Coordinate exchange between the decision rows of the two populations.
 
-    For each offspring one index addresses both populations; coordinates
-    come from the main member when a per-coordinate draw passes the
-    crossover rate (or at one forced coordinate), from the auxiliary member
-    otherwise. No clamping is needed.
+    For each offspring one index addresses both matrices; coordinates come
+    from the main row when a per-coordinate draw passes the crossover rate
+    (or at one forced coordinate), from the auxiliary row otherwise. No
+    clamping is needed.
     """
-    main_members = list(pop_main)
-    aux_members = list(pop_aux)
-    if not main_members or not aux_members:
+    if not len(X_main) or not len(X_aux):
         raise ValueError("both populations must be nonempty")
-    n = count if count is not None else len(aux_members)
-    limit = min(len(main_members), len(aux_members))
-    d = main_members[0].decisions.size
+    n = count if count is not None else len(X_aux)
+    limit = min(len(X_main), len(X_aux))
+    d = X_main.shape[1]
 
     r = rng.integers(0, limit, size=n)
-    Xm = np.array([main_members[i].decisions for i in r])
-    Xa = np.array([aux_members[i].decisions for i in r])
     CR = rng.choice(params.cr_choices_transfer, size=n)
     forced = rng.integers(0, d, size=n)
     take_main = rng.random((n, d)) < CR[:, None]
     take_main[np.arange(n), forced] = True
-    return np.where(take_main, Xm, Xa)
+    return np.where(take_main, X_main[r], X_aux[r])

@@ -10,8 +10,123 @@ documented contract the package implements.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from dpcmo.core import DEFAULT_EQ_TOLERANCE
+
+
+# ---------------------------------------------------------------------------
+# Scalar evaluation: one decision vector at a time
+
+
+class BudgetExhausted(RuntimeError):
+    """Raised when an evaluation is requested past the configured budget."""
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class Solution:
+    """One evaluated point: decisions, objectives, raw constraint values and
+    the scalar violation derived from them."""
+
+    decisions: np.ndarray
+    objectives: np.ndarray
+    ineq: np.ndarray
+    eq: np.ndarray
+    cv: float
+
+    def __post_init__(self):
+        for name in ("decisions", "objectives", "ineq", "eq"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+
+def constraint_violation(ineq, eq, delta: float = DEFAULT_EQ_TOLERANCE) -> float:
+    """Scalar infeasibility of one solution.
+
+    Sums max(0, g) over inequality values g and max(0, |h| - delta) over
+    equality values h. Zero exactly when all g <= 0 and all |h| <= delta.
+    Raises ValueError on non-finite input, naming the offending index.
+    """
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    g = [float(v) for v in ineq]
+    h = [float(v) for v in eq]
+    for name, values in (("ineq", g), ("eq", h)):
+        for i, v in enumerate(values):
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite {name} value at index {i}")
+    return sum((max(0.0, v) for v in g), 0.0) + sum((max(0.0, abs(v) - delta) for v in h), 0.0)
+
+
+def evaluate_decisions(problem, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(objectives, inequality values, equality values) of one vector."""
+    F, G, H = problem.evaluate_matrix(np.asarray(x, dtype=float)[None, :])
+    return F[0], G[0] if G.size else np.empty(0), H[0] if H.size else np.empty(0)
+
+
+def evaluate(problem, v, counter, delta: float = DEFAULT_EQ_TOLERANCE) -> Solution:
+    """Evaluate one decision vector, consuming exactly one budget unit.
+
+    Raises BudgetExhausted (without evaluating) when the budget is spent.
+    """
+    if counter.remaining <= 0:
+        raise BudgetExhausted(f"budget {counter.budget} exhausted")
+    objectives, ineq, eq = evaluate_decisions(problem, v)
+    for i, f in enumerate(objectives):
+        if not math.isfinite(f):
+            raise ValueError(f"non-finite objective at index {i}")
+    cv = constraint_violation(ineq, eq, delta)
+    counter.count += 1
+    return Solution(v, objectives, ineq, eq, cv)
+
+
+def pareto_dominates(a, b) -> bool:
+    """True iff objective vector a is no worse than b everywhere and strictly
+    better somewhere (minimization)."""
+    if len(a) != len(b):
+        raise ValueError(f"objective length mismatch: {len(a)} vs {len(b)}")
+    return _dominates(a, b)
+
+
+def clamp_to_bounds(v, bounds) -> np.ndarray:
+    """Componentwise projection onto the box; idempotent."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1] != bounds.dimension:
+        raise ValueError(f"vector length {v.shape[-1]} differs from bound dimension {bounds.dimension}")
+    return np.clip(v, bounds.lower, bounds.upper)
+
+
+def adjusted_cv(cv: float, epsilon: float) -> float:
+    """Violation remaining after the epsilon allowance."""
+    if math.isinf(epsilon):
+        return 0.0
+    return max(0.0, cv - epsilon)
+
+
+def epsilon_cdp_compare(a: Solution, b: Solution, epsilon: float) -> int:
+    """-1 if a is better, 1 if b is better, 0 if incomparable.
+
+    Lower adjusted violation wins outright; at equal adjusted violation the
+    comparison falls back to Pareto dominance on objectives.
+    """
+    ca = adjusted_cv(a.cv, epsilon)
+    cb = adjusted_cv(b.cv, epsilon)
+    if ca < cb:
+        return -1
+    if cb < ca:
+        return 1
+    if _dominates(a.objectives, b.objectives):
+        return -1
+    if _dominates(b.objectives, a.objectives):
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dpcmo.cli import main as cli_main
-from dpcmo.core import Population, Solution
+from dpcmo.core import Population
 from dpcmo.engine import RunConfig, apply_ablation, run
 from dpcmo.metrics import hypervolume
 from dpcmo.problems import make_problem, reference_front
@@ -32,9 +32,10 @@ def report(criterion: int, text: str) -> None:
     print(f"[criterion {criterion:2d}] PASS: {text}")
 
 
-def sol(objectives, cv=0.0):
-    objectives = np.asarray(objectives, dtype=float)
-    return Solution(objectives, objectives, np.empty(0), np.empty(0), float(cv))
+def population(rows):
+    """Population from (objectives, cv) pairs; decisions equal the objectives."""
+    F = np.array([f for f, _ in rows], dtype=float)
+    return Population(F, F, [cv for _, cv in rows])
 
 
 @pytest.fixture(scope="session")
@@ -57,11 +58,9 @@ def test_criterion_1_selection_oracle_equivalence():
     for trial in range(200):
         n = int(rng.integers(3, 13))
         keep = int(rng.integers(1, n + 1))
-        sols = [sol(rng.random(2), float(rng.uniform(0, 2))) for _ in range(n)]
-        got = environmental_select(sols, keep, math.inf)
-        index_of = {id(s): i for i, s in enumerate(sols)}
-        got_idx = sorted(index_of[id(s)] for s in got)
-        want_idx = nsga2_select_bruteforce([tuple(s.objectives) for s in sols], keep)
+        union = population([(rng.random(2), float(rng.uniform(0, 2))) for _ in range(n)])
+        got_idx = sorted(environmental_select(union, keep, math.inf).tolist())
+        want_idx = nsga2_select_bruteforce([tuple(f) for f in union.F], keep)
         assert got_idx == want_idx, f"instance {trial}: {got_idx} != {want_idx}"
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -71,18 +70,13 @@ def test_criterion_1_selection_oracle_equivalence():
 def test_criterion_2_angular_selection_oracle_equivalence():
     rng = np.random.default_rng(202)
     for trial in range(100):
-        aux = [sol(rng.random(2), float(rng.random() < 0.5) * float(rng.uniform(0, 1)))
-               for _ in range(10)]
-        off = [sol(rng.random(2), float(rng.random() < 0.5) * float(rng.uniform(0, 1)))
-               for _ in range(10)]
+        rows = [(rng.random(2), float(rng.random() < 0.5) * float(rng.uniform(0, 1)))
+                for _ in range(20)]
         eps = float(rng.choice([0.0, 0.05, 0.5]))
-        got = angle_subregion_select(Population(aux), off, 5, eps)
-        members = aux + off
-        index_of = {id(s): i for i, s in enumerate(members)}
-        got_idx = [index_of[id(s)] for s in got]
+        union = population(rows)
+        got_idx = angle_subregion_select(union, 10, 5, eps).tolist()
         want_idx = angle_select_literal(
-            [s.objectives for s in aux], [s.cv for s in aux],
-            [s.objectives for s in off], [s.cv for s in off], 5, eps)
+            union.F[:10], union.cv[:10], union.F[10:], union.cv[10:], 5, eps)
         assert got_idx == want_idx, f"instance {trial}: {got_idx} != {want_idx}"
     report(2, "100/100 instances match the literal pseudocode transcription")
 

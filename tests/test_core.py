@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dpcmo.core import (
     Bounds,
-    BudgetExhausted,
     EvalCounter,
     Population,
     RngStream,
-    Solution,
+    constraint_violation_batch,
+    evaluate_batch,
+)
+from dpcmo.problems import PROBLEM_IDS, make_problem
+
+from oracles import (
+    BudgetExhausted,
     clamp_to_bounds,
     constraint_violation,
     evaluate,
-    evaluate_batch,
     pareto_dominates,
 )
-from dpcmo.problems import make_problem
 
 
 class TestConstraintViolation:
@@ -126,27 +130,55 @@ class TestEvaluate:
         out = evaluate_batch(p, X, counter)
         assert len(out) == 5
         assert counter.count == 5
-        assert evaluate_batch(p, X, counter) == []
+        assert np.array_equal(out.X, X[:5])
+        assert len(evaluate_batch(p, X, counter)) == 0
 
     def test_batch_matches_single(self):
         p = make_problem("P2-partial", 10)
         rng = np.random.default_rng(11)
         X = rng.random((20, 10))
         batch = evaluate_batch(p, X, EvalCounter(20))
-        for i, s in enumerate(batch):
+        for i in range(len(batch)):
             single = evaluate(p, X[i], EvalCounter(1))
-            assert np.array_equal(s.objectives, single.objectives)
-            assert s.cv == single.cv
+            assert np.array_equal(batch.F[i], single.objectives)
+            assert batch.cv[i] == single.cv
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PROBLEM_IDS), st.integers(2, 12), st.data())
+    def test_batch_matches_scalar_reference_row_by_row(self, pid, dimension, data):
+        p = make_problem(pid, dimension)
+        X = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 30)), dimension),
+                                 elements=st.floats(0, 1, allow_subnormal=False)))
+        budget = data.draw(st.integers(0, len(X) + 3))
+        batch = evaluate_batch(p, X, EvalCounter(budget))
+        assert len(batch) == min(budget, len(X))
+        counter = EvalCounter(len(X))
+        for i in range(len(batch)):
+            ref = evaluate(p, X[i], counter)
+            assert np.array_equal(batch.X[i], ref.decisions)
+            assert np.array_equal(batch.F[i], ref.objectives)
+            assert batch.cv[i] == pytest.approx(ref.cv, rel=1e-12, abs=1e-15)
+            assert (batch.cv[i] == 0.0) == (ref.cv == 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 6), st.integers(0, 6), st.data())
+    def test_violation_batch_matches_scalar_reference(self, n, n_ineq, n_eq, data):
+        values = st.floats(-10, 10, allow_subnormal=False)
+        G = data.draw(hnp.arrays(float, (n, n_ineq), elements=values))
+        H = data.draw(hnp.arrays(float, (n, n_eq), elements=values))
+        delta = data.draw(st.sampled_from([1e-4, 0.5]))
+        cv = constraint_violation_batch(G, H, delta)
+        for i in range(n):
+            ref = constraint_violation(G[i], H[i], delta)
+            assert cv[i] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            assert (cv[i] == 0.0) == (ref == 0.0)
 
 
 class TestPopulation:
-    def _solutions(self, F):
-        return [Solution(np.zeros(2), f, np.empty(0), np.empty(0), 0.0) for f in F]
-
     def test_cached_points_match_recomputation(self):
         rng = np.random.default_rng(5)
         F = rng.random((40, 3))
-        pop = Population(self._solutions(F))
+        pop = Population(np.zeros((40, 2)), F, np.zeros(40))
         assert pop.ideal == pytest.approx(F.min(axis=0))
         assert pop.nadir == pytest.approx(F.max(axis=0))
         assert pop.average == pytest.approx(F.mean(axis=0))
@@ -154,9 +186,28 @@ class TestPopulation:
         assert np.all(pop.average <= pop.nadir)
 
     def test_feasible_ratio(self):
-        sols = self._solutions(np.ones((4, 2)))
-        sols[0] = Solution(np.zeros(2), np.ones(2), np.array([1.0]), np.empty(0), 1.0)
-        assert Population(sols).feasible_ratio() == 0.75
+        pop = Population(np.zeros((4, 2)), np.ones((4, 2)), [1.0, 0.0, 0.0, 0.0])
+        assert pop.feasible_ratio() == 0.75
+        assert Population.empty().feasible_ratio() == 0.0
+
+    def test_arrays_are_read_only_and_row_aligned(self):
+        pop = Population(np.zeros((3, 2)), np.ones((3, 2)), np.zeros(3))
+        with pytest.raises(ValueError):
+            pop.F[0, 0] = 5.0
+        with pytest.raises(ValueError, match="row counts"):
+            Population(np.zeros((3, 2)), np.ones((2, 2)), np.zeros(3))
+
+    def test_concat_and_take_keep_row_order(self):
+        a = Population(np.arange(4.0).reshape(2, 2), [[0.0, 1.0], [1.0, 0.0]], [0.0, 0.5])
+        b = Population(np.full((1, 2), 9.0), [[2.0, 2.0]], [0.0])
+        union = Population.concat(a, Population.empty(), b)
+        assert union.F.tolist() == [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]
+        assert union.cv.tolist() == [0.0, 0.5, 0.0]
+        assert union.F.flags.c_contiguous
+        picked = union.take(np.array([2, 0, 2]))
+        assert picked.X[:, 0].tolist() == [9.0, 0.0, 9.0]
+        assert Population.concat(a) is a
+        assert len(Population.concat()) == 0
 
 
 class TestRngStream:

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpcmo.core import Bounds, EvalCounter, Population, evaluate_batch
 from dpcmo.engine import (
+    ABLATION_VARIANTS,
     HOPS_PLANS,
     RunConfig,
+    _fingerprint,
     apply_ablation,
     feasible_front,
     hops_generate,
@@ -18,7 +22,7 @@ from dpcmo.engine import (
     stage2_step,
     try_switch,
 )
-from dpcmo.problems import Problem, make_problem
+from dpcmo.problems import PROBLEM_IDS, Problem, make_problem
 from dpcmo.schedule import EpsilonSchedule
 from dpcmo.staging import TypeTracker
 
@@ -68,13 +72,13 @@ class TestInitialize:
         p = make_problem("P1-overlap", 10)
         a = initialize(p, RunConfig(pop_size=30), 7)
         b = initialize(p, RunConfig(pop_size=30), 7)
-        assert np.array_equal(a.pop_main.decisions(), b.pop_main.decisions())
-        assert np.array_equal(a.pop_aux.decisions(), b.pop_aux.decisions())
+        assert np.array_equal(a.pop_main.X, b.pop_main.X)
+        assert np.array_equal(a.pop_aux.X, b.pop_aux.X)
 
     def test_members_within_bounds(self):
         state = initialize(make_problem("P2-partial", 10), RunConfig(pop_size=200), 2)
         for pop in (state.pop_main, state.pop_aux):
-            X = pop.decisions()
+            X = pop.X
             assert np.all(X >= 0.0) and np.all(X <= 1.0)
 
     def test_small_budget_rejected(self):
@@ -97,6 +101,7 @@ class TestRunConfigBounds:
         ("phase3_eps", -0.001),
         ("phase3_eps", 0.195),
         ("history_gap", 0),
+        ("delta", 0.0),
     ])
     def test_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -105,6 +110,37 @@ class TestRunConfigBounds:
     def test_edge_values_accepted(self):
         RunConfig(fixed_aux_size=2, pbest_fraction=1.0, igd_points=2, phase3_eps=0.0,
                   history_gap=1)
+
+    def test_default_fingerprint_is_pinned(self):
+        assert _fingerprint(make_problem("P1-overlap", 10), RunConfig(), 1) == "27f04fe10b2e2f90"
+
+
+@st.composite
+def small_configs(draw):
+    """Any constructible small config: N in [5, 12], a budget from the two
+    initial populations up to past the generation-250 switch cap, free
+    auxiliary size, elite fraction and relaxation fields, and any variant."""
+    n = draw(st.integers(5, 12))
+    phase1_eps = draw(st.floats(1e-4, 0.5))
+    config = RunConfig(
+        pop_size=n,
+        max_fe=draw(st.integers(2 * n, 2 * n * 260)),
+        eps0=draw(st.floats(1e-6, 1.0)),
+        curvature=draw(st.floats(1e-3, 100.0)),
+        phase1_eps=phase1_eps,
+        phase3_eps=draw(st.floats(0.0, phase1_eps, exclude_max=True)),
+        opposition_eps=draw(st.floats(0.0, 1.0)),
+        pbest_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        fixed_aux_size=draw(st.none() | st.integers(2, 3 * n)),
+    )
+    return apply_ablation(config, draw(st.sampled_from(("full",) + ABLATION_VARIANTS)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_configs(), st.sampled_from(PROBLEM_IDS), st.integers(2, 10), st.integers(0, 2**16))
+def test_constructed_config_runs_to_budget(config, problem_id, dimension, seed):
+    result = run(make_problem(problem_id, dimension), config, seed)
+    assert result.evaluations == config.max_fe
 
 
 class TestStage1:
@@ -120,18 +156,24 @@ class TestStage1:
     def test_identical_populations_stay_fixed(self):
         state = initialize(constant_problem(), RunConfig(pop_size=30, max_fe=10_000), 5)
         stage1_step(state)
-        assert np.all(state.pop_main.objectives() == [1.0, 2.0])
-        assert np.all(state.pop_aux.objectives() == [1.0, 2.0])
+        assert np.all(state.pop_main.F == [1.0, 2.0])
+        assert np.all(state.pop_aux.F == [1.0, 2.0])
 
     def test_best_member_survives_or_is_superseded(self):
         # elitism: the leading member only ever loses its seat to a
         # strictly better one
         state = initialize(make_problem("P3-separated", 10), RunConfig(pop_size=40), 7)
-        from dpcmo.selection import epsilon_cdp_compare, fitness_order
-        best = list(state.pop_main)[fitness_order(state.pop_main, 0.0)[0]]
+        from dpcmo.selection import fitness_order
+        from oracles import Solution, epsilon_cdp_compare
+
+        def members(pop):
+            return [Solution(x, f, [], [], c) for x, f, c in zip(pop.X, pop.F, pop.cv)]
+
+        best = members(state.pop_main)[fitness_order(state.pop_main, 0.0)[0]]
         stage1_step(state)
-        survives = any(s is best for s in state.pop_main)
-        superseded = any(epsilon_cdp_compare(s, best, 0.0) == -1 for s in state.pop_main)
+        after = members(state.pop_main)
+        survives = any(np.array_equal(s.decisions, best.decisions) for s in after)
+        superseded = any(epsilon_cdp_compare(s, best, 0.0) == -1 for s in after)
         assert survives or superseded
 
     def test_isolated_main_ablation_changes_outcome(self):
@@ -142,9 +184,9 @@ class TestStage1:
             stage1_step(full)
             stage1_step(isolated)
         assert full.fe == isolated.fe
-        assert not np.array_equal(full.pop_main.decisions(), isolated.pop_main.decisions())
+        assert not np.array_equal(full.pop_main.X, isolated.pop_main.X)
         # auxiliary side is untouched by the ablation
-        assert np.array_equal(full.pop_aux.decisions(), isolated.pop_aux.decisions())
+        assert np.array_equal(full.pop_aux.X, isolated.pop_aux.X)
 
 
 class TestSwitch:
@@ -180,15 +222,14 @@ class TestOpposition:
     def test_mirror_with_symmetric_bounds(self):
         # lb + ub = 0, so the mirror is plain negation before clamping
         p = make_problem("P1-overlap", 10)
-        pop = Population(evaluate_batch(p, np.random.default_rng(0).random((100, 10)),
-                                        EvalCounter(100)))
-        X = pop.decisions()
+        pop = evaluate_batch(p, np.random.default_rng(0).random((100, 10)), EvalCounter(100))
+        X = pop.X
         out = opposition_offspring(pop, Bounds(np.full(10, -1.0), np.full(10, 1.0)))
         assert out == pytest.approx(np.clip(-X, -1.0, 1.0))
 
     def test_half_point_coefficient(self):
         p = constant_problem(4)
-        pop = Population(evaluate_batch(p, np.full((100, 4), 0.5), EvalCounter(100)))
+        pop = evaluate_batch(p, np.full((100, 4), 0.5), EvalCounter(100))
         out = opposition_offspring(pop, p.bounds)
         tc = math.tanh(math.log(100) * 0.8)
         assert tc == pytest.approx(0.99875, abs=1e-4)
@@ -196,7 +237,7 @@ class TestOpposition:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            opposition_offspring(Population([]), Bounds([0.0], [1.0]))
+            opposition_offspring(Population.empty(), Bounds([0.0], [1.0]))
 
 
 class TestHops:
@@ -215,7 +256,7 @@ class TestHops:
     def test_zero_pool_emits_nothing(self):
         state = stage2_state()
         off1, off2 = hops_generate(state, 1, 0.001, 0.5)
-        assert off1 == []
+        assert len(off1) == 0
         assert len(off2) == 100
 
     def test_budget_truncation(self):
@@ -282,8 +323,8 @@ class TestOppositionTrigger:
         # P3 with tiny decisions: every member has g < 0.5, hence infeasible
         state = stage2_state(problem_id="P3-separated", n=30, rel_type=3, **kwargs)
         X = np.random.default_rng(0).random((30, 10)) * 0.05
-        state.pop_main = Population(evaluate_batch(state.problem, X, state.counter))
-        state.pop_aux = Population(evaluate_batch(state.problem, X + 0.01, state.counter))
+        state.pop_main = evaluate_batch(state.problem, X, state.counter)
+        state.pop_aux = evaluate_batch(state.problem, X + 0.01, state.counter)
         assert state.pop_main.feasible_ratio() == 0.0
         assert state.pop_aux.feasible_ratio() == 0.0
         return state
@@ -423,5 +464,5 @@ class TestRun:
         state = initialize(make_problem("P3-separated", 10), RunConfig(pop_size=30), 2)
         F = feasible_front(state.pop_main)
         assert F.size > 0
-        cvs = state.pop_main.cvs()
+        cvs = state.pop_main.cv
         assert len(F) <= (cvs == 0).sum()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from dpcmo.core import EvalCounter, constraint_violation, evaluate
+from dpcmo.core import EvalCounter
 from dpcmo.problems import PROBLEM_IDS, make_problem, reference_front
 from dpcmo.selection import unconstrained_nondominated
+
+from oracles import constraint_violation, evaluate
 
 
 def _eval(problem, x):

@@ -3,35 +3,43 @@ import math
 import numpy as np
 import pytest
 
-from dpcmo.core import Population, Solution, pareto_dominates
+from dpcmo.core import Population
 from dpcmo.selection import (
-    adjusted_cv,
     angle_subregion_select,
     das_dennis_vectors,
     environmental_select,
-    epsilon_cdp_compare,
     fitness_order,
     unconstrained_nondominated,
 )
 
-from oracles import angle_select_literal, nsga2_select_bruteforce
+from oracles import (
+    Solution,
+    adjusted_cv,
+    angle_select_literal,
+    epsilon_cdp_compare,
+    nsga2_select_bruteforce,
+    pareto_dominates,
+)
 
 
-def sol(objectives, cv=0.0, decisions=None):
+def sol(objectives, cv=0.0):
     objectives = np.asarray(objectives, dtype=float)
-    if decisions is None:
-        decisions = objectives
-    return Solution(np.asarray(decisions, dtype=float), objectives,
-                    np.empty(0), np.empty(0), float(cv))
+    return Solution(objectives, objectives, np.empty(0), np.empty(0), float(cv))
 
 
-def rand_solutions(n, m, seed, infeasible_share=0.0):
+def population(F, cv=None):
+    """Decisions equal the objectives; every row feasible unless cv is given."""
+    F = np.asarray(F, dtype=float).reshape(len(F), -1)
+    return Population(F, F, np.zeros(len(F)) if cv is None else cv)
+
+
+def random_population(n, m, seed, infeasible_share=0.0):
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        cv = float(rng.uniform(0.1, 2.0)) if rng.random() < infeasible_share else 0.0
-        out.append(sol(rng.random(m), cv))
-    return out
+    F, cv = [], []
+    for _ in range(n):
+        cv.append(float(rng.uniform(0.1, 2.0)) if rng.random() < infeasible_share else 0.0)
+        F.append(rng.random(m))
+    return population(F, cv)
 
 
 class TestCompare:
@@ -75,128 +83,116 @@ class TestCompare:
 
 class TestEnvironmentalSelect:
     def test_small_union_returned_whole(self):
-        sols = rand_solutions(5, 2, seed=2)
-        out = environmental_select(sols, 10, 0.0)
-        assert list(out) == sols
+        pop = random_population(5, 2, seed=2)
+        assert environmental_select(pop, 10, 0.0).tolist() == [0, 1, 2, 3, 4]
 
     def test_single_feasible_survives(self):
-        feas = sol([5.0, 5.0], 0.0)
-        union = [sol([0.0, 0.0], cv=1.0 + i) for i in range(9)] + [feas]
-        out = environmental_select(union, 1, 0.0)
-        assert list(out) == [feas]
+        union = population([[0.0, 0.0]] * 9 + [[5.0, 5.0]], [1.0 + i for i in range(9)] + [0.0])
+        assert environmental_select(union, 1, 0.0).tolist() == [9]
 
     def test_matches_bruteforce_unconstrained(self):
         rng = np.random.default_rng(3)
         for trial in range(60):
             n = int(rng.integers(3, 13))
             keep = int(rng.integers(1, n + 1))
-            sols = [sol(rng.random(2), rng.uniform(0, 2)) for _ in range(n)]
-            got = environmental_select(sols, keep, math.inf)
-            index_of = {id(s): i for i, s in enumerate(sols)}
-            got_idx = sorted(index_of[id(s)] for s in got)
-            want_idx = nsga2_select_bruteforce([tuple(s.objectives) for s in sols], keep)
+            rows = [(rng.random(2), rng.uniform(0, 2)) for _ in range(n)]
+            union = population([f for f, _ in rows], [c for _, c in rows])
+            got_idx = sorted(environmental_select(union, keep, math.inf).tolist())
+            want_idx = nsga2_select_bruteforce([tuple(f) for f in union.F], keep)
             assert got_idx == want_idx, f"trial {trial}"
 
     def test_rank_one_always_kept(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
-            sols = [sol(rng.random(2), float(rng.random() < 0.4) * rng.random())
+            rows = [(rng.random(2), float(rng.random() < 0.4) * rng.random())
                     for _ in range(20)]
-            F = np.array([s.objectives for s in sols])
-            cvs = np.array([s.cv for s in sols])
+            union = population([f for f, _ in rows], [c for _, c in rows])
+            F, cvs = union.F, union.cv
             adj = np.maximum(0.0, cvs - 0.1)
             rank1 = [i for i in range(20)
                      if not any((adj[j] < adj[i]) or (adj[j] == adj[i]
                                 and pareto_dominates(F[j], F[i])) for j in range(20))]
-            out = environmental_select(sols, max(len(rank1), 10), 0.1)
-            kept = {id(s) for s in out}
-            assert all(id(sols[i]) in kept for i in rank1)
+            kept = set(environmental_select(union, max(len(rank1), 10), 0.1).tolist())
+            assert all(i in kept for i in rank1)
 
     def test_output_size_exact(self):
-        sols = rand_solutions(30, 2, seed=5, infeasible_share=0.3)
+        pop = random_population(30, 2, seed=5, infeasible_share=0.3)
         for n in (1, 7, 29, 30, 31):
-            assert len(environmental_select(sols, n, 0.0)) == min(n, 30)
+            assert len(environmental_select(pop, n, 0.0)) == min(n, 30)
 
     def test_empty_union_rejected(self):
         with pytest.raises(ValueError):
-            environmental_select([], 5, 0.0)
+            environmental_select(Population.empty(), 5, 0.0)
 
 
 class TestReferenceVectors:
     def test_two_objective_three_targets(self):
-        vecs = das_dennis_vectors(2, 3).vectors
+        vecs = das_dennis_vectors(2, 3)
         want = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
         want = want / np.linalg.norm(want, axis=1, keepdims=True)
         assert vecs == pytest.approx(want)
 
     def test_two_objective_two_targets(self):
-        vecs = das_dennis_vectors(2, 2).vectors
+        vecs = das_dennis_vectors(2, 2)
         assert vecs == pytest.approx(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
     def test_three_objective_six_targets(self):
-        vecs = das_dennis_vectors(3, 6).vectors
+        vecs = das_dennis_vectors(3, 6)
         assert len(vecs) == 6
         assert np.linalg.norm(vecs, axis=1) == pytest.approx(np.ones(6))
 
     def test_padding_reaches_target(self):
-        vecs = das_dennis_vectors(3, 8).vectors
+        vecs = das_dennis_vectors(3, 8)
         assert len(vecs) == 8
         assert np.all(vecs >= 0)
         assert np.linalg.norm(vecs, axis=1) == pytest.approx(np.ones(8), abs=1e-12)
 
     def test_axes_present_for_two_objectives(self):
         for target in (2, 5, 11, 40):
-            vecs = das_dennis_vectors(2, target).vectors
+            vecs = das_dennis_vectors(2, target)
             assert any(np.allclose(v, [1, 0]) for v in vecs)
             assert any(np.allclose(v, [0, 1]) for v in vecs)
 
     def test_deterministic(self):
-        assert np.array_equal(das_dennis_vectors(3, 9).vectors,
-                              das_dennis_vectors(3, 9).vectors)
+        assert np.array_equal(das_dennis_vectors(3, 9), das_dennis_vectors(3, 9))
 
 
 class TestAngleSubregionSelect:
     def test_one_feasible_point_per_subregion_is_identity(self):
         pts = [(1.0, 0.0), (0.75, 0.25), (0.5, 0.5), (0.25, 0.75), (0.0, 1.0)]
-        members = [sol(p) for p in pts]
-        out = angle_subregion_select(Population(members), [], 5, 0.0)
-        assert {id(s) for s in out} == {id(s) for s in members}
+        out = angle_subregion_select(population(pts), 5, 5, 0.0)
+        assert sorted(out.tolist()) == [0, 1, 2, 3, 4]
 
     def test_all_identical_members(self):
-        members = [sol([0.4, 0.6]) for _ in range(30)]
-        out = angle_subregion_select(Population(members), [], 5, 0.0)
+        union = population([[0.4, 0.6]] * 30)
+        out = angle_subregion_select(union, 30, 5, 0.0)
         assert len(out) == 5
-        for s in out:
-            assert tuple(s.objectives) == (0.4, 0.6)
+        for f in union.F[out]:
+            assert tuple(f) == (0.4, 0.6)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            angle_subregion_select(Population([]), [], 5, 0.0)
+            angle_subregion_select(Population.empty(), 0, 5, 0.0)
 
     def test_matches_literal_transcription(self):
         rng = np.random.default_rng(6)
         for trial in range(40):
-            aux = [sol(rng.random(2), float(rng.random() < 0.5) * rng.uniform(0, 1))
-                   for _ in range(10)]
-            off = [sol(rng.random(2), float(rng.random() < 0.5) * rng.uniform(0, 1))
-                   for _ in range(10)]
+            rows = [(rng.random(2), float(rng.random() < 0.5) * rng.uniform(0, 1))
+                    for _ in range(20)]
+            F = [f for f, _ in rows]
+            cv = [c for _, c in rows]
             eps = float(rng.choice([0.0, 0.05, 0.2]))
-            got = angle_subregion_select(Population(aux), off, 5, eps)
-            members = aux + off
-            index_of = {id(s): i for i, s in enumerate(members)}
-            got_idx = [index_of[id(s)] for s in got]
-            want_idx = angle_select_literal(
-                [s.objectives for s in aux], [s.cv for s in aux],
-                [s.objectives for s in off], [s.cv for s in off], 5, eps)
+            got_idx = angle_subregion_select(population(F, cv), 10, 5, eps).tolist()
+            want_idx = angle_select_literal(F[:10], cv[:10], F[10:], cv[10:], 5, eps)
             assert got_idx == want_idx, f"trial {trial}"
 
     def test_output_size_and_determinism(self):
-        aux = rand_solutions(30, 2, seed=7, infeasible_share=0.5)
-        off = rand_solutions(40, 2, seed=8, infeasible_share=0.5)
-        a = angle_subregion_select(Population(aux), off, 12, 0.01)
-        b = angle_subregion_select(Population(aux), off, 12, 0.01)
+        union = Population.concat(random_population(30, 2, seed=7, infeasible_share=0.5),
+                                  random_population(40, 2, seed=8, infeasible_share=0.5))
+        a = angle_subregion_select(union, 30, 12, 0.01)
+        b = angle_subregion_select(union, 30, 12, 0.01)
         assert len(a) == 12
-        assert [id(s) for s in a] == [id(s) for s in b]
+        assert a.tolist() == b.tolist()
 
 
 class TestHelpers:
@@ -205,7 +201,5 @@ class TestHelpers:
         assert unconstrained_nondominated(F).tolist() == [0, 1, 2]
 
     def test_fitness_order_prefers_feasible_rank(self):
-        best = sol([0.5, 0.5], 0.0)
-        worse = sol([0.2, 0.2], 1.0)
-        order = fitness_order([worse, best], 0.0)
+        order = fitness_order(population([[0.2, 0.2], [0.5, 0.5]], [1.0, 0.0]), 0.0)
         assert order[0] == 1

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dpcmo import selection
-from dpcmo.core import Population, Solution
+from dpcmo.core import Population
 from dpcmo.metrics import igd
 from dpcmo.selection import (
     crowding_distances,
@@ -44,8 +44,6 @@ def dense_ranks(F, cv, epsilon):
     return selection._dense_ranks(F, cv_adj)
 
 
-def solutions(F, cv):
-    return [Solution(row, row, np.empty(0), np.empty(0), float(c)) for row, c in zip(F, cv)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -97,12 +95,12 @@ def test_crowding_equals_per_front_loop_on_real_values(F):
 @given(instances(), EPSILONS, st.data())
 def test_environmental_select_equals_scan(inst, epsilon, data):
     F, cv = inst
-    members = solutions(F, cv)
-    n = data.draw(st.integers(1, len(members)))
-    ranks, crowd = rank_and_crowd(members, epsilon)
-    want = truncation_scan(ranks, crowd, n) if n < len(members) else range(n)
-    got = [id(s) for s in environmental_select(members, n, epsilon)]
-    assert got == [id(members[i]) for i in want]
+    union = Population(F, F, cv)
+    n = data.draw(st.integers(1, len(union)))
+    ranks = nondominated_ranks(F, cv, epsilon)
+    crowd = crowding_per_front(F, ranks)
+    want = truncation_scan(ranks, crowd, n) if n < len(union) else range(n)
+    assert environmental_select(union, n, epsilon).tolist() == list(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,13 +115,14 @@ def test_igd_equals_dense_formula_exactly(m, data):
 
 def test_population_ranks_once_per_epsilon():
     rng = np.random.default_rng(3)
-    members = solutions(rng.integers(0, 5, size=(60, 2)).astype(float),
-                        rng.integers(0, 4, size=60) * 0.1)
-    pop = Population(members)
+    F = rng.integers(0, 5, size=(60, 2)).astype(float)
+    cv = rng.integers(0, 4, size=60) * 0.1
+    pop = Population(F, F, cv)
     first = rank_and_crowd(pop, 0.0)
     assert rank_and_crowd(pop, 0.0) is first
     assert rank_and_crowd(pop, math.inf) is not first
-    for got, want in zip(first, rank_and_crowd(members, 0.0)):
+    ranks = nondominated_ranks(F, cv, 0.0)
+    for got, want in zip(first, (ranks, crowding_distances(F, ranks))):
         np.testing.assert_array_equal(got, want)
         assert not got.flags.writeable
     with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpcmo.core import Population, Solution
+from dpcmo.core import Population
 from dpcmo.staging import (
     TYPE_COINCIDENT,
     TYPE_PARTIAL,
@@ -16,9 +16,10 @@ from dpcmo.staging import (
 )
 
 
-def sol(objectives, cv=0.0):
-    objectives = np.asarray(objectives, dtype=float)
-    return Solution(objectives, objectives, np.empty(0), np.empty(0), float(cv))
+def population(F, cv=None):
+    """Decisions equal the objectives; every row feasible unless cv is given."""
+    F = np.asarray(F, dtype=float)
+    return Population(F, F, np.zeros(len(F)) if cv is None else cv)
 
 
 def history_with(points_by_gen, gap=10, delta=1e-7):
@@ -71,7 +72,7 @@ class TestRsMetric:
         assert hist.latest_generation == 9
 
     def test_record_from_population(self):
-        pop = Population([sol([1.0, 4.0]), sol([3.0, 2.0])])
+        pop = population([[1.0, 4.0], [3.0, 2.0]])
         hist = PointHistory(gap=1)
         hist.record(0, pop)
         _, z, n, a = hist.lookup(0)
@@ -114,33 +115,32 @@ class TestShouldSwitch:
 
 
 class TestClassify:
+    LINE = [[i / 4, 1 - i / 4] for i in range(5)]
+
     def test_all_feasible_nondominated(self):
-        aux = Population([sol([i / 4, 1 - i / 4], cv=0.0) for i in range(5)])
-        main = Population([sol([0.5, 0.5])])
-        assert classify_relationship(main, aux) == TYPE_COINCIDENT
+        assert classify_relationship(population(self.LINE, [0.0] * 5)) == TYPE_COINCIDENT
 
     def test_none_feasible(self):
-        aux = Population([sol([i / 4, 1 - i / 4], cv=0.5) for i in range(5)])
-        main = Population([sol([0.5, 0.5])])
-        assert classify_relationship(main, aux) == TYPE_SEPARATED
+        assert classify_relationship(population(self.LINE, [0.5] * 5)) == TYPE_SEPARATED
 
     def test_partial_fraction(self):
         # 2 of 5 nondominated members feasible -> partial overlap
-        aux = Population(
-            [sol([i / 4, 1 - i / 4], cv=0.0 if i < 2 else 0.3) for i in range(5)])
-        main = Population([sol([0.5, 0.5])])
-        assert classify_relationship(main, aux) == TYPE_PARTIAL
+        aux = population(self.LINE, [0.0, 0.0, 0.3, 0.3, 0.3])
+        assert classify_relationship(aux) == TYPE_PARTIAL
 
     def test_dominated_members_ignored(self):
         # feasible but dominated members do not count toward the fraction
-        aux = Population([sol([0.1, 0.9], cv=0.4), sol([0.9, 0.1], cv=0.4),
-                          sol([5.0, 5.0], cv=0.0)])
-        main = Population([sol([0.5, 0.5])])
-        assert classify_relationship(main, aux) == TYPE_SEPARATED
+        aux = population([[0.1, 0.9], [0.9, 0.1], [5.0, 5.0]], [0.4, 0.4, 0.0])
+        assert classify_relationship(aux) == TYPE_SEPARATED
+
+    def test_threshold_applies_to_feasible_fraction(self):
+        aux = population(self.LINE, [0.0, 0.0, 0.0, 0.0, 0.3])
+        assert classify_relationship(aux) == TYPE_PARTIAL
+        assert classify_relationship(aux, coincident_threshold=0.8) == TYPE_COINCIDENT
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            classify_relationship(Population([]), Population([sol([1, 1])]))
+            classify_relationship(Population.empty())
 
 
 class TestTrackType:

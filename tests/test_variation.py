@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpcmo.core import Bounds, Population, Solution
+from dpcmo.core import Bounds, Population
 from dpcmo.variation import (
     OperatorParams,
     de_current_to_pbest,
@@ -16,53 +16,44 @@ from dpcmo.variation import (
 UNIT = Bounds(np.zeros(10), np.ones(10))
 
 
-def sol(decisions, objectives=None, cv=0.0):
-    decisions = np.asarray(decisions, dtype=float)
-    if objectives is None:
-        objectives = decisions[:2]
-    return Solution(decisions, np.asarray(objectives, dtype=float),
-                    np.empty(0), np.empty(0), cv)
+def population(X, F=None, cv=None):
+    """Objectives default to the first two decisions, violations to zero."""
+    X = np.asarray(X, dtype=float)
+    return Population(X, X[:, :2] if F is None else F, np.zeros(len(X)) if cv is None else cv)
 
 
-def rand_pop(n, d, seed, cv_pattern=None):
+def rand_pop(n, d, seed):
     rng = np.random.default_rng(seed)
     X = rng.random((n, d))
-    F = rng.random((n, 2))
-    cvs = cv_pattern if cv_pattern is not None else [0.0] * n
-    return Population([sol(X[i], F[i], cvs[i]) for i in range(n)])
+    return Population(X, rng.random((n, 2)), np.zeros(n))
 
 
 class TestPools:
     def test_singleton_tournament(self):
-        pop = Population([sol(np.zeros(4))])
+        pop = population(np.zeros((1, 4)))
         pool = tournament_pool(pop, 3, 0.0, np.random.default_rng(0))
-        assert len(pool) == 3
-        assert all(p is pop[0] for p in pool)
+        assert pool.tolist() == [0, 0, 0]
 
     def test_feasible_beats_infeasible_at_eps_zero(self):
-        feas = sol(np.zeros(4), [1.0, 1.0], cv=0.0)
-        infeas = sol(np.ones(4), [0.0, 0.0], cv=2.0)
-        pop = Population([infeas, feas])
+        pop = population([np.ones(4), np.zeros(4)], [[0.0, 0.0], [1.0, 1.0]], [2.0, 0.0])
         pool = tournament_pool(pop, 10_000, 0.0, np.random.default_rng(1))
-        share = np.mean([p is feas for p in pool])
+        share = np.mean(pool == 1)
         assert share >= 0.95
 
     def test_dominant_wins_under_infinite_eps(self):
-        a = sol(np.zeros(4), [0.0, 0.0], cv=9.0)
-        b = sol(np.ones(4), [1.0, 1.0], cv=0.0)
-        pool = tournament_pool(Population([a, b]), 2000, np.inf, np.random.default_rng(2))
-        assert all(p is a for p in pool)
+        pop = population([np.zeros(4), np.ones(4)], [[0.0, 0.0], [1.0, 1.0]], [9.0, 0.0])
+        pool = tournament_pool(pop, 2000, np.inf, np.random.default_rng(2))
+        assert np.all(pool == 0)
 
     def test_random_pool_singleton_and_empty(self):
-        pop = Population([sol(np.zeros(4))])
+        pop = population(np.zeros((1, 4)))
         assert len(random_pool(pop, 2, np.random.default_rng(0))) == 2
-        assert random_pool(pop, 0, np.random.default_rng(0)) == []
+        assert len(random_pool(pop, 0, np.random.default_rng(0))) == 0
 
     def test_random_pool_uniformity(self):
         pop = rand_pop(4, 4, seed=3)
         pool = random_pool(pop, 100_000, np.random.default_rng(4))
-        ids = [id(p) for p in pop]
-        counts = np.array([sum(id(x) == i for x in pool) for i in ids]) / 100_000
+        counts = np.bincount(pool, minlength=4) / 100_000
         assert np.all(np.abs(counts - 0.25) < 0.01)
 
 
@@ -70,15 +61,14 @@ class TestGaOffspring:
     def test_identical_parents_without_mutation(self):
         params = OperatorParams(mutation_prob=0.0)
         x = np.full(10, 0.3)
-        pool = [sol(x) for _ in range(6)]
+        pool = np.tile(x, (6, 1))
         children = ga_offspring(pool, params, 1, UNIT, np.random.default_rng(5))
         assert children == pytest.approx(np.tile(x, (6, 1)))
 
     def test_children_inside_parent_box_when_unmutated(self):
         params = OperatorParams(mutation_prob=0.0)
-        pool = list(rand_pop(20, 10, seed=6))
-        children = ga_offspring(pool, params, 1, UNIT, np.random.default_rng(7))
-        X = np.array([p.decisions for p in pool])
+        X = rand_pop(20, 10, seed=6).X
+        children = ga_offspring(X, params, 1, UNIT, np.random.default_rng(7))
         for pair in range(10):
             lo = np.minimum(X[2 * pair], X[2 * pair + 1])
             hi = np.maximum(X[2 * pair], X[2 * pair + 1])
@@ -88,31 +78,31 @@ class TestGaOffspring:
             assert np.all(children[2 * pair + 1] <= hi + 1e-12)
 
     def test_odd_pool_padded(self):
-        pool = list(rand_pop(5, 10, seed=8))
+        pool = rand_pop(5, 10, seed=8).X
         children = ga_offspring(pool, OperatorParams(), 2, UNIT, np.random.default_rng(9))
         assert children.shape == (5, 10)
 
     def test_bounds_fuzz(self):
-        pool = list(rand_pop(100_000, 10, seed=10))
+        pool = rand_pop(100_000, 10, seed=10).X
         children = ga_offspring(pool, OperatorParams(), 2, UNIT, np.random.default_rng(11))
         assert children.shape == (100_000, 10)
         assert np.all(children >= 0.0) and np.all(children <= 1.0)
 
     def test_bad_stage(self):
         with pytest.raises(ValueError):
-            ga_offspring(list(rand_pop(4, 10, seed=1)), OperatorParams(), 3, UNIT,
+            ga_offspring(rand_pop(4, 10, seed=1).X, OperatorParams(), 3, UNIT,
                          np.random.default_rng(0))
 
 
 class TestDeRand1:
     def test_identical_population_is_fixed_point(self):
-        pool = [sol(np.full(10, 0.4)) for _ in range(6)]
+        pool = np.full((6, 10), 0.4)
         out = de_rand_1(pool, OperatorParams(), UNIT, np.random.default_rng(12))
         assert out == pytest.approx(np.full((6, 10), 0.4))
 
     def test_rejects_small_population(self):
         with pytest.raises(ValueError, match="at least 4"):
-            de_rand_1([sol(np.zeros(10))] * 3, OperatorParams(), UNIT,
+            de_rand_1(np.zeros((3, 10)), OperatorParams(), UNIT,
                       np.random.default_rng(0))
 
     def test_full_crossover_reconstructs_mutant(self):
@@ -122,8 +112,7 @@ class TestDeRand1:
         wide = Bounds(np.full(3, -100.0), np.full(3, 100.0))
         rng_pop = np.random.default_rng(13)
         X = rng_pop.random((5, 3))
-        pool = [sol(x, x[:2]) for x in X]
-        out = de_rand_1(pool, params, wide, np.random.default_rng(14))
+        out = de_rand_1(X, params, wide, np.random.default_rng(14))
         for i, child in enumerate(out):
             found = False
             for r1 in range(5):
@@ -140,7 +129,7 @@ class TestDeRand1:
         # members mirrored around 0.5 produce offspring whose mean stays there
         base = np.linspace(0.1, 0.4, 8)
         X = np.concatenate([0.5 + base, 0.5 - base])
-        pool = [sol(np.full(10, v)) for v in X]
+        pool = np.repeat(X[:, None], 10, axis=1)
         rng = np.random.default_rng(15)
         means = []
         for _ in range(200):
@@ -149,7 +138,7 @@ class TestDeRand1:
         assert abs(np.mean(means) - 0.5) < 0.01
 
     def test_bounds_and_determinism(self):
-        pool = list(rand_pop(100, 10, seed=16))
+        pool = rand_pop(100, 10, seed=16).X
         batches = [de_rand_1(pool, OperatorParams(), UNIT, np.random.default_rng(17))
                    for _ in range(2)]
         assert np.array_equal(batches[0], batches[1])
@@ -161,17 +150,16 @@ class TestDeRand1:
 class TestDeCurrentToRand:
     def test_zero_population(self):
         wide = Bounds(np.full(10, -1.0), np.full(10, 1.0))
-        pool = [sol(np.zeros(10)) for _ in range(5)]
-        out = de_current_to_rand(pool, OperatorParams(), wide, np.random.default_rng(18))
+        out = de_current_to_rand(np.zeros((5, 10)), OperatorParams(), wide, np.random.default_rng(18))
         assert out == pytest.approx(np.zeros((5, 10)))
 
     def test_rejects_small_population(self):
         with pytest.raises(ValueError):
-            de_current_to_rand([sol(np.zeros(10))] * 2, OperatorParams(), UNIT,
+            de_current_to_rand(np.zeros((2, 10)), OperatorParams(), UNIT,
                                np.random.default_rng(0))
 
     def test_bounds_fuzz(self):
-        pool = list(rand_pop(100, 10, seed=19))
+        pool = rand_pop(100, 10, seed=19).X
         big = np.vstack([de_current_to_rand(pool, OperatorParams(), UNIT,
                                             np.random.default_rng(s)) for s in range(1000)])
         assert np.all(big >= 0.0) and np.all(big <= 1.0)
@@ -182,8 +170,8 @@ class TestDeCurrentToPbest:
         # zero auxiliary decisions leave offspring = F * attractor
         wide = Bounds(np.full(4, -100.0), np.full(4, 100.0))
         attractor = np.array([1.0, 2.0, 3.0, 4.0])
-        main = Population([sol(attractor, [0.0, 0.0])])
-        aux = [sol(np.zeros(4)) for _ in range(6)]
+        main = population([attractor], [[0.0, 0.0]])
+        aux = np.zeros((6, 4))
         out = de_current_to_pbest(aux, main, OperatorParams(), wide,
                                   np.random.default_rng(20))
         for child in out:
@@ -194,11 +182,11 @@ class TestDeCurrentToPbest:
     def test_elite_restriction(self):
         # one clearly best feasible member: every offspring points at it
         wide = Bounds(np.full(4, -100.0), np.full(4, 100.0))
-        best = sol(np.full(4, 7.0), [0.0, 0.0], cv=0.0)
-        rest = [sol(np.full(4, float(k + 30)), [5.0 + k, 5.0 + k], cv=0.0)
-                for k in range(9)]
-        main = Population([*rest[:4], best, *rest[4:]])
-        aux = [sol(np.zeros(4)) for _ in range(8)]
+        values = [30.0, 31.0, 32.0, 33.0, 7.0, 34.0, 35.0, 36.0, 37.0]
+        objectives = [[5.0, 5.0], [6.0, 6.0], [7.0, 7.0], [8.0, 8.0], [0.0, 0.0],
+                      [9.0, 9.0], [10.0, 10.0], [11.0, 11.0], [12.0, 12.0]]
+        main = population([np.full(4, v) for v in values], objectives)
+        aux = np.zeros((8, 4))
         out = de_current_to_pbest(aux, main, OperatorParams(pbest_fraction=0.1),
                                   wide, np.random.default_rng(21))
         for child in out:
@@ -207,8 +195,9 @@ class TestDeCurrentToPbest:
     def test_full_fraction_draws_all_members(self):
         wide = Bounds(np.full(4, -100.0), np.full(4, 100.0))
         values = [1.0, 2.1, 4.41, 9.261]  # powers of 2.1: products with any
-        main = Population([sol(np.full(4, v), [v, v]) for v in values])  # F stay distinct
-        aux = [sol(np.zeros(4)) for _ in range(4)]
+        main = population([np.full(4, v) for v in values],  # F stay distinct
+                          [[v, v] for v in values])
+        aux = np.zeros((4, 4))
         params = OperatorParams(pbest_fraction=1.0)
         rng = np.random.default_rng(22)
         seen = {v: 0 for v in values}
@@ -227,33 +216,28 @@ class TestDeCurrentToPbest:
 class TestDeTransfer:
     def test_full_rate_copies_main(self):
         params = OperatorParams(cr_choices_transfer=(1.0,))
-        main = rand_pop(6, 10, seed=23)
-        aux = rand_pop(6, 10, seed=24)
+        main = rand_pop(6, 10, seed=23).X
+        aux = rand_pop(6, 10, seed=24).X
         out = de_transfer(main, aux, params, np.random.default_rng(25))
-        main_rows = {tuple(s.decisions) for s in main}
+        main_rows = {tuple(x) for x in main}
         assert all(tuple(row) in main_rows for row in out)
 
     def test_identical_populations_identity(self):
-        main = rand_pop(6, 10, seed=26)
-        aux = Population(list(main))
-        out = de_transfer(main, aux, OperatorParams(), np.random.default_rng(27))
-        rows = {tuple(s.decisions) for s in main}
+        main = rand_pop(6, 10, seed=26).X
+        out = de_transfer(main, main.copy(), OperatorParams(), np.random.default_rng(27))
+        rows = {tuple(x) for x in main}
         assert all(tuple(r) in rows for r in out)
 
     def test_zero_rate_changes_exactly_one_coordinate(self):
         params = OperatorParams(cr_choices_transfer=(0.0,))
-        main = Population([sol(np.ones(10)) for _ in range(5)])
-        aux = Population([sol(np.zeros(10)) for _ in range(5)])
-        out = de_transfer(main, aux, params, np.random.default_rng(28), count=50)
+        out = de_transfer(np.ones((5, 10)), np.zeros((5, 10)), params, np.random.default_rng(28), count=50)
         for row in out:
             assert row.sum() == 1.0  # a single coordinate came from main
 
     def test_each_offspring_mixes_one_aligned_pair(self):
-        main = rand_pop(8, 10, seed=29)
-        aux = rand_pop(8, 10, seed=30)
-        out = de_transfer(main, aux, OperatorParams(), np.random.default_rng(31), count=200)
-        M = np.array([s.decisions for s in main])
-        A = np.array([s.decisions for s in aux])
+        M = rand_pop(8, 10, seed=29).X
+        A = rand_pop(8, 10, seed=30).X
+        out = de_transfer(M, A, OperatorParams(), np.random.default_rng(31), count=200)
         for row in out:
             assert any(
                 all(row[d] == M[r, d] or row[d] == A[r, d] for d in range(10))
@@ -261,7 +245,7 @@ class TestDeTransfer:
             )
 
     def test_count_parameter(self):
-        main = rand_pop(6, 10, seed=32)
-        aux = rand_pop(4, 10, seed=33)
+        main = rand_pop(6, 10, seed=32).X
+        aux = rand_pop(4, 10, seed=33).X
         out = de_transfer(main, aux, OperatorParams(), np.random.default_rng(34), count=17)
         assert out.shape == (17, 10)
