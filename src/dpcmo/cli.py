@@ -42,13 +42,17 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _grid_config(args, variants: list[str]) -> ExperimentConfig:
+    try:
+        run_config = RunConfig(pop_size=args.pop_size, max_fe=args.max_fe)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return ExperimentConfig(
         problems=[(pid, 10) for pid in args.problems],
         seeds=list(range(1, args.seeds + 1)),
         variants=variants,
         outdir=args.outdir,
         parallel=args.parallel,
-        run=RunConfig(pop_size=args.pop_size, max_fe=args.max_fe),
+        run=run_config,
     )
 
 

@@ -29,7 +29,7 @@ from .core import (
     RngStream,
     evaluate_batch,
 )
-from .metrics import IGD_EMPTY, MetricConfig, igd
+from .metrics import MetricConfig, igd
 from .problems import Problem, reference_front
 from .schedule import (
     DraState,
@@ -67,10 +67,20 @@ from .variation import (
 
 logger = logging.getLogger(__name__)
 
-ABLATION_VARIANTS = (
-    "WoRR", "WoS1C", "WoOP", "Wo3P", "Eps1",
-    "HOps-T1", "HOps-T2", "HOps-T3", "HOps-T4", "WoDRA",
-)
+# Each ablation variant and the RunConfig switches it sets.
+ABLATIONS = {
+    "WoRR": {"strict_switch_only": True},
+    "WoS1C": {"stage1_isolated_main": True},
+    "WoOP": {"disable_opposition": True},
+    "Wo3P": {"force_angle_selection": True},
+    "Eps1": {"initial_epsilon_only": True},
+    "HOps-T1": {"force_hops_type": 1},
+    "HOps-T2": {"force_hops_type": 2},
+    "HOps-T3": {"force_hops_type": 3},
+    "HOps-T4": {"force_hops_type": 4},
+    "WoDRA": {"disable_dra": True},
+}
+ABLATION_VARIANTS = tuple(ABLATIONS)
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,11 @@ class RunConfig:
     disable_dra: bool = False
 
     def __post_init__(self):
+        if self.pop_size < 5:
+            raise ValueError(f"population size must be at least 5, got {self.pop_size}")
+        if self.max_fe < 2 * self.pop_size:
+            raise ValueError("maxFE must be at least twice the population size, got "
+                             f"max_fe={self.max_fe}, pop_size={self.pop_size}")
         if not self.eps0 > 0:
             raise ValueError(f"eps0 must be positive, got {self.eps0}")
         if not self.curvature > 0:
@@ -130,21 +145,9 @@ def apply_ablation(config: RunConfig, variant: str) -> RunConfig:
     """Return a config with one algorithm component removed or pinned."""
     if variant == "full":
         return config
-    table = {
-        "WoRR": {"strict_switch_only": True},
-        "WoS1C": {"stage1_isolated_main": True},
-        "WoOP": {"disable_opposition": True},
-        "Wo3P": {"force_angle_selection": True},
-        "Eps1": {"initial_epsilon_only": True},
-        "HOps-T1": {"force_hops_type": 1},
-        "HOps-T2": {"force_hops_type": 2},
-        "HOps-T3": {"force_hops_type": 3},
-        "HOps-T4": {"force_hops_type": 4},
-        "WoDRA": {"disable_dra": True},
-    }
-    if variant not in table:
+    if variant not in ABLATIONS:
         raise ValueError(f"unknown variant {variant!r}; expected 'full' or one of {ABLATION_VARIANTS}")
-    return replace(config, **table[variant])
+    return replace(config, **ABLATIONS[variant])
 
 
 @dataclass(frozen=True)
@@ -232,10 +235,6 @@ def _fingerprint(problem: Problem, config: RunConfig, seed: int) -> str:
 
 def initialize(problem: Problem, config: RunConfig, seed: int) -> RunState:
     """Two independent uniform populations, evaluated; 2N budget units."""
-    if config.pop_size < 5:
-        raise ValueError("population size must be at least 5")
-    if config.max_fe < 2 * config.pop_size:
-        raise ValueError("budget must cover the two initial populations")
     state = RunState(problem, config, seed)
     n = config.pop_size
     X_main = problem.bounds.sample(n, state.rng.gen)
@@ -247,22 +246,14 @@ def initialize(problem: Problem, config: RunConfig, seed: int) -> RunState:
     return state
 
 
-def feasible_front(pop: Population) -> np.ndarray:
-    """Objective matrix of the feasible nondominated members (may be empty)."""
-    F = pop.F[pop.cv == 0.0]
-    if not len(F):
-        return np.empty((0, 0))
-    return F[unconstrained_nondominated(F)]
+def feasible_front(pop: Population) -> Population:
+    """The feasible nondominated members of ``pop`` (may be empty)."""
+    feasible = pop.take(pop.cv == 0.0)
+    return feasible.take(unconstrained_nondominated(feasible.F))
 
 
 def _append_log(state: RunState, generation: int, stage: int) -> None:
-    F = feasible_front(state.pop_main)
-    if F.size:
-        gen_igd = igd(F, state.ref_points)
-        gen_hv = state.metric_cfg.normalized_hypervolume(F)
-    else:
-        gen_igd = IGD_EMPTY
-        gen_hv = 0.0
+    F = feasible_front(state.pop_main).F
     state.log.append({
         "g": generation,
         "fe": state.fe,
@@ -276,8 +267,8 @@ def _append_log(state: RunState, generation: int, stage: int) -> None:
         "aux": len(state.pop_aux),
         "fr_main": state.pop_main.feasible_ratio(),
         "fr_aux": state.pop_aux.feasible_ratio(),
-        "igd": gen_igd,
-        "hv": gen_hv,
+        "igd": igd(F, state.ref_points),
+        "hv": state.metric_cfg.normalized_hypervolume(F),
     })
 
 
@@ -500,29 +491,18 @@ def run(problem: Problem, config: RunConfig | None = None, seed: int = 0) -> Run
             stage2_step(state)
     assert state.fe <= config.max_fe
 
-    feas = state.pop_main.take(state.pop_main.cv == 0.0)
-    if len(feas):
-        front = feas.take(unconstrained_nondominated(feas.F))
-        front_decisions, front_objectives, front_cv = front.X, front.F, front.cv
-        final_igd = igd(front_objectives, state.ref_points)
-        final_hv = state.metric_cfg.normalized_hypervolume(front_objectives)
-    else:
-        front_decisions = np.empty((0, problem.dimension))
-        front_objectives = np.empty((0, problem.n_objectives))
-        front_cv = np.empty(0)
-        final_igd = IGD_EMPTY
-        final_hv = 0.0
-
+    front = feasible_front(state.pop_main)
+    last = state.log[-1]
     return RunResult(
         problem_id=problem.id,
         dimension=problem.dimension,
         seed=state.seed,
         log=state.log,
-        front_decisions=front_decisions,
-        front_objectives=front_objectives,
-        front_cv=front_cv,
-        final_igd=final_igd,
-        final_hv=final_hv,
+        front_decisions=front.X,
+        front_objectives=front.F,
+        front_cv=front.cv,
+        final_igd=last["igd"],
+        final_hv=last["hv"],
         switch_generation=state.switch_generation,
         type_at_switch=state.type_at_switch,
         evaluations=state.fe,

@@ -24,13 +24,13 @@ import difflib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .engine import ABLATION_VARIANTS, RunConfig, RunResult, apply_ablation, run
+from .engine import ABLATIONS, RunConfig, RunResult, apply_ablation, run
 from .problems import DEFAULT_DIMENSION, PROBLEM_IDS, make_problem
 
 DEFAULT_SEED_COUNT = 30
@@ -63,10 +63,8 @@ class ExperimentConfig:
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         for v in self.variants:
-            if v != "full" and v not in ABLATION_VARIANTS:
+            if v != "full" and v not in ABLATIONS:
                 raise ConfigError(f"unknown variant {v!r}")
-        if self.run.max_fe < 2 * self.run.pop_size:
-            raise ConfigError("maxFE must be at least twice the population size")
         if self.parallel < 1:
             raise ConfigError("parallel must be >= 1")
 
@@ -105,23 +103,13 @@ def _parse_scalar(key: str, raw: str, kind, line_no: int):
         raise ConfigError(f"line {line_no}: key {key!r} expects {kind.__name__}, got {raw!r}")
 
 
+# Every RunConfig field but the ablation switches is a config key, parsed as
+# the type of its default (an unset optional size parses as int).
+_KEY_ALIASES = {"pop_size": "N", "max_fe": "maxFE"}
+_SWITCHES = {name for switches in ABLATIONS.values() for name in switches}
 _RUN_KEYS = {
-    "N": ("pop_size", int),
-    "maxFE": ("max_fe", int),
-    "eps0": ("eps0", float),
-    "curvature": ("curvature", float),
-    "phase1_eps": ("phase1_eps", float),
-    "phase3_eps": ("phase3_eps", float),
-    "opposition_eps": ("opposition_eps", float),
-    "delta": ("delta", float),
-    "history_gap": ("history_gap", int),
-    "history_delta": ("history_delta", float),
-    "pbest_fraction": ("pbest_fraction", float),
-    "coincident_threshold": ("coincident_threshold", float),
-    "fixed_aux_size": ("fixed_aux_size", int),
-    "reset_cnt_on_update": ("reset_cnt_on_update", bool),
-    "igd_points": ("igd_points", int),
-    "hv_offset": ("hv_offset", float),
+    _KEY_ALIASES.get(f.name, f.name): (f.name, int if f.default is None else type(f.default))
+    for f in fields(RunConfig) if f.name not in _SWITCHES
 }
 _TOP_KEYS = ("problem", "problems", "seeds", "n_seeds", "variants", "outdir", "parallel")
 _ALL_KEYS = tuple(_RUN_KEYS) + _TOP_KEYS

@@ -1,19 +1,18 @@
 """Two-sample rank-sum test and multi-problem signed-rank test.
 
-Both tests are two-sided, use midranks for ties, and switch between exact
-null enumeration for small samples and a normal approximation with tie and
-continuity corrections otherwise. Rank arithmetic is implemented here; only
-the normal tail probability comes from scipy.
+Both tests are two-sided and rank with midranks for ties. Small samples get
+the exact null distribution of the midrank statistic, enumerated by
+``scipy.stats.permutation_test``; larger ones get scipy's normal
+approximation with tie and continuity corrections. Only the size limits,
+the error cases and the verdicts are decided here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.stats import mannwhitneyu, permutation_test, rankdata, wilcoxon
 
 EXACT_RANKSUM_LIMIT = 16  # combined sample size for exact enumeration
 EXACT_SIGNEDRANK_LIMIT = 12  # nonzero-delta count for exact enumeration
@@ -31,51 +30,17 @@ class TestReport:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
 
-def midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1; tied values share the mean of their positions."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _first_rank_sum(x, _y, axis):
+    return x.sum(axis=axis)
 
 
-def _two_sided_from_tails(p_low: float, p_high: float) -> float:
-    return min(1.0, 2.0 * min(p_low, p_high))
+def _positive_rank_sum(x, axis):
+    return np.maximum(x, 0).sum(axis=axis)
 
 
-def _exact_ranksum_p(ranks: np.ndarray, n_a: int, observed: float) -> float:
-    n = len(ranks)
-    total = math.comb(n, n_a)
-    count_le = 0
-    count_ge = 0
-    for combo in combinations(range(n), n_a):
-        w = ranks[list(combo)].sum()
-        if w <= observed + 1e-12:
-            count_le += 1
-        if w >= observed - 1e-12:
-            count_ge += 1
-    return _two_sided_from_tails(count_le / total, count_ge / total)
-
-
-def _approx_ranksum_p(ranks: np.ndarray, n_a: int, observed: float) -> float:
-    n = len(ranks)
-    n_b = n - n_a
-    mu = n_a * (n + 1) / 2.0
-    _, tie_counts = np.unique(ranks, return_counts=True)
-    tie_term = float(((tie_counts ** 3 - tie_counts)).sum()) / (n * (n - 1))
-    var = n_a * n_b / 12.0 * ((n + 1) - tie_term)
-    if var <= 0:
-        return 1.0
-    diff = observed - mu
-    z = (diff - math.copysign(0.5, diff)) / math.sqrt(var) if abs(diff) > 0.5 else 0.0
-    return min(1.0, 2.0 * float(norm.sf(abs(z))))
+def _exact_p(data, statistic, permutation_type: str) -> float:
+    return float(permutation_test(data, statistic, permutation_type=permutation_type,
+                                  vectorized=True, n_resamples=np.inf).pvalue)
 
 
 def ranksum_test(a, b, alpha: float = 0.05, larger_is_better: bool = False) -> TestReport:
@@ -89,49 +54,21 @@ def ranksum_test(a, b, alpha: float = 0.05, larger_is_better: bool = False) -> T
     b = np.asarray(b, dtype=float)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("each sample needs at least 2 observations")
-    pooled = np.concatenate([a, b])
-    ranks = midranks(pooled)
-    w = float(ranks[: len(a)].sum())
+    ranks = rankdata(np.concatenate([a, b]))
+    ranks_a, ranks_b = ranks[: len(a)], ranks[len(a):]
+    w = float(ranks_a.sum())
 
-    if len(pooled) <= EXACT_RANKSUM_LIMIT:
-        p = _exact_ranksum_p(ranks, len(a), w)
+    if len(ranks) <= EXACT_RANKSUM_LIMIT:
+        p = _exact_p((ranks_a, ranks_b), _first_rank_sum, "independent")
     else:
-        p = _approx_ranksum_p(ranks, len(a), w)
+        p = float(mannwhitneyu(a, b, method="asymptotic").pvalue)
 
     if p >= alpha:
         verdict = "equal"
     else:
-        mean_rank_a = w / len(a)
-        mean_rank_b = float(ranks[len(a):].sum()) / len(b)
-        a_is_high = mean_rank_a > mean_rank_b
+        a_is_high = w / len(a) > float(ranks_b.sum()) / len(b)
         verdict = "better" if a_is_high == larger_is_better else "worse"
     return TestReport(statistic=w, p_value=p, verdict=verdict)
-
-
-def _exact_signedrank_p(ranks: np.ndarray, observed_rplus: float) -> float:
-    n = len(ranks)
-    count_le = 0
-    count_ge = 0
-    for mask in range(1 << n):
-        rplus = sum(ranks[i] for i in range(n) if mask >> i & 1)
-        if rplus <= observed_rplus + 1e-12:
-            count_le += 1
-        if rplus >= observed_rplus - 1e-12:
-            count_ge += 1
-    total = float(1 << n)
-    return _two_sided_from_tails(count_le / total, count_ge / total)
-
-
-def _approx_signedrank_p(ranks: np.ndarray, observed_rplus: float) -> float:
-    n = len(ranks)
-    mu = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(ranks, return_counts=True)
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - float((tie_counts ** 3 - tie_counts).sum()) / 48.0
-    if var <= 0:
-        return 1.0
-    diff = observed_rplus - mu
-    z = (diff - math.copysign(0.5, diff)) / math.sqrt(var) if abs(diff) > 0.5 else 0.0
-    return min(1.0, 2.0 * float(norm.sf(abs(z))))
 
 
 def signed_rank_multiproblem(deltas, alpha: float = 0.05) -> TestReport:
@@ -149,14 +86,14 @@ def signed_rank_multiproblem(deltas, alpha: float = 0.05) -> TestReport:
                           extras={"r_plus": 0.0, "r_minus": 0.0, "n": 0})
     if nonzero.size < 5:
         raise ValueError("need at least 5 nonzero differences")
-    ranks = midranks(np.abs(nonzero))
+    ranks = rankdata(np.abs(nonzero))
     r_plus = float(ranks[nonzero > 0].sum())
     r_minus = float(ranks[nonzero < 0].sum())
 
     if nonzero.size <= EXACT_SIGNEDRANK_LIMIT:
-        p = _exact_signedrank_p(ranks, r_plus)
+        p = _exact_p((np.sign(nonzero) * ranks,), _positive_rank_sum, "samples")
     else:
-        p = _approx_signedrank_p(ranks, r_plus)
+        p = float(wilcoxon(nonzero, correction=True, method="approx").pvalue)
 
     if p >= alpha:
         verdict = "equal"

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
+from scipy.stats import norm
 
 from dpcmo.core import DEFAULT_EQ_TOLERANCE
 
@@ -391,3 +393,110 @@ def igd_dense(front, ref) -> float:
     pts = np.atleast_2d(np.asarray(front, dtype=float))
     d2 = ((ref[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
     return float(np.sqrt(d2.min(axis=1)).mean())
+
+
+# ---------------------------------------------------------------------------
+# Rank tests: midranks, exhaustive null enumeration and the normal
+# approximation with tie and continuity corrections, written out by hand.
+
+
+def midranks(values) -> np.ndarray:
+    """Ranks starting at 1; tied values share the mean of their positions."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def _two_sided_from_tails(p_low: float, p_high: float) -> float:
+    return min(1.0, 2.0 * min(p_low, p_high))
+
+
+def _normal_two_sided(diff: float, var: float) -> float:
+    if var <= 0:
+        return 1.0
+    z = (diff - math.copysign(0.5, diff)) / math.sqrt(var) if abs(diff) > 0.5 else 0.0
+    return min(1.0, 2.0 * float(norm.sf(abs(z))))
+
+
+def exact_ranksum_p(ranks: np.ndarray, n_a: int, observed: float) -> float:
+    """Two-sided p of the rank sum of the first n_a rows over every split."""
+    n = len(ranks)
+    total = math.comb(n, n_a)
+    count_le = 0
+    count_ge = 0
+    for combo in combinations(range(n), n_a):
+        w = ranks[list(combo)].sum()
+        if w <= observed + 1e-12:
+            count_le += 1
+        if w >= observed - 1e-12:
+            count_ge += 1
+    return _two_sided_from_tails(count_le / total, count_ge / total)
+
+
+def approx_ranksum_p(ranks: np.ndarray, n_a: int, observed: float) -> float:
+    n = len(ranks)
+    n_b = n - n_a
+    mu = n_a * (n + 1) / 2.0
+    _, tie_counts = np.unique(ranks, return_counts=True)
+    tie_term = float(((tie_counts ** 3 - tie_counts)).sum()) / (n * (n - 1))
+    var = n_a * n_b / 12.0 * ((n + 1) - tie_term)
+    return _normal_two_sided(observed - mu, var)
+
+
+def exact_signedrank_p(ranks: np.ndarray, observed_rplus: float) -> float:
+    """Two-sided p of R+ over every assignment of signs to the ranks."""
+    n = len(ranks)
+    count_le = 0
+    count_ge = 0
+    for mask in range(1 << n):
+        rplus = sum(ranks[i] for i in range(n) if mask >> i & 1)
+        if rplus <= observed_rplus + 1e-12:
+            count_le += 1
+        if rplus >= observed_rplus - 1e-12:
+            count_ge += 1
+    total = float(1 << n)
+    return _two_sided_from_tails(count_le / total, count_ge / total)
+
+
+def approx_signedrank_p(ranks: np.ndarray, observed_rplus: float) -> float:
+    n = len(ranks)
+    mu = n * (n + 1) / 4.0
+    _, tie_counts = np.unique(ranks, return_counts=True)
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - float((tie_counts ** 3 - tie_counts).sum()) / 48.0
+    return _normal_two_sided(observed_rplus - mu, var)
+
+
+def ranksum_reference(a, b, alpha: float = 0.05, larger_is_better: bool = False
+                      ) -> tuple[float, float, str]:
+    """(W, p, verdict) of the two-sided rank-sum test of a against b; exact
+    for at most 16 observations in all."""
+    a = np.asarray(a, dtype=float)
+    ranks = midranks(np.concatenate([a, np.asarray(b, dtype=float)]))
+    n_a = len(a)
+    w = float(ranks[:n_a].sum())
+    p = (exact_ranksum_p if len(ranks) <= 16 else approx_ranksum_p)(ranks, n_a, w)
+    if p >= alpha:
+        return w, p, "equal"
+    a_is_high = w / n_a > float(ranks[n_a:].sum()) / (len(ranks) - n_a)
+    return w, p, "better" if a_is_high == larger_is_better else "worse"
+
+
+def signed_rank_reference(deltas, alpha: float = 0.05) -> tuple[float, float, str, dict]:
+    """(R+, p, verdict, extras) of the two-sided signed-rank test of nonzero
+    deltas; exact for at most 12 of them."""
+    deltas = np.asarray(deltas, dtype=float)
+    nonzero = deltas[deltas != 0.0]
+    ranks = midranks(np.abs(nonzero))
+    r_plus = float(ranks[nonzero > 0].sum())
+    r_minus = float(ranks[nonzero < 0].sum())
+    p = (exact_signedrank_p if len(ranks) <= 12 else approx_signedrank_p)(ranks, r_plus)
+    verdict = "equal" if p >= alpha else ("better" if r_plus > r_minus else "worse")
+    return r_plus, p, verdict, {"r_plus": r_plus, "r_minus": r_minus, "n": len(ranks)}

@@ -462,7 +462,15 @@ class TestRun:
 
     def test_feasible_front_helper(self):
         state = initialize(make_problem("P3-separated", 10), RunConfig(pop_size=30), 2)
-        F = feasible_front(state.pop_main)
-        assert F.size > 0
+        front = feasible_front(state.pop_main)
+        assert len(front) > 0
+        assert np.all(front.cv == 0.0)
         cvs = state.pop_main.cv
-        assert len(F) <= (cvs == 0).sum()
+        assert len(front) <= (cvs == 0).sum()
+        empty = feasible_front(state.pop_main.take(cvs > 0))
+        assert empty.X.shape == (0, 10) and empty.F.shape == (0, 2) and empty.cv.shape == (0,)
+
+    def test_final_metrics_are_last_log_record(self):
+        result = run(make_problem("P2-partial", 10), RunConfig(pop_size=30, max_fe=1500), 4)
+        assert result.final_igd == result.log[-1]["igd"]
+        assert result.final_hv == result.log[-1]["hv"]

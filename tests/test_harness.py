@@ -22,6 +22,28 @@ def write_config(tmp_path, text):
     return path
 
 
+# One line per run key of a config file, with the RunConfig field it sets and
+# the parsed value.
+RUN_KEY_CASES = [
+    ("N = 50", "pop_size", 50),
+    ("maxFE = 900", "max_fe", 900),
+    ("eps0 = 0.25", "eps0", 0.25),
+    ("curvature = 12", "curvature", 12.0),
+    ("phase1_eps = 0.19", "phase1_eps", 0.19),
+    ("phase3_eps = 0.004", "phase3_eps", 0.004),
+    ("opposition_eps = 0.001", "opposition_eps", 0.001),
+    ("delta = 0.001", "delta", 0.001),
+    ("history_gap = 7", "history_gap", 7),
+    ("history_delta = 1e-6", "history_delta", 1e-6),
+    ("pbest_fraction = 0.2", "pbest_fraction", 0.2),
+    ("coincident_threshold = 0.8", "coincident_threshold", 0.8),
+    ("fixed_aux_size = 7", "fixed_aux_size", 7),
+    ("reset_cnt_on_update = yes", "reset_cnt_on_update", True),
+    ("igd_points = 500", "igd_points", 500),
+    ("hv_offset = 1.2", "hv_offset", 1.2),
+]
+
+
 class TestLoadConfig:
     def test_minimal_fills_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "problem = P1-overlap\n"))
@@ -89,6 +111,28 @@ fixed_aux_size = 40
         key = line.split(" ")[0]
         with pytest.raises(ConfigError, match=key):
             load_config(write_config(tmp_path, f"problem = P1-overlap\n{line}\n"))
+
+    def test_tiny_population_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="population size"):
+            load_config(write_config(tmp_path, "problem = P1-overlap\nN = 4\n"))
+
+    @pytest.mark.parametrize("line,attr,value", RUN_KEY_CASES)
+    def test_run_key_parses_to_field(self, tmp_path, line, attr, value):
+        cfg = load_config(write_config(tmp_path, f"problem = P1-overlap\n{line}\n"))
+        parsed = getattr(cfg.run, attr)
+        assert parsed == value and type(parsed) is type(value)
+
+    def test_run_key_set(self):
+        assert set(harness._RUN_KEYS) == {line.split()[0] for line, _, _ in RUN_KEY_CASES}
+
+    @pytest.mark.parametrize("line", ["pop_size = 50", "max_fe = 900", "disable_dra = true"])
+    def test_field_names_without_a_key_are_unknown(self, tmp_path, line):
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(write_config(tmp_path, f"problem = P1-overlap\n{line}\n"))
+
+    def test_unknown_ablation_variant(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown variant 'WoXYZ'"):
+            load_config(write_config(tmp_path, "problem = P1-overlap\nvariants = full, WoXYZ\n"))
 
     def test_n_seeds_shortcut(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "problem = P1-overlap\nn_seeds = 5\n"))
@@ -251,6 +295,16 @@ class TestCli:
         assert main(["run", str(cfg)]) == 2
         assert "curvature" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [["--pop-size", "4"],
+                                       ["--pop-size", "100", "--max-fe", "150"]])
+    def test_bad_grid_bounds_are_config_errors(self, tmp_path, capsys, flags):
+        outdir = tmp_path / "out"
+        code = main(["bench", "--outdir", str(outdir), "--seeds", "1",
+                     "--problems", "P1-overlap", *flags])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

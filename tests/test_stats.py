@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpcmo.stats import (
-    midranks,
+    EXACT_RANKSUM_LIMIT,
+    EXACT_SIGNEDRANK_LIMIT,
     ranksum_test,
     signed_rank_multiproblem,
-    _approx_ranksum_p,
-    _approx_signedrank_p,
-    _exact_ranksum_p,
-    _exact_signedrank_p,
+)
+from oracles import (
+    approx_ranksum_p,
+    approx_signedrank_p,
+    exact_ranksum_p,
+    exact_signedrank_p,
+    midranks,
+    ranksum_reference,
+    signed_rank_reference,
 )
 
 
@@ -67,8 +75,8 @@ class TestRanksum:
                 pooled = rng.random(n_a + n_b)
                 ranks = midranks(pooled)
                 w = float(ranks[:n_a].sum())
-                exact = _exact_ranksum_p(ranks, n_a, w)
-                approx = _approx_ranksum_p(ranks, n_a, w)
+                exact = exact_ranksum_p(ranks, n_a, w)
+                approx = approx_ranksum_p(ranks, n_a, w)
                 assert abs(exact - approx) <= 0.02
 
     def test_sample_size_validation(self):
@@ -144,6 +152,59 @@ class TestSignedRank:
                 deltas = deltas[deltas != 0]
                 ranks = midranks(np.abs(deltas))
                 r_plus = float(ranks[deltas > 0].sum())
-                exact = _exact_signedrank_p(ranks, r_plus)
-                approx = _approx_signedrank_p(ranks, r_plus)
+                exact = exact_signedrank_p(ranks, r_plus)
+                approx = approx_signedrank_p(ranks, r_plus)
                 assert abs(exact - approx) <= 0.02
+
+
+# Samples on an integer grid tie often; unique floats never tie. Sizes
+# straddle both exact-enumeration limits.
+_TIED = st.integers(0, 4).map(float)
+_TIE_FREE = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def two_samples(draw):
+    n_a = draw(st.integers(2, 10))
+    n_b = draw(st.integers(2, 10))
+    if draw(st.booleans()):
+        values = draw(st.lists(_TIED, min_size=n_a + n_b, max_size=n_a + n_b))
+    else:
+        values = draw(st.lists(_TIE_FREE, min_size=n_a + n_b, max_size=n_a + n_b, unique=True))
+    return values[:n_a], values[n_a:]
+
+
+@st.composite
+def nonzero_deltas(draw):
+    n = draw(st.integers(5, EXACT_SIGNEDRANK_LIMIT + 4))
+    if draw(st.booleans()):
+        magnitudes = draw(st.lists(st.integers(1, 4).map(float), min_size=n, max_size=n))
+    else:
+        magnitudes = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n, unique=True))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n))
+    return [s * m for s, m in zip(signs, magnitudes)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_samples(), st.booleans())
+def test_ranksum_matches_oracle(samples, larger_is_better):
+    a, b = samples
+    report = ranksum_test(a, b, larger_is_better=larger_is_better)
+    w, p, verdict = ranksum_reference(a, b, larger_is_better=larger_is_better)
+    assert (report.statistic, report.verdict) == (w, verdict)
+    if len(a) + len(b) <= EXACT_RANKSUM_LIMIT:
+        assert report.p_value == p
+    else:
+        assert abs(report.p_value - p) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero_deltas())
+def test_signed_rank_matches_oracle(deltas):
+    report = signed_rank_multiproblem(deltas)
+    r_plus, p, verdict, extras = signed_rank_reference(deltas)
+    assert (report.statistic, report.verdict, report.extras) == (r_plus, verdict, extras)
+    if len(deltas) <= EXACT_SIGNEDRANK_LIMIT:
+        assert report.p_value == p
+    else:
+        assert abs(report.p_value - p) <= 1e-15
