@@ -134,9 +134,6 @@ class RunConfig:
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
 
-    def operator_params(self, _dimension: int) -> OperatorParams:
-        return OperatorParams(pbest_fraction=self.pbest_fraction)
-
     def fingerprint_payload(self) -> dict:
         return asdict(self)
 
@@ -178,7 +175,7 @@ class RunState:
         self.seed = int(seed)
         self.rng = RngStream(seed)
         self.counter = EvalCounter(config.max_fe)
-        self.params = config.operator_params(problem.dimension)
+        self.params = OperatorParams(pbest_fraction=config.pbest_fraction)
         self.pop_main = Population.empty()
         self.pop_aux = Population.empty()
         self.g = 1

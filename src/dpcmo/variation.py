@@ -8,6 +8,10 @@ coordinates are copied verbatim from in-bounds parents.
 
 Differential-evolution scale factors and crossover rates are drawn per
 offspring from small discrete sets rather than held fixed.
+
+Tournament pools and DE index triples take their draws in whole-array calls
+that use the generator's stream exactly as one call per draw would: same
+values, same order, same state afterwards.
 """
 
 from __future__ import annotations
@@ -57,16 +61,28 @@ def tournament_pool(pop: Population, k: int, epsilon: float,
     if n == 1:
         return np.zeros(k, dtype=int)
     ranks, crowd = rank_and_crowd(pop, epsilon)
-    ranks, crowd = ranks.tolist(), crowd.tolist()
+    highs = [n - 1, n, 2]
     out = np.empty(k, dtype=int)
-    for t in range(k):
-        i, j = rng.choice(n, size=2, replace=False).tolist()
-        if ranks[i] != ranks[j]:
-            out[t] = i if ranks[i] < ranks[j] else j
-        elif crowd[i] != crowd[j]:
-            out[t] = i if crowd[i] > crowd[j] else j
-        else:
-            out[t] = i if rng.random() < 0.5 else j
+    start = 0
+    while start < k:
+        state = rng.bit_generator.state
+        # Row t equals rng.choice(n, 2, replace=False) while that is Floyd's algorithm plus a swap.
+        a, b, c = rng.integers(0, highs, size=(k - start, 3)).T
+        b[b == a] = n - 1
+        i, j = np.where(c == 0, b, a), np.where(c == 0, a, b)
+        ri, rj, ci, cj = ranks[i], ranks[j], crowd[i], crowd[j]
+        win = np.where(ri != rj, np.where(ri < rj, i, j), np.where(ci > cj, i, j))
+        ties = np.flatnonzero((ri == rj) & (ci == cj))
+        if not ties.size:
+            out[start:] = win
+            break
+        # A coin flip takes a 64-bit draw: rewind, redraw up to the tie, flip, go on.
+        s = ties[0]
+        out[start:start + s] = win[:s]
+        rng.bit_generator.state = state
+        rng.integers(0, highs, size=(s + 1, 3))
+        out[start + s] = i[s] if rng.random() < 0.5 else j[s]
+        start += s + 1
     return out
 
 
@@ -156,22 +172,21 @@ def ga_offspring(X: np.ndarray, params: OperatorParams, stage: int, bounds: Boun
     return children[:n]
 
 
-def _distinct_triples(n: int, rng: np.random.Generator, exclude_self: bool = True) -> np.ndarray:
+def _distinct_triples(n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, 3) index array; each row holds three distinct indices, none equal
-    to the row number when exclude_self is set. Requires n >= 4."""
+    to the row number. Requires n >= 4. A draw adds at most one pick, so
+    drawing as many as are missing never overruns the one-at-a-time stream."""
     if n < 4:
         raise ValueError(f"population of size {n} is too small; need at least 4")
-    out = np.empty((n, 3), dtype=int)
-    for i in range(n):
-        forbidden = {i} if exclude_self else set()
-        picks = []
-        while len(picks) < 3:
-            r = int(rng.integers(0, n))
-            if r not in forbidden:
-                picks.append(r)
-                forbidden.add(r)
-        out[i] = picks
-    return out
+    picks, row = [], [0]
+    while len(picks) < 3 * n:
+        for r in rng.integers(0, n, size=3 * n - len(picks) - len(row) + 1).tolist():
+            if r not in row:
+                row.append(r)
+                if len(row) == 4:
+                    picks += row[1:]
+                    row = [len(picks) // 3]
+    return np.array(picks).reshape(n, 3)
 
 
 def de_rand_1(X: np.ndarray, params: OperatorParams, bounds: Bounds,

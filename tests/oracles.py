@@ -396,6 +396,46 @@ def igd_dense(front, ref) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Mating draws one scalar generator call at a time. The vectorized pools and
+# triples must consume the generator's stream exactly as these loops do.
+
+
+def tournament_pool_reference(ranks, crowd, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Row indices of k binary-tournament winners under the given ranks and
+    crowding: lower rank, then higher crowding, then a coin flip."""
+    n = len(ranks)
+    if n == 1:
+        return np.zeros(k, dtype=int)
+    ranks, crowd = list(ranks), list(crowd)
+    out = np.empty(k, dtype=int)
+    for t in range(k):
+        i, j = rng.choice(n, size=2, replace=False).tolist()
+        if ranks[i] != ranks[j]:
+            out[t] = i if ranks[i] < ranks[j] else j
+        elif crowd[i] != crowd[j]:
+            out[t] = i if crowd[i] > crowd[j] else j
+        else:
+            out[t] = i if rng.random() < 0.5 else j
+    return out
+
+
+def distinct_triples_reference(n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, 3) rows of three distinct indices, none equal to the row number,
+    by rejection of one draw at a time."""
+    out = np.empty((n, 3), dtype=int)
+    for i in range(n):
+        forbidden = {i}
+        picks = []
+        while len(picks) < 3:
+            r = int(rng.integers(0, n))
+            if r not in forbidden:
+                picks.append(r)
+                forbidden.add(r)
+        out[i] = picks
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Rank tests: midranks, exhaustive null enumeration and the normal
 # approximation with tie and continuity corrections, written out by hand.
 

@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dpcmo.core import Bounds, Population
+from dpcmo.selection import rank_and_crowd
 from dpcmo.variation import (
     OperatorParams,
+    _distinct_triples,
     de_current_to_pbest,
     de_current_to_rand,
     de_rand_1,
@@ -12,6 +19,8 @@ from dpcmo.variation import (
     random_pool,
     tournament_pool,
 )
+
+from oracles import distinct_triples_reference, tournament_pool_reference
 
 UNIT = Bounds(np.zeros(10), np.ones(10))
 
@@ -55,6 +64,97 @@ class TestPools:
         pool = random_pool(pop, 100_000, np.random.default_rng(4))
         counts = np.bincount(pool, minlength=4) / 100_000
         assert np.all(np.abs(counts - 0.25) < 0.01)
+
+
+def generator_pair(seed, warm):
+    """Two generators in one state: fresh, or after `warm` 32-bit draws."""
+    pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in pair:
+        rng.integers(0, 1000, size=warm)
+    return pair
+
+
+def same_stream_after(a, b):
+    return a.bit_generator.state == b.bit_generator.state and a.random() == b.random()
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+WARM = st.sampled_from([0, 1, 5])
+
+
+class TestStreamFacts:
+    """The numpy behaviour the whole-array draws rely on."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 120), st.integers(0, 40), SEEDS, WARM)
+    def test_array_highs_draw_like_scalar_calls(self, n, k, seed, warm):
+        a, b = generator_pair(seed, warm)
+        whole = a.integers(0, [n - 1, n, 2, 1], size=(k, 4))
+        rows = [[b.integers(0, n - 1), b.integers(0, n), b.integers(0, 2), b.integers(0, 1)]
+                for _ in range(k)]
+        assert np.array_equal(whole, np.array(rows, dtype=int).reshape(k, 4))
+        assert same_stream_after(a, b)
+
+    def test_range_one_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        rng.integers(0, 7)
+        state = rng.bit_generator.state
+        rng.integers(0, 1)
+        rng.integers(0, [1, 1], size=(3, 2))
+        assert rng.bit_generator.state == state
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 120), SEEDS, WARM)
+    def test_choice_of_two_is_floyd_plus_swap(self, n, seed, warm):
+        a, b = generator_pair(seed, warm)
+        pair = a.choice(n, size=2, replace=False).tolist()
+        first = int(b.integers(0, n - 1))
+        second = int(b.integers(0, n))
+        if second == first:
+            second = n - 1
+        swap = int(b.integers(0, 2))
+        assert pair == ([second, first] if swap == 0 else [first, second])
+        assert same_stream_after(a, b)
+
+    @pytest.mark.parametrize("warm", [0, 1])
+    def test_coin_flip_takes_one_64_bit_draw_and_keeps_the_32_bit_half(self, warm):
+        a, b = generator_pair(3, warm)
+        a.random()
+        b.bit_generator.random_raw()
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.bit_generator.state["has_uint32"] == warm
+
+
+@st.composite
+def ranked_populations(draw):
+    """Integer-grid objectives and violations, so that full ties are common."""
+    n = draw(st.integers(1, 120))
+    grid = draw(st.integers(0, 3))
+    F = draw(hnp.arrays(np.int64, (n, 2), elements=st.integers(0, grid))).astype(float)
+    cv = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2))) * 0.5
+    return Population(np.zeros((n, 1)), F, cv)
+
+
+class TestStreamEquivalence:
+    """Whole-array draws against one-call-per-draw loops: equal indices and
+    the generator left in the same state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_populations(), st.integers(0, 300), st.sampled_from([0.0, math.inf]),
+           SEEDS, WARM)
+    def test_tournament_pool_matches_scalar_loop(self, pop, k, epsilon, seed, warm):
+        a, b = generator_pair(seed, warm)
+        pool = tournament_pool(pop, k, epsilon, a)
+        reference = tournament_pool_reference(*rank_and_crowd(pop, epsilon), k, b)
+        assert np.array_equal(pool, reference)
+        assert same_stream_after(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(4, 120), SEEDS, WARM)
+    def test_distinct_triples_match_scalar_loop(self, n, seed, warm):
+        a, b = generator_pair(seed, warm)
+        assert np.array_equal(_distinct_triples(n, a), distinct_triples_reference(n, b))
+        assert same_stream_after(a, b)
 
 
 class TestGaOffspring:
