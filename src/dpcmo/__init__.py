@@ -8,7 +8,6 @@ from .core import (  # noqa: F401
     Bounds,
     EvalCounter,
     Population,
-    RngStream,
     evaluate_batch,
 )
 from .engine import RunConfig, RunResult, apply_ablation, run  # noqa: F401

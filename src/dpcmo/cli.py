@@ -7,7 +7,7 @@ Subcommands:
     stats     statistical comparison tables from a summary.csv
     plotdata  emit plot-ready CSV series from stored results
 
-Exit code 0 on full success, 2 when some grid cells failed.
+Exit code 0 on full success, 2 when some grid cells failed or an input is invalid.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ is feasible when its violation is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -72,10 +71,8 @@ class Bounds:
 class Population:
     """Row-aligned decisions X, objectives F and violations cv, read-only.
 
-    The ideal, nadir and average objective points (per-objective min, max
-    and mean) are computed on first use and cached. ``ranked`` maps an
-    epsilon to the (ranks, crowding) pair that selection computed for this
-    population, so it is computed at most once.
+    ``ranked`` maps an epsilon to the (ranks, crowding) pair that selection
+    computed for this population, so it is computed at most once.
     """
 
     def __init__(self, X, F, cv):
@@ -86,18 +83,6 @@ class Population:
             raise ValueError(f"row counts differ: X {len(self.X)}, F {len(self.F)}, "
                              f"cv {len(self.cv)}")
         self.ranked: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    @cached_property
-    def ideal(self) -> np.ndarray:
-        return _readonly(self.F.min(axis=0) if len(self) else [])
-
-    @cached_property
-    def nadir(self) -> np.ndarray:
-        return _readonly(self.F.max(axis=0) if len(self) else [])
-
-    @cached_property
-    def average(self) -> np.ndarray:
-        return _readonly(self.F.mean(axis=0) if len(self) else [])
 
     @classmethod
     def empty(cls) -> "Population":
@@ -127,18 +112,6 @@ class Population:
 
     def feasible_ratio(self) -> float:
         return float(np.mean(self.cv == 0.0)) if len(self) else 0.0
-
-
-class RngStream:
-    """Deterministic random stream.
-
-    Wraps numpy's PCG64 generator: equal seeds give identical draw sequences
-    on every platform. One stream is owned by exactly one run.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.gen = np.random.Generator(np.random.PCG64(self.seed))
 
 
 class EvalCounter:

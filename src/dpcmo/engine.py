@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import time
 from dataclasses import asdict, dataclass, replace
@@ -26,7 +25,6 @@ from .core import (
     Bounds,
     EvalCounter,
     Population,
-    RngStream,
     evaluate_batch,
 )
 from .metrics import MetricConfig, igd
@@ -64,8 +62,6 @@ from .variation import (
     random_pool,
     tournament_pool,
 )
-
-logger = logging.getLogger(__name__)
 
 # Each ablation variant and the RunConfig switches it sets.
 ABLATIONS = {
@@ -134,9 +130,6 @@ class RunConfig:
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
 
-    def fingerprint_payload(self) -> dict:
-        return asdict(self)
-
 
 def apply_ablation(config: RunConfig, variant: str) -> RunConfig:
     """Return a config with one algorithm component removed or pinned."""
@@ -173,7 +166,7 @@ class RunState:
         self.problem = problem
         self.config = config
         self.seed = int(seed)
-        self.rng = RngStream(seed)
+        self.rng = np.random.Generator(np.random.PCG64(self.seed))
         self.counter = EvalCounter(config.max_fe)
         self.params = OperatorParams(pbest_fraction=config.pbest_fraction)
         self.pop_main = Population.empty()
@@ -191,9 +184,8 @@ class RunState:
         self.phase = 0
         self.log: list[dict] = []
 
-        front = reference_front(problem, config.igd_points)
-        self.ref_points = front.points
-        self.metric_cfg = MetricConfig.from_front(front.points, reference_offset=config.hv_offset)
+        self.ref_points = reference_front(problem, config.igd_points)
+        self.metric_cfg = MetricConfig.from_front(self.ref_points, reference_offset=config.hv_offset)
 
     @property
     def fe(self) -> int:
@@ -225,7 +217,7 @@ def _fingerprint(problem: Problem, config: RunConfig, seed: int) -> str:
         "problem": problem.id,
         "dimension": problem.dimension,
         "seed": seed,
-        "config": config.fingerprint_payload(),
+        "config": asdict(config),
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -234,8 +226,8 @@ def initialize(problem: Problem, config: RunConfig, seed: int) -> RunState:
     """Two independent uniform populations, evaluated; 2N budget units."""
     state = RunState(problem, config, seed)
     n = config.pop_size
-    X_main = problem.bounds.sample(n, state.rng.gen)
-    X_aux = problem.bounds.sample(n, state.rng.gen)
+    X_main = problem.bounds.sample(n, state.rng)
+    X_aux = problem.bounds.sample(n, state.rng)
     state.pop_main = evaluate_batch(problem, X_main, state.counter, config.delta)
     state.pop_aux = evaluate_batch(problem, X_aux, state.counter, config.delta)
     state.history.record(0, state.pop_aux)
@@ -275,8 +267,7 @@ def try_switch(state: RunState) -> None:
     if state.flag != 0:
         raise RuntimeError("switch already happened")
     try:
-        latest = state.history.latest_generation
-        rs = rs_metric(state.history, latest) if latest is not None else 1.0
+        rs = rs_metric(state.history, state.history.latest_generation)
     except HistoryNotReady:
         rs = 1.0
     if should_switch(rs, state.g, strict_only=state.config.strict_switch_only):
@@ -304,7 +295,7 @@ def stage1_step(state: RunState) -> None:
     """
     cfg = state.config
     n = cfg.pop_size
-    rng = state.rng.gen
+    rng = state.rng
 
     pool_main = random_pool(state.pop_main, n, rng)
     X1 = ga_offspring(state.pop_main.X[pool_main], state.params, 1, state.problem.bounds, rng)
@@ -339,21 +330,12 @@ def _survivors(union: Population, n: int, epsilon: float) -> Population:
     return union.take(environmental_select(union, n, epsilon))
 
 
-def _build_pool(pop: Population, kind: str, k: int, epsilon: float,
-                rng: np.random.Generator) -> np.ndarray:
-    if kind == "T":
-        return tournament_pool(pop, k, epsilon, rng)
-    if kind == "R":
-        return random_pool(pop, k, rng)
-    raise ValueError(f"unknown pool kind {kind!r}")
-
-
 _DE_FAMILY = {"de", "cur_rand", "pbest"}
 
 
 def _run_operator(state: RunState, op: str, kind: str, k: int, source: str) -> np.ndarray:
     """Apply one plan operator, returning exactly k offspring rows."""
-    rng = state.rng.gen
+    rng = state.rng
     bounds = state.problem.bounds
     params = state.params
     if op == "transfer":
@@ -362,7 +344,10 @@ def _run_operator(state: RunState, op: str, kind: str, k: int, source: str) -> n
     pop = state.pop_main if source == "main" else state.pop_aux
     pool_eps = 0.0 if source == "main" else math.inf
     draw = max(k, 4) if op in _DE_FAMILY else k
-    pool = pop.X[_build_pool(pop, kind, draw, pool_eps, rng)]
+    if kind == "T":
+        pool = pop.X[tournament_pool(pop, draw, pool_eps, rng)]
+    else:
+        pool = pop.X[random_pool(pop, draw, rng)]
     if op == "ga":
         X = ga_offspring(pool, params, 2, bounds, rng)
     elif op == "de":
@@ -395,7 +380,6 @@ def hops_generate(state: RunState, eff_type: int, f1: float, f2: float
         batches = []
         for op, kind in zip(ops, kinds):
             if k <= 0:
-                logger.debug("operator %s skipped: pool size rounded to 0", op)
                 continue
             X = _run_operator(state, op, kind, k, source)
             batches.append(evaluate_batch(state.problem, X, state.counter, state.config.delta))

@@ -24,7 +24,7 @@ import difflib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,8 @@ DEFAULT_SEED_COUNT = 30
 
 
 class ConfigError(ValueError):
-    """Malformed or invalid experiment configuration."""
+    """Malformed or invalid experiment input: a config file, grid options or
+    a summary.csv."""
 
 
 @dataclass
@@ -75,7 +76,7 @@ class ExperimentConfig:
             "variants": self.variants,
             "outdir": str(self.outdir),
             "parallel": self.parallel,
-            "run": self.run.fingerprint_payload(),
+            "run": asdict(self.run),
         }
 
 
@@ -181,10 +182,6 @@ def _run_cell(args) -> RunResult:
     return run(problem, apply_ablation(run_config, variant), seed)
 
 
-def _json_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True)
-
-
 @dataclass
 class ExperimentReport:
     outdir: Path
@@ -243,7 +240,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             failed.append((name, f"{type(outcome).__name__}: {outcome}"))
             continue
         log_path = outdir / "logs" / f"{name}.jsonl"
-        log_path.write_text("".join(_json_line(r) + "\n" for r in outcome.log))
+        log_path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in outcome.log))
         front_path = outdir / "fronts" / f"{name}.csv"
         header = ",".join(f"f{i + 1}" for i in range(outcome.front_objectives.shape[1] or 2))
         lines = [header] + [",".join(repr(float(v)) for v in row)
@@ -275,18 +272,40 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                             completed=len(rows), failed=failed)
 
 
+_SUMMARY_COLUMNS = ("problem", "variant", "seed", "final_hv", "final_igd")
+
+
 def read_summary(path) -> list[dict]:
-    lines = Path(path).read_text().splitlines()
+    """The rows of a summary.csv, with seed and the final metrics parsed.
+
+    A missing or empty file, an absent column, a short or long row and an
+    unparsable value are ConfigErrors that name the file.
+    """
+    path = Path(path)
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read summary {path}: {exc.strerror}") from None
+    if not lines:
+        raise ConfigError(f"{path}: empty summary, expected a header line")
     header = lines[0].split(",")
+    missing = [c for c in _SUMMARY_COLUMNS if c not in header]
+    if missing:
+        raise ConfigError(f"{path}: summary lacks column(s) {', '.join(missing)}")
     rows = []
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
+        if len(parts) != len(header):
+            raise ConfigError(f"{path}, line {line_no}: {len(parts)} fields, header has {len(header)}")
         row = dict(zip(header, parts))
-        row["seed"] = int(row["seed"])
-        row["final_hv"] = float(row["final_hv"])
-        row["final_igd"] = float(row["final_igd"])
+        try:
+            row["seed"] = int(row["seed"])
+            row["final_hv"] = float(row["final_hv"])
+            row["final_igd"] = float(row["final_igd"])
+        except ValueError as exc:
+            raise ConfigError(f"{path}, line {line_no}: {exc}") from None
         rows.append(row)
     return rows
 

@@ -30,25 +30,6 @@ DEFAULT_DIMENSION = 10
 
 
 @dataclass(frozen=True)
-class ReferenceFront:
-    """Nondominated objective vectors on the true constrained front,
-    sorted lexicographically."""
-
-    points: np.ndarray
-    source: str
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        order = np.lexsort(pts.T[::-1])
-        pts = pts[order]
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
 class Problem:
     """Evaluation contract: decisions -> (objectives, inequality values,
     equality values), plus bounds and an analytic front sampler.
@@ -57,7 +38,6 @@ class Problem:
     """
 
     id: str
-    n_objectives: int
     dimension: int
     bounds: Bounds
     evaluate_matrix: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
@@ -168,7 +148,6 @@ def make_problem(problem_id: str, dimension: int = DEFAULT_DIMENSION) -> Problem
     bounds = Bounds(np.zeros(dimension), np.ones(dimension))
     return Problem(
         id=problem_id,
-        n_objectives=2,
         dimension=dimension,
         bounds=bounds,
         evaluate_matrix=evaluator,
@@ -176,9 +155,12 @@ def make_problem(problem_id: str, dimension: int = DEFAULT_DIMENSION) -> Problem
     )
 
 
-def reference_front(problem: Problem, n: int) -> ReferenceFront:
-    """n exact points on the problem's constrained front."""
+def reference_front(problem: Problem, n: int) -> np.ndarray:
+    """n exact points on the problem's constrained front, one per row, sorted
+    lexicographically and read-only."""
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    pts = problem.front_sampler(n)
-    return ReferenceFront(points=pts, source=f"{problem.id}/n={n}")
+    pts = np.asarray(problem.front_sampler(n), dtype=float)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    pts.setflags(write=False)
+    return pts

@@ -36,7 +36,7 @@ class EpsilonSchedule:
 
     @property
     def t2(self) -> float:
-        return min(self.t1 + 0.3 * (self.max_fe - self.switch_fe), float(self.max_fe))
+        return self.t1 + 0.3 * (self.max_fe - self.switch_fe)
 
     @property
     def k(self) -> float:
@@ -78,8 +78,6 @@ def epsilon_final(sched: EpsilonSchedule, fe: float, rel_type: int) -> float:
         period = 200.0 if rel_type == 3 else 150.0
         return phase2_baseline(sched, rel_type, t) + phase2_amplitude(sched, rel_type, t) * math.sin(
             2.0 * math.pi * fe / period)
-    if sched.t2 >= sched.max_fe:
-        return 0.005 * sched.eps0
     return 0.005 * sched.eps0 * math.exp(-sched.k * (fe - sched.t2) / (sched.max_fe - sched.t2))
 
 

@@ -243,17 +243,15 @@ def angle_subregion_select(union: Population, n_aux: int, n_s: int,
     ``union``, whose first ``n_aux`` rows are the incoming population.
 
     The nondominated subset of the union is normalized to [0, 1] per
-    objective and assigned to reference vectors. Each vector picks one
-    candidate: a feasible one with the smallest violation-plus-angle score
-    when any candidate falls strictly inside the global minimum-angle radius,
-    otherwise simply the angularly nearest candidate. A candidate may be
-    picked by several vectors. When the incoming population is smaller than
-    25, unpicked rows top up the pool in index order. The pool is then ranked
-    under the epsilon ordering and the best n_s returned.
+    objective, and each reference vector picks its angularly nearest
+    candidate, the first one on ties. A candidate may be picked by several
+    vectors. When the incoming population is smaller than 25, unpicked rows
+    top up the pool in index order. The pool is then ranked under the
+    epsilon ordering and the best n_s returned.
     """
     if not len(union):
         raise ValueError("cannot select from an empty candidate set")
-    F, cvs = union.F, union.cv
+    F = union.F
     nd = unconstrained_nondominated(F)
 
     z_min = F[nd].min(axis=0)
@@ -262,23 +260,7 @@ def angle_subregion_select(union: Population, n_aux: int, n_s: int,
     normalized = (F[nd] - z_min) / span
 
     ang = angular_distances(normalized, das_dennis_vectors(F.shape[1], n_s))
-    h = float(ang.min())
-
-    picks: list[int] = []
-    for k in range(n_s):
-        inside = np.flatnonzero(ang[:, k] < h)
-        if inside.size == 0:
-            local = int(np.argmin(ang[:, k]))
-        else:
-            feasible = inside[cvs[nd[inside]] == 0.0]
-            if feasible.size:
-                scores = cvs[nd[feasible]] + ang[feasible, k]
-                local = int(feasible[np.argmin(scores)])
-            else:
-                local = int(inside[np.argmin(ang[inside, k])])
-        picks.append(int(nd[local]))
-
-    pool = np.array(picks)
+    pool = nd[ang.argmin(axis=0)]
     if n_aux < 25:
         unpicked = np.flatnonzero(~np.isin(np.arange(len(union)), pool))
         pool = np.concatenate([pool, unpicked[: 25 - n_aux]])

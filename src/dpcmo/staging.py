@@ -21,7 +21,6 @@ from .selection import unconstrained_nondominated
 TYPE_COINCIDENT = 1
 TYPE_PARTIAL = 2
 TYPE_SEPARATED = 3
-TYPE_UNCLEAR = 4
 
 
 class HistoryNotReady(LookupError):
@@ -39,11 +38,8 @@ class PointHistory:
         self._entries: deque[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = deque(maxlen=gap + 1)
 
     def record(self, generation: int, pop: Population) -> None:
-        self.record_points(generation, pop.ideal, pop.nadir, pop.average)
-
-    def record_points(self, generation: int, ideal, nadir, average) -> None:
-        self._entries.append((generation, np.array(ideal, dtype=float),
-                              np.array(nadir, dtype=float), np.array(average, dtype=float)))
+        F = pop.F
+        self._entries.append((generation, F.min(axis=0), F.max(axis=0), F.mean(axis=0)))
 
     def lookup(self, generation: int):
         for entry in self._entries:

@@ -7,11 +7,11 @@ from dpcmo.core import (
     Bounds,
     EvalCounter,
     Population,
-    RngStream,
     constraint_violation_batch,
     evaluate_batch,
 )
 from dpcmo.problems import PROBLEM_IDS, make_problem
+from dpcmo.staging import PointHistory
 
 from oracles import (
     BudgetExhausted,
@@ -176,14 +176,19 @@ class TestEvaluate:
 
 class TestPopulation:
     def test_cached_points_match_recomputation(self):
+        # The ideal, nadir and average points of a population are taken
+        # once per generation, when the switch metric's history records it.
         rng = np.random.default_rng(5)
         F = rng.random((40, 3))
         pop = Population(np.zeros((40, 2)), F, np.zeros(40))
-        assert pop.ideal == pytest.approx(F.min(axis=0))
-        assert pop.nadir == pytest.approx(F.max(axis=0))
-        assert pop.average == pytest.approx(F.mean(axis=0))
-        assert np.all(pop.ideal <= pop.average)
-        assert np.all(pop.average <= pop.nadir)
+        hist = PointHistory(gap=1)
+        hist.record(0, pop)
+        _, ideal, nadir, average = hist.lookup(0)
+        assert ideal == pytest.approx(F.min(axis=0))
+        assert nadir == pytest.approx(F.max(axis=0))
+        assert average == pytest.approx(F.mean(axis=0))
+        assert np.all(ideal <= average)
+        assert np.all(average <= nadir)
 
     def test_feasible_ratio(self):
         pop = Population(np.zeros((4, 2)), np.ones((4, 2)), [1.0, 0.0, 0.0, 0.0])
@@ -208,13 +213,3 @@ class TestPopulation:
         assert picked.X[:, 0].tolist() == [9.0, 0.0, 9.0]
         assert Population.concat(a) is a
         assert len(Population.concat()) == 0
-
-
-class TestRngStream:
-    def test_same_seed_same_stream(self):
-        a = RngStream(12345).gen.random(100)
-        b = RngStream(12345).gen.random(100)
-        assert np.array_equal(a, b)
-
-    def test_different_seed_differs(self):
-        assert not np.array_equal(RngStream(1).gen.random(10), RngStream(2).gen.random(10))

@@ -41,7 +41,7 @@ def constant_problem(dimension=6):
         t = np.linspace(0.0, 1.0, n)
         return np.column_stack([1.0 + t, 2.0 - t])
 
-    return Problem(id="constant", n_objectives=2, dimension=dimension,
+    return Problem(id="constant", dimension=dimension,
                    bounds=Bounds(np.zeros(dimension), np.ones(dimension)),
                    evaluate_matrix=ev, front_sampler=sampler)
 

@@ -306,6 +306,32 @@ class TestCli:
         assert "config error:" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_stats_missing_summary(self, tmp_path, capsys):
+        path = tmp_path / "absent.csv"
+        assert main(["stats", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_stats_empty_summary(self, tmp_path, capsys):
+        path = tmp_path / "summary.csv"
+        path.write_text("")
+        assert main(["stats", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_stats_summary_without_metric_columns(self, tmp_path, capsys):
+        path = tmp_path / "summary.csv"
+        path.write_text("problem,variant,seed\nP1-overlap,full,1\n")
+        assert main(["stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "final_hv" in err and "final_igd" in err
+
+    def test_stats_malformed_row(self, tmp_path, capsys):
+        path = tmp_path / "summary.csv"
+        header = "problem,variant,seed,final_hv,final_igd,evaluations,generations\n"
+        for row in ("P1-overlap,full,1,0.8\n", "P1-overlap,full,one,0.8,0.01,800,8\n"):
+            path.write_text(header + row)
+            assert main(["stats", str(path)]) == 2
+            assert f"{path}, line 2" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epslion0 = 0.1\n")

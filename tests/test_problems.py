@@ -53,37 +53,38 @@ class TestDefinitions:
 class TestReferenceFront:
     def test_p1_endpoints(self):
         front = reference_front(make_problem("P1-overlap", 10), 2)
-        assert front.points == pytest.approx(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert front == pytest.approx(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_p3_three_points(self):
         front = reference_front(make_problem("P3-separated", 10), 3)
-        assert front.points == pytest.approx(
+        assert front == pytest.approx(
             np.array([[0.0, 1.5], [0.5, 1.0], [1.0, 0.5]]))
 
     def test_p2_points_respect_constraint(self):
         front = reference_front(make_problem("P2-partial", 10), 1000)
-        sums = front.points.sum(axis=1)
+        sums = front.sum(axis=1)
         assert np.all(sums >= 0.8 - 1e-12)
 
     def test_p2_line_segment_present(self):
         front = reference_front(make_problem("P2-partial", 10), 1000)
-        on_line = np.isclose(front.points.sum(axis=1), 0.8, atol=1e-12)
+        on_line = np.isclose(front.sum(axis=1), 0.8, atol=1e-12)
         # the segment carries a substantial share of the total arc length
         assert 0.25 < on_line.mean() < 0.6
 
     @pytest.mark.parametrize("pid", PROBLEM_IDS)
     def test_nondominated_and_sorted(self, pid):
         front = reference_front(make_problem(pid, 10), 400)
-        keep = unconstrained_nondominated(front.points)
-        assert len(keep) == len(front.points)
-        assert np.all(np.diff(front.points[:, 0]) >= 0)
+        keep = unconstrained_nondominated(front)
+        assert len(keep) == len(front)
+        assert np.all(np.diff(front[:, 0]) >= 0)
+        assert not front.flags.writeable
 
     @pytest.mark.parametrize("pid", PROBLEM_IDS)
     def test_front_points_have_feasible_preimages(self, pid):
         # every sampled front point can be realized by a feasible decision
         problem = make_problem(pid, 10)
         front = reference_front(problem, 50)
-        for f1, f2 in front.points:
+        for f1, f2 in front:
             if pid == "P1-overlap":
                 g_needed = f2 - (1.0 - np.sqrt(f1))
             elif pid == "P2-partial":
@@ -105,4 +106,4 @@ class TestReferenceFront:
 
     def test_deterministic(self):
         p = make_problem("P2-partial", 10)
-        assert np.array_equal(reference_front(p, 257).points, reference_front(p, 257).points)
+        assert np.array_equal(reference_front(p, 257), reference_front(p, 257))

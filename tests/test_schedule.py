@@ -80,7 +80,7 @@ class TestEpsilonFinal:
     def test_boundaries_ordered(self):
         for switch, max_fe in ((100, 1000), (5, 2000), (999, 1001)):
             s = sched(switch, max_fe)
-            assert switch < s.t1 <= s.t2 <= max_fe
+            assert switch < s.t1 <= s.t2 < max_fe
             assert s.k > 0
 
 

@@ -186,6 +186,23 @@ class TestAngleSubregionSelect:
             want_idx = angle_select_literal(F[:10], cv[:10], F[10:], cv[10:], 5, eps)
             assert got_idx == want_idx, f"trial {trial}"
 
+        # (n_aux, n_off, n_s, duplicated rows): n_aux >= 25 skips the top-up;
+        # n_s above the nondominated count makes vectors share a candidate;
+        # exact duplicate rows tie on angle.
+        for n_aux, n_off, n_s, n_dup in ((30, 20, 8, 0), (12, 8, 15, 0), (10, 10, 6, 8),
+                                         (26, 14, 20, 12)):
+            n = n_aux + n_off
+            for trial in range(15):
+                F = rng.random((n, 2))
+                cv = (rng.random(n) < 0.5) * rng.uniform(0, 1, n)
+                dst = rng.choice(n, n_dup, replace=False)
+                F[dst] = F[rng.integers(0, n, n_dup)]
+                eps = float(rng.choice([0.0, 0.05, 0.2]))
+                got_idx = angle_subregion_select(population(F, cv), n_aux, n_s, eps).tolist()
+                want_idx = angle_select_literal(F[:n_aux], cv[:n_aux], F[n_aux:], cv[n_aux:],
+                                                n_s, eps)
+                assert got_idx == want_idx, f"case {(n_aux, n_off, n_s, n_dup)}, trial {trial}"
+
     def test_output_size_and_determinism(self):
         union = Population.concat(random_population(30, 2, seed=7, infeasible_share=0.5),
                                   random_population(40, 2, seed=8, infeasible_share=0.5))

@@ -22,51 +22,54 @@ def population(F, cv=None):
     return Population(F, F, np.zeros(len(F)) if cv is None else cv)
 
 
-def history_with(points_by_gen, gap=10, delta=1e-7):
+def history_with(pops_by_gen, gap=10, delta=1e-7):
     hist = PointHistory(gap=gap, delta=delta)
-    for g, (z, n, a) in points_by_gen.items():
-        hist.record_points(g, z, n, a)
+    for g, F in pops_by_gen.items():
+        hist.record(g, population(F))
     return hist
 
 
 class TestRsMetric:
+    # Rows are chosen so that their per-objective min, max and mean are the
+    # ideal, nadir and average points the movement metric compares.
+
     def test_stationary_population_scores_zero(self):
-        pts = ([1.0, 2.0], [3.0, 4.0], [2.0, 3.0])
-        hist = history_with({0: pts, 10: pts})
+        F = [[1.0, 2.0], [3.0, 4.0], [2.0, 3.0]]
+        hist = history_with({0: F, 10: F})
         assert rs_metric(hist, 10) == 0.0
 
     def test_single_moving_ideal_coordinate(self):
         hist = history_with({
-            0: ([1.0, 1.0], [3.0, 3.0], [2.0, 2.0]),
-            10: ([1.1, 1.0], [3.0, 3.0], [2.0, 2.0]),
+            0: [[1.0, 1.0], [3.0, 3.0], [2.0, 2.0]],
+            10: [[1.1, 1.0], [3.0, 3.0], [1.9, 2.0]],  # same nadir and average
         })
         assert rs_metric(hist, 10) == pytest.approx(0.1)
 
     def test_denominator_guard(self):
         hist = history_with({
-            0: ([0.0, 0.0], [1.0, 1.0], [0.5, 0.5]),
-            10: ([1e-8, 0.0], [1.0, 1.0], [0.5, 0.5]),
+            0: [[0.0, 0.0], [1.0, 1.0]],
+            10: [[1e-8, 0.0], [1.0, 1.0]],
         })
         assert rs_metric(hist, 10) == pytest.approx(1e-8 / 1e-7)
 
     def test_scale_invariance_above_guard(self):
         base = {
-            0: ([1.0, 2.0], [3.0, 4.0], [2.0, 3.0]),
-            10: ([1.2, 2.0], [3.5, 4.0], [2.2, 3.0]),
+            0: np.array([[1.0, 2.0], [3.0, 4.0], [2.0, 3.0]]),
+            10: np.array([[1.2, 2.0], [3.5, 4.0], [1.9, 3.0]]),
         }
-        scaled = {g: tuple(np.array(p) * 7.5 for p in pts) for g, pts in base.items()}
+        scaled = {g: F * 7.5 for g, F in base.items()}
         assert rs_metric(history_with(base), 10) == pytest.approx(
             rs_metric(history_with(scaled), 10))
 
     def test_not_ready(self):
-        hist = history_with({5: ([1.0], [2.0], [1.5])})
+        hist = history_with({5: [[1.0], [2.0]]})
         with pytest.raises(HistoryNotReady):
             rs_metric(hist, 5)
 
     def test_ring_buffer_evicts_old_entries(self):
         hist = PointHistory(gap=3)
         for g in range(10):
-            hist.record_points(g, [g], [g], [g])
+            hist.record(g, population([[float(g)]]))
         with pytest.raises(HistoryNotReady):
             hist.lookup(2)
         assert hist.latest_generation == 9
