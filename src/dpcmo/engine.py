@@ -17,11 +17,12 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .core import (
+    DEFAULT_EQ_TOLERANCE,
     Bounds,
     EvalCounter,
     Population,
@@ -53,7 +54,6 @@ from .staging import (
     track_type,
 )
 from .variation import (
-    OperatorParams,
     de_current_to_pbest,
     de_current_to_rand,
     de_rand_1,
@@ -88,7 +88,7 @@ class RunConfig:
     phase1_eps: float = 0.195
     phase3_eps: float = 0.005
     opposition_eps: float = 0.0005
-    delta: float = 1e-4
+    delta: float = DEFAULT_EQ_TOLERANCE
     history_gap: int = 10
     history_delta: float = 1e-7
     pbest_fraction: float = 0.1
@@ -107,6 +107,10 @@ class RunConfig:
     disable_dra: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.pop_size < 5:
             raise ValueError(f"population size must be at least 5, got {self.pop_size}")
         if self.max_fe < 2 * self.pop_size:
@@ -168,15 +172,12 @@ class RunState:
         self.seed = int(seed)
         self.rng = np.random.Generator(np.random.PCG64(self.seed))
         self.counter = EvalCounter(config.max_fe)
-        self.params = OperatorParams(pbest_fraction=config.pbest_fraction)
         self.pop_main = Population.empty()
         self.pop_aux = Population.empty()
         self.g = 1
-        self.flag = 0
-        self.switch_fe: int | None = None
         self.switch_generation: int | None = None
         self.type_at_switch: int | None = None
-        self.schedule: EpsilonSchedule | None = None
+        self.schedule: EpsilonSchedule | None = None  # None until the switch
         self.epsilon = config.eps0
         self.tracker = TypeTracker(type=0, reset_on_update=config.reset_cnt_on_update)
         self.dra = DraState()
@@ -264,22 +265,20 @@ def _append_log(state: RunState, generation: int, stage: int) -> None:
 def try_switch(state: RunState) -> None:
     """Check the stage-transition condition; on trigger, classify the front
     relationship and freeze the relaxation schedule."""
-    if state.flag != 0:
+    if state.schedule is not None:
         raise RuntimeError("switch already happened")
     try:
         rs = rs_metric(state.history, state.history.latest_generation)
     except HistoryNotReady:
         rs = 1.0
     if should_switch(rs, state.g, strict_only=state.config.strict_switch_only):
-        state.flag = 1
-        state.switch_fe = state.fe
         state.switch_generation = state.g
         seed_type = classify_relationship(state.pop_aux, state.config.coincident_threshold)
         state.type_at_switch = seed_type
         state.tracker = TypeTracker(type=seed_type, cnt=0,
                                     reset_on_update=state.config.reset_cnt_on_update)
         state.schedule = EpsilonSchedule(
-            switch_fe=state.switch_fe,
+            switch_fe=state.fe,
             max_fe=state.config.max_fe,
             eps0=state.config.eps0,
             curvature=state.config.curvature,
@@ -298,11 +297,11 @@ def stage1_step(state: RunState) -> None:
     rng = state.rng
 
     pool_main = random_pool(state.pop_main, n, rng)
-    X1 = ga_offspring(state.pop_main.X[pool_main], state.params, 1, state.problem.bounds, rng)
+    X1 = ga_offspring(state.pop_main.X[pool_main], 1, state.problem.bounds, rng)
     off1 = evaluate_batch(state.problem, X1, state.counter, cfg.delta)
 
     pool_aux = random_pool(state.pop_aux, n, rng)
-    X2 = ga_offspring(state.pop_aux.X[pool_aux], state.params, 1, state.problem.bounds, rng)
+    X2 = ga_offspring(state.pop_aux.X[pool_aux], 1, state.problem.bounds, rng)
     off2 = evaluate_batch(state.problem, X2, state.counter, cfg.delta)
 
     if cfg.stage1_isolated_main:
@@ -337,9 +336,8 @@ def _run_operator(state: RunState, op: str, kind: str, k: int, source: str) -> n
     """Apply one plan operator, returning exactly k offspring rows."""
     rng = state.rng
     bounds = state.problem.bounds
-    params = state.params
     if op == "transfer":
-        return de_transfer(state.pop_main.X, state.pop_aux.X, params, rng, count=k)
+        return de_transfer(state.pop_main.X, state.pop_aux.X, k, rng)
 
     pop = state.pop_main if source == "main" else state.pop_aux
     pool_eps = 0.0 if source == "main" else math.inf
@@ -349,13 +347,13 @@ def _run_operator(state: RunState, op: str, kind: str, k: int, source: str) -> n
     else:
         pool = pop.X[random_pool(pop, draw, rng)]
     if op == "ga":
-        X = ga_offspring(pool, params, 2, bounds, rng)
+        X = ga_offspring(pool, 2, bounds, rng)
     elif op == "de":
-        X = de_rand_1(pool, params, bounds, rng)
+        X = de_rand_1(pool, bounds, rng)
     elif op == "cur_rand":
-        X = de_current_to_rand(pool, params, bounds, rng)
+        X = de_current_to_rand(pool, bounds, rng)
     elif op == "pbest":
-        X = de_current_to_pbest(pool, state.pop_main, params, bounds, rng)
+        X = de_current_to_pbest(pool, state.pop_main, state.config.pbest_fraction, bounds, rng)
     else:
         raise ValueError(f"unknown operator {op!r}")
     return X[:k]
@@ -399,12 +397,7 @@ def stage2_step(state: RunState) -> None:
     n = cfg.pop_size
     fr_main = state.pop_main.feasible_ratio()
     fr_aux = state.pop_aux.feasible_ratio()
-    if cfg.fixed_aux_size is not None:
-        n_s = cfg.fixed_aux_size
-    elif n >= 25:
-        n_s = aux_size(fr_aux, n)
-    else:
-        n_s = n  # the 25-member floor presumes a population of at least 25
+    n_s = cfg.fixed_aux_size if cfg.fixed_aux_size is not None else aux_size(fr_aux, n)
 
     if cfg.initial_epsilon_only:
         eps = epsilon_initial(state.schedule, state.fe)
@@ -465,7 +458,7 @@ def run(problem: Problem, config: RunConfig | None = None, seed: int = 0) -> Run
     state = initialize(problem, config, seed)
 
     while state.fe < config.max_fe:
-        if state.flag == 0:
+        if state.schedule is None:
             try_switch(state)
             stage1_step(state)
         else:

@@ -131,9 +131,7 @@ def no_dra_factors(count1: int, count2: int) -> tuple[float, float]:
 
 def aux_size(fr2: float, n: int) -> int:
     """Auxiliary population target size: shrinks as its feasible ratio
-    grows, never below 25."""
+    grows, never below 25, and never below n when n is under 25."""
     if not 0.0 <= fr2 <= 1.0:
         raise ValueError("fr2 must lie in [0, 1]")
-    if n < 25:
-        raise ValueError("population size must be at least 25")
-    return int(math.ceil(max(25.0, (1.0 - fr2) * n)))
+    return max(min(n, 25), math.ceil((1.0 - fr2) * n))

@@ -7,7 +7,11 @@ the problem bounds except the coordinate-exchange operator, whose output
 coordinates are copied verbatim from in-bounds parents.
 
 Differential-evolution scale factors and crossover rates are drawn per
-offspring from small discrete sets rather than held fixed.
+offspring from small discrete sets rather than held fixed: ``F_CHOICES`` for
+every DE operator, ``CR_CHOICES_DE`` for rand/1 and ``CR_CHOICES_TRANSFER`` for
+the coordinate exchange. SBX uses ``ETA_CROSSOVER`` with crossover probability
+1; polynomial mutation changes each coordinate with probability 1/D, with
+distribution index ``ETA_MUTATION[stage]``.
 
 Tournament pools and DE index triples take their draws in whole-array calls
 that use the generator's stream exactly as one call per draw would: same
@@ -17,7 +21,6 @@ values, same order, same state afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,25 +28,12 @@ from .core import Bounds, Population
 from .selection import fitness_order, rank_and_crowd
 
 
-@dataclass(frozen=True)
-class OperatorParams:
-    f_choices: tuple[float, ...] = (0.6, 0.8, 1.0)
-    cr_choices_de: tuple[float, ...] = (0.1, 0.2, 1.0)
-    cr_choices_transfer: tuple[float, ...] = (0.1, 0.2, 0.3)
-    eta_crossover: float = 20.0
-    crossover_prob: float = 1.0
-    mutation_prob: float | None = None  # None -> 1/D at call time
-    eta_mutation_stage1: float = 20.0
-    eta_mutation_stage2: float = 1.0
-    pbest_fraction: float = 0.1
-
-    def __post_init__(self):
-        if not (self.f_choices and self.cr_choices_de and self.cr_choices_transfer):
-            raise ValueError("operator parameter sets must be nonempty")
-        if not 0.0 <= self.crossover_prob <= 1.0:
-            raise ValueError("crossover_prob must lie in [0, 1]")
-        if not 0.0 < self.pbest_fraction <= 1.0:
-            raise ValueError("pbest_fraction must lie in (0, 1]")
+F_CHOICES = (0.6, 0.8, 1.0)
+CR_CHOICES_DE = (0.1, 0.2, 1.0)
+CR_CHOICES_TRANSFER = (0.1, 0.2, 0.3)
+ETA_CROSSOVER = 20.0
+# Stage 2 lowers the mutation distribution index for a wider local search.
+ETA_MUTATION = {1: 20.0, 2: 1.0}
 
 
 def tournament_pool(pop: Population, k: int, epsilon: float,
@@ -93,7 +83,7 @@ def random_pool(pop: Population, k: int, rng: np.random.Generator) -> np.ndarray
     return rng.integers(0, len(pop), size=k)
 
 
-def sbx_crossover(X: np.ndarray, eta: float, prob: float, rng: np.random.Generator) -> np.ndarray:
+def sbx_crossover(X: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndarray:
     """Simulated binary crossover on consecutive row pairs.
 
     Children are clamped into the per-coordinate interval spanned by their
@@ -111,7 +101,9 @@ def sbx_crossover(X: np.ndarray, eta: float, prob: float, rng: np.random.Generat
                     (2.0 - 2.0 * u) ** (-1.0 / (eta + 1.0)))
     beta *= (-1.0) ** rng.integers(0, 2, size=(pairs, d))
     beta[rng.random((pairs, d)) < 0.5] = 1.0
-    beta[rng.random(pairs) > prob, :] = 1.0
+    # The per-pair crossover draw: with crossover probability 1 it masks no
+    # pair, but it stays so that later draws keep their place in the stream.
+    rng.random(pairs)
 
     mean = (P1 + P2) / 2.0
     diff = (P1 - P2) / 2.0
@@ -128,13 +120,13 @@ def sbx_crossover(X: np.ndarray, eta: float, prob: float, rng: np.random.Generat
     return children
 
 
-def polynomial_mutation(X: np.ndarray, bounds: Bounds, pm: float, eta: float,
+def polynomial_mutation(X: np.ndarray, bounds: Bounds, eta: float,
                         rng: np.random.Generator) -> np.ndarray:
-    """Bounded polynomial mutation, probability pm per coordinate."""
+    """Bounded polynomial mutation, probability 1/D per coordinate."""
     X = X.copy()
     lb, ub = bounds.lower, bounds.upper
     span = ub - lb
-    site = rng.random(X.shape) < pm
+    site = rng.random(X.shape) < 1.0 / bounds.dimension
     mu = rng.random(X.shape)
     if not site.any():
         return X
@@ -156,19 +148,14 @@ def polynomial_mutation(X: np.ndarray, bounds: Bounds, pm: float, eta: float,
     return np.clip(X, lb, ub)
 
 
-def ga_offspring(X: np.ndarray, params: OperatorParams, stage: int, bounds: Bounds,
+def ga_offspring(X: np.ndarray, stage: int, bounds: Bounds,
                  rng: np.random.Generator) -> np.ndarray:
-    """SBX plus polynomial mutation; one child per parent slot.
-
-    Stage 2 lowers the mutation distribution index for a wider local search.
-    """
-    if stage not in (1, 2):
+    """SBX plus polynomial mutation; one child per parent slot."""
+    if stage not in ETA_MUTATION:
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     n = len(X)
-    children = sbx_crossover(X, params.eta_crossover, params.crossover_prob, rng)
-    pm = params.mutation_prob if params.mutation_prob is not None else 1.0 / bounds.dimension
-    eta_m = params.eta_mutation_stage1 if stage == 1 else params.eta_mutation_stage2
-    children = polynomial_mutation(children, bounds, pm, eta_m, rng)
+    children = sbx_crossover(X, ETA_CROSSOVER, rng)
+    children = polynomial_mutation(children, bounds, ETA_MUTATION[stage], rng)
     return children[:n]
 
 
@@ -189,13 +176,12 @@ def _distinct_triples(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(picks).reshape(n, 3)
 
 
-def de_rand_1(X: np.ndarray, params: OperatorParams, bounds: Bounds,
-              rng: np.random.Generator) -> np.ndarray:
+def de_rand_1(X: np.ndarray, bounds: Bounds, rng: np.random.Generator) -> np.ndarray:
     """rand/1 mutation with binomial crossover against each target row."""
     n, d = X.shape
     idx = _distinct_triples(n, rng)
-    F = rng.choice(params.f_choices, size=n)
-    CR = rng.choice(params.cr_choices_de, size=n)
+    F = rng.choice(F_CHOICES, size=n)
+    CR = rng.choice(CR_CHOICES_DE, size=n)
     V = X[idx[:, 0]] + F[:, None] * (X[idx[:, 1]] - X[idx[:, 2]])
     forced = rng.integers(0, d, size=n)
     take = rng.random((n, d)) < CR[:, None]
@@ -204,8 +190,7 @@ def de_rand_1(X: np.ndarray, params: OperatorParams, bounds: Bounds,
     return np.clip(U, bounds.lower, bounds.upper)
 
 
-def de_current_to_rand(X: np.ndarray, params: OperatorParams, bounds: Bounds,
-                       rng: np.random.Generator) -> np.ndarray:
+def de_current_to_rand(X: np.ndarray, bounds: Bounds, rng: np.random.Generator) -> np.ndarray:
     """Base-plus-random-rescale mutation; no crossover.
 
     The base member is additionally scaled by a fresh uniform(0, 1) vector
@@ -213,14 +198,14 @@ def de_current_to_rand(X: np.ndarray, params: OperatorParams, bounds: Bounds,
     """
     n, d = X.shape
     idx = _distinct_triples(n, rng)
-    F = rng.choice(params.f_choices, size=n)
+    F = rng.choice(F_CHOICES, size=n)
     R = rng.random((n, d))
     base = X[idx[:, 0]]
     V = base + R * base + F[:, None] * (X[idx[:, 1]] - X[idx[:, 2]])
     return np.clip(V, bounds.lower, bounds.upper)
 
 
-def de_current_to_pbest(A: np.ndarray, pop_main: Population, params: OperatorParams,
+def de_current_to_pbest(A: np.ndarray, pop_main: Population, pbest_fraction: float,
                         bounds: Bounds, rng: np.random.Generator) -> np.ndarray:
     """Pull auxiliary decision rows toward elite members of the main
     population.
@@ -232,19 +217,19 @@ def de_current_to_pbest(A: np.ndarray, pop_main: Population, params: OperatorPar
     if not len(pop_main):
         raise ValueError("empty main population")
     n, d = A.shape
-    top = max(1, math.ceil(params.pbest_fraction * len(pop_main)))
+    top = max(1, math.ceil(pbest_fraction * len(pop_main)))
     elite = pop_main.X[fitness_order(pop_main, epsilon=0.0)[:top]]
 
     idx = _distinct_triples(n, rng)
-    F = rng.choice(params.f_choices, size=n)
+    F = rng.choice(F_CHOICES, size=n)
     attractor = elite[rng.integers(0, len(elite), size=n)]
     base = A[idx[:, 0]]
     V = base + F[:, None] * (attractor - base) + F[:, None] * (A[idx[:, 1]] - A[idx[:, 2]])
     return np.clip(V, bounds.lower, bounds.upper)
 
 
-def de_transfer(X_main: np.ndarray, X_aux: np.ndarray, params: OperatorParams,
-                rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+def de_transfer(X_main: np.ndarray, X_aux: np.ndarray, count: int,
+                rng: np.random.Generator) -> np.ndarray:
     """Coordinate exchange between the decision rows of the two populations.
 
     For each offspring one index addresses both matrices; coordinates come
@@ -254,13 +239,12 @@ def de_transfer(X_main: np.ndarray, X_aux: np.ndarray, params: OperatorParams,
     """
     if not len(X_main) or not len(X_aux):
         raise ValueError("both populations must be nonempty")
-    n = count if count is not None else len(X_aux)
     limit = min(len(X_main), len(X_aux))
     d = X_main.shape[1]
 
-    r = rng.integers(0, limit, size=n)
-    CR = rng.choice(params.cr_choices_transfer, size=n)
-    forced = rng.integers(0, d, size=n)
-    take_main = rng.random((n, d)) < CR[:, None]
-    take_main[np.arange(n), forced] = True
+    r = rng.integers(0, limit, size=count)
+    CR = rng.choice(CR_CHOICES_TRANSFER, size=count)
+    forced = rng.integers(0, d, size=count)
+    take_main = rng.random((count, d)) < CR[:, None]
+    take_main[np.arange(count), forced] = True
     return np.where(take_main, X_main[r], X_aux[r])

@@ -132,8 +132,7 @@ def test_criterion_6_type1_convergence(convergence_batches):
     results = convergence_batches["p1_full"]
     front = reference_front(make_problem("P1-overlap", 10), 1000)
     igds = [r.final_igd for r in results]
-    for r in results:
-        assert len(front) == 1000
+    assert len(front) == 1000
     median = statistics.median(igds)
     total_time = sum(r.wall_time for r in results)
     assert median <= 0.01, f"median IGD {median:.5f} > 0.01"

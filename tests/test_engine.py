@@ -51,8 +51,6 @@ def stage2_state(problem_id="P1-overlap", n=100, max_fe=200_000, seed=3,
     """A run state forced into stage 2 with a chosen type and schedule."""
     config = RunConfig(pop_size=n, max_fe=max_fe, **config_kwargs)
     state = initialize(make_problem(problem_id, 10), config, seed)
-    state.flag = 1
-    state.switch_fe = state.fe
     state.tracker = TypeTracker(type=rel_type, cnt=cnt)
     state.schedule = schedule or EpsilonSchedule(switch_fe=state.fe, max_fe=max_fe)
     return state
@@ -64,7 +62,7 @@ class TestInitialize:
         assert state.fe == 100
         assert len(state.pop_main) == 50
         assert len(state.pop_aux) == 50
-        assert state.flag == 0 and state.g == 1
+        assert state.schedule is None and state.g == 1
         assert state.epsilon == 0.2
         assert state.dra.f1 == state.dra.f2 == 1.0
 
@@ -102,6 +100,12 @@ class TestRunConfigBounds:
         ("phase3_eps", 0.195),
         ("history_gap", 0),
         ("delta", 0.0),
+        ("eps0", math.inf),
+        ("curvature", math.inf),
+        ("history_delta", math.nan),
+        ("hv_offset", math.nan),
+        ("delta", math.inf),
+        ("coincident_threshold", -math.inf),
     ])
     def test_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -194,16 +198,15 @@ class TestSwitch:
         state = initialize(make_problem("P1-overlap", 10), RunConfig(pop_size=20), 1)
         state.g = 251
         try_switch(state)
-        assert state.flag == 1
-        assert state.switch_fe == state.fe
         assert state.schedule is not None
+        assert state.schedule.switch_fe == state.fe
         assert state.type_at_switch in (1, 2, 3)
 
     def test_no_switch_early(self):
         state = initialize(make_problem("P1-overlap", 10), RunConfig(pop_size=20), 1)
         stage1_step(state)
         try_switch(state)
-        assert state.flag == 0
+        assert state.schedule is None
 
     def test_stationary_population_switches_quickly(self):
         result = run(constant_problem(), RunConfig(pop_size=20, max_fe=2000), seed=4)

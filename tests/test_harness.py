@@ -106,6 +106,7 @@ fixed_aux_size = 40
     @pytest.mark.parametrize("line", [
         "eps0 = 0", "curvature = 0", "fixed_aux_size = 1", "pbest_fraction = 0",
         "igd_points = 1", "phase3_eps = 0.3", "history_gap = 0",
+        "eps0 = inf", "curvature = inf", "history_delta = nan", "hv_offset = nan",
     ])
     def test_out_of_range_run_value_rejected(self, tmp_path, line):
         key = line.split(" ")[0]

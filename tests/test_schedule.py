@@ -145,8 +145,16 @@ class TestSizes:
         assert no_dra_factors(1, 3) == (0.5, 0.5)
         assert no_dra_factors(1, 1) == (1.0, 1.0)
 
+    def test_aux_size_matches_two_way_rule(self):
+        # reference rule: n itself below 25 members, the floored size from 25 on
+        for n in range(5, 400):
+            for fr in np.arange(1001) / 1000:
+                want = n if n < 25 else math.ceil(max(25.0, (1.0 - fr) * n))
+                assert aux_size(fr, n) == want
+
     def test_validation(self):
+        assert aux_size(0.5, 10) == 10
         with pytest.raises(ValueError):
-            aux_size(0.5, 10)
+            aux_size(1.5, 100)
         with pytest.raises(ValueError):
             no_dra_factors(0, 2)

@@ -6,17 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dpcmo import variation
 from dpcmo.core import Bounds, Population
 from dpcmo.selection import rank_and_crowd
 from dpcmo.variation import (
-    OperatorParams,
+    ETA_CROSSOVER,
+    ETA_MUTATION,
+    F_CHOICES,
     _distinct_triples,
     de_current_to_pbest,
     de_current_to_rand,
     de_rand_1,
     de_transfer,
     ga_offspring,
+    polynomial_mutation,
     random_pool,
+    sbx_crossover,
     tournament_pool,
 )
 
@@ -159,16 +164,14 @@ class TestStreamEquivalence:
 
 class TestGaOffspring:
     def test_identical_parents_without_mutation(self):
-        params = OperatorParams(mutation_prob=0.0)
         x = np.full(10, 0.3)
         pool = np.tile(x, (6, 1))
-        children = ga_offspring(pool, params, 1, UNIT, np.random.default_rng(5))
+        children = sbx_crossover(pool, ETA_CROSSOVER, np.random.default_rng(5))
         assert children == pytest.approx(np.tile(x, (6, 1)))
 
     def test_children_inside_parent_box_when_unmutated(self):
-        params = OperatorParams(mutation_prob=0.0)
         X = rand_pop(20, 10, seed=6).X
-        children = ga_offspring(X, params, 1, UNIT, np.random.default_rng(7))
+        children = sbx_crossover(X, ETA_CROSSOVER, np.random.default_rng(7))
         for pair in range(10):
             lo = np.minimum(X[2 * pair], X[2 * pair + 1])
             hi = np.maximum(X[2 * pair], X[2 * pair + 1])
@@ -179,40 +182,57 @@ class TestGaOffspring:
 
     def test_odd_pool_padded(self):
         pool = rand_pop(5, 10, seed=8).X
-        children = ga_offspring(pool, OperatorParams(), 2, UNIT, np.random.default_rng(9))
+        children = ga_offspring(pool, 2, UNIT, np.random.default_rng(9))
         assert children.shape == (5, 10)
 
     def test_bounds_fuzz(self):
         pool = rand_pop(100_000, 10, seed=10).X
-        children = ga_offspring(pool, OperatorParams(), 2, UNIT, np.random.default_rng(11))
+        children = ga_offspring(pool, 2, UNIT, np.random.default_rng(11))
         assert children.shape == (100_000, 10)
         assert np.all(children >= 0.0) and np.all(children <= 1.0)
 
     def test_bad_stage(self):
         with pytest.raises(ValueError):
-            ga_offspring(rand_pop(4, 10, seed=1).X, OperatorParams(), 3, UNIT,
-                         np.random.default_rng(0))
+            ga_offspring(rand_pop(4, 10, seed=1).X, 3, UNIT, np.random.default_rng(0))
+
+
+class TestPolynomialMutation:
+    def test_rate_is_one_over_dimension_and_bounds_hold(self):
+        rng = np.random.default_rng(40)
+        for bounds in (UNIT, Bounds(np.full(4, -2.0), np.full(4, 3.0))):
+            d = bounds.dimension
+            X = bounds.sample(20_000, rng)
+            out = polynomial_mutation(X, bounds, ETA_MUTATION[1], rng)
+            assert abs(np.mean(out != X) - 1.0 / d) < 0.01
+            assert bounds.contains(out)
+
+    def test_stage2_index_moves_mutated_coordinates_farther(self):
+        X = np.random.default_rng(41).random((20_000, 10))
+        moves = {}
+        for stage, eta in ETA_MUTATION.items():
+            out = polynomial_mutation(X, UNIT, eta, np.random.default_rng(42))
+            moves[stage] = np.abs(out - X)[out != X].mean()
+        assert moves[2] > 2 * moves[1]
 
 
 class TestDeRand1:
     def test_identical_population_is_fixed_point(self):
         pool = np.full((6, 10), 0.4)
-        out = de_rand_1(pool, OperatorParams(), UNIT, np.random.default_rng(12))
+        out = de_rand_1(pool, UNIT, np.random.default_rng(12))
         assert out == pytest.approx(np.full((6, 10), 0.4))
 
     def test_rejects_small_population(self):
         with pytest.raises(ValueError, match="at least 4"):
-            de_rand_1(np.zeros((3, 10)), OperatorParams(), UNIT,
-                      np.random.default_rng(0))
+            de_rand_1(np.zeros((3, 10)), UNIT, np.random.default_rng(0))
 
-    def test_full_crossover_reconstructs_mutant(self):
+    def test_full_crossover_reconstructs_mutant(self, monkeypatch):
         # with CR pinned at 1 every trial equals x_r1 + F (x_r2 - x_r3) for
         # some admissible index triple and F choice
-        params = OperatorParams(cr_choices_de=(1.0,))
+        monkeypatch.setattr(variation, "CR_CHOICES_DE", (1.0,))
         wide = Bounds(np.full(3, -100.0), np.full(3, 100.0))
         rng_pop = np.random.default_rng(13)
         X = rng_pop.random((5, 3))
-        out = de_rand_1(X, params, wide, np.random.default_rng(14))
+        out = de_rand_1(X, wide, np.random.default_rng(14))
         for i, child in enumerate(out):
             found = False
             for r1 in range(5):
@@ -220,7 +240,7 @@ class TestDeRand1:
                     for r3 in range(5):
                         if len({r1, r2, r3, i}) < 4:
                             continue
-                        for F in params.f_choices:
+                        for F in F_CHOICES:
                             if np.array_equal(child, X[r1] + F * (X[r2] - X[r3])):
                                 found = True
             assert found
@@ -233,35 +253,32 @@ class TestDeRand1:
         rng = np.random.default_rng(15)
         means = []
         for _ in range(200):
-            out = de_rand_1(pool, OperatorParams(), UNIT, rng)
+            out = de_rand_1(pool, UNIT, rng)
             means.append(out.mean())
         assert abs(np.mean(means) - 0.5) < 0.01
 
     def test_bounds_and_determinism(self):
         pool = rand_pop(100, 10, seed=16).X
-        batches = [de_rand_1(pool, OperatorParams(), UNIT, np.random.default_rng(17))
-                   for _ in range(2)]
+        batches = [de_rand_1(pool, UNIT, np.random.default_rng(17)) for _ in range(2)]
         assert np.array_equal(batches[0], batches[1])
-        big = np.vstack([de_rand_1(pool, OperatorParams(), UNIT,
-                                   np.random.default_rng(s)) for s in range(1000)])
+        big = np.vstack([de_rand_1(pool, UNIT, np.random.default_rng(s)) for s in range(1000)])
         assert np.all(big >= 0.0) and np.all(big <= 1.0)
 
 
 class TestDeCurrentToRand:
     def test_zero_population(self):
         wide = Bounds(np.full(10, -1.0), np.full(10, 1.0))
-        out = de_current_to_rand(np.zeros((5, 10)), OperatorParams(), wide, np.random.default_rng(18))
+        out = de_current_to_rand(np.zeros((5, 10)), wide, np.random.default_rng(18))
         assert out == pytest.approx(np.zeros((5, 10)))
 
     def test_rejects_small_population(self):
         with pytest.raises(ValueError):
-            de_current_to_rand(np.zeros((2, 10)), OperatorParams(), UNIT,
-                               np.random.default_rng(0))
+            de_current_to_rand(np.zeros((2, 10)), UNIT, np.random.default_rng(0))
 
     def test_bounds_fuzz(self):
         pool = rand_pop(100, 10, seed=19).X
-        big = np.vstack([de_current_to_rand(pool, OperatorParams(), UNIT,
-                                            np.random.default_rng(s)) for s in range(1000)])
+        big = np.vstack([de_current_to_rand(pool, UNIT, np.random.default_rng(s))
+                         for s in range(1000)])
         assert np.all(big >= 0.0) and np.all(big <= 1.0)
 
 
@@ -272,12 +289,11 @@ class TestDeCurrentToPbest:
         attractor = np.array([1.0, 2.0, 3.0, 4.0])
         main = population([attractor], [[0.0, 0.0]])
         aux = np.zeros((6, 4))
-        out = de_current_to_pbest(aux, main, OperatorParams(), wide,
-                                  np.random.default_rng(20))
+        out = de_current_to_pbest(aux, main, 0.1, wide, np.random.default_rng(20))
         for child in out:
             ratios = child / attractor
             assert np.allclose(ratios, ratios[0])
-            assert ratios[0] in OperatorParams().f_choices
+            assert ratios[0] in F_CHOICES
 
     def test_elite_restriction(self):
         # one clearly best feasible member: every offspring points at it
@@ -287,10 +303,9 @@ class TestDeCurrentToPbest:
                       [9.0, 9.0], [10.0, 10.0], [11.0, 11.0], [12.0, 12.0]]
         main = population([np.full(4, v) for v in values], objectives)
         aux = np.zeros((8, 4))
-        out = de_current_to_pbest(aux, main, OperatorParams(pbest_fraction=0.1),
-                                  wide, np.random.default_rng(21))
+        out = de_current_to_pbest(aux, main, 0.1, wide, np.random.default_rng(21))
         for child in out:
-            assert child[0] / 7.0 in OperatorParams().f_choices
+            assert child[0] / 7.0 in F_CHOICES
 
     def test_full_fraction_draws_all_members(self):
         wide = Bounds(np.full(4, -100.0), np.full(4, 100.0))
@@ -298,14 +313,13 @@ class TestDeCurrentToPbest:
         main = population([np.full(4, v) for v in values],  # F stay distinct
                           [[v, v] for v in values])
         aux = np.zeros((4, 4))
-        params = OperatorParams(pbest_fraction=1.0)
         rng = np.random.default_rng(22)
         seen = {v: 0 for v in values}
         draws = 3000
         for _ in range(draws // 4):
-            out = de_current_to_pbest(aux, main, params, wide, rng)
+            out = de_current_to_pbest(aux, main, 1.0, wide, rng)
             for child in out:
-                candidates = [v for v in values for F in params.f_choices
+                candidates = [v for v in values for F in F_CHOICES
                               if child[0] == F * v]
                 assert len(set(candidates)) == 1
                 seen[candidates[0]] += 1
@@ -314,30 +328,30 @@ class TestDeCurrentToPbest:
 
 
 class TestDeTransfer:
-    def test_full_rate_copies_main(self):
-        params = OperatorParams(cr_choices_transfer=(1.0,))
+    def test_full_rate_copies_main(self, monkeypatch):
+        monkeypatch.setattr(variation, "CR_CHOICES_TRANSFER", (1.0,))
         main = rand_pop(6, 10, seed=23).X
         aux = rand_pop(6, 10, seed=24).X
-        out = de_transfer(main, aux, params, np.random.default_rng(25))
+        out = de_transfer(main, aux, len(aux), np.random.default_rng(25))
         main_rows = {tuple(x) for x in main}
         assert all(tuple(row) in main_rows for row in out)
 
     def test_identical_populations_identity(self):
         main = rand_pop(6, 10, seed=26).X
-        out = de_transfer(main, main.copy(), OperatorParams(), np.random.default_rng(27))
+        out = de_transfer(main, main.copy(), len(main), np.random.default_rng(27))
         rows = {tuple(x) for x in main}
         assert all(tuple(r) in rows for r in out)
 
-    def test_zero_rate_changes_exactly_one_coordinate(self):
-        params = OperatorParams(cr_choices_transfer=(0.0,))
-        out = de_transfer(np.ones((5, 10)), np.zeros((5, 10)), params, np.random.default_rng(28), count=50)
+    def test_zero_rate_changes_exactly_one_coordinate(self, monkeypatch):
+        monkeypatch.setattr(variation, "CR_CHOICES_TRANSFER", (0.0,))
+        out = de_transfer(np.ones((5, 10)), np.zeros((5, 10)), 50, np.random.default_rng(28))
         for row in out:
             assert row.sum() == 1.0  # a single coordinate came from main
 
     def test_each_offspring_mixes_one_aligned_pair(self):
         M = rand_pop(8, 10, seed=29).X
         A = rand_pop(8, 10, seed=30).X
-        out = de_transfer(M, A, OperatorParams(), np.random.default_rng(31), count=200)
+        out = de_transfer(M, A, 200, np.random.default_rng(31))
         for row in out:
             assert any(
                 all(row[d] == M[r, d] or row[d] == A[r, d] for d in range(10))
@@ -347,5 +361,5 @@ class TestDeTransfer:
     def test_count_parameter(self):
         main = rand_pop(6, 10, seed=32).X
         aux = rand_pop(4, 10, seed=33).X
-        out = de_transfer(main, aux, OperatorParams(), np.random.default_rng(34), count=17)
+        out = de_transfer(main, aux, 17, np.random.default_rng(34))
         assert out.shape == (17, 10)
