@@ -20,6 +20,7 @@ import numpy as np
 
 from .engine import ABLATION_VARIANTS
 from .harness import (
+    DEFAULT_SEED_COUNT,
     ConfigError,
     ExperimentConfig,
     RunConfig,
@@ -28,17 +29,18 @@ from .harness import (
     read_summary,
     run_experiment,
 )
-from .problems import PROBLEM_IDS
+from .problems import DEFAULT_DIMENSION
 from .stats import ranksum_test, signed_rank_multiproblem
 
 
 def _add_grid_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--outdir", type=Path, default=Path("results"))
-    parser.add_argument("--seeds", type=int, default=30, help="number of seeds (1..K)")
-    parser.add_argument("--max-fe", type=int, default=50_000)
-    parser.add_argument("--pop-size", type=int, default=100)
-    parser.add_argument("--problems", nargs="*", default=list(PROBLEM_IDS))
-    parser.add_argument("--parallel", type=int, default=1)
+    grid = ExperimentConfig()
+    parser.add_argument("--outdir", type=Path, default=grid.outdir)
+    parser.add_argument("--seeds", type=int, default=DEFAULT_SEED_COUNT, help="number of seeds (1..K)")
+    parser.add_argument("--max-fe", type=int, default=grid.run.max_fe)
+    parser.add_argument("--pop-size", type=int, default=grid.run.pop_size)
+    parser.add_argument("--problems", nargs="*", default=[pid for pid, _ in grid.problems])
+    parser.add_argument("--parallel", type=int, default=grid.parallel)
 
 
 def _grid_config(args, variants: list[str]) -> ExperimentConfig:
@@ -47,7 +49,7 @@ def _grid_config(args, variants: list[str]) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return ExperimentConfig(
-        problems=[(pid, 10) for pid in args.problems],
+        problems=[(pid, DEFAULT_DIMENSION) for pid in args.problems],
         seeds=list(range(1, args.seeds + 1)),
         variants=variants,
         outdir=args.outdir,

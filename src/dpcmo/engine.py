@@ -45,7 +45,6 @@ from .selection import (
     unconstrained_nondominated,
 )
 from .staging import (
-    HistoryNotReady,
     PointHistory,
     TypeTracker,
     classify_relationship,
@@ -124,6 +123,8 @@ class RunConfig:
             raise ValueError(f"fixed_aux_size must be at least 2, got {self.fixed_aux_size}")
         if not 0 < self.pbest_fraction <= 1:
             raise ValueError(f"pbest_fraction must lie in (0, 1], got {self.pbest_fraction}")
+        if not 0 < self.coincident_threshold <= 1:  # compared with a feasible fraction
+            raise ValueError(f"coincident_threshold must lie in (0, 1], got {self.coincident_threshold}")
         if self.igd_points < 2:
             raise ValueError(f"igd_points must be at least 2, got {self.igd_points}")
         if not 0 <= self.phase3_eps < self.phase1_eps:
@@ -231,7 +232,7 @@ def initialize(problem: Problem, config: RunConfig, seed: int) -> RunState:
     X_aux = problem.bounds.sample(n, state.rng)
     state.pop_main = evaluate_batch(problem, X_main, state.counter, config.delta)
     state.pop_aux = evaluate_batch(problem, X_aux, state.counter, config.delta)
-    state.history.record(0, state.pop_aux)
+    state.history.record(state.pop_aux)
     _append_log(state, generation=0, stage=0)
     return state
 
@@ -267,11 +268,7 @@ def try_switch(state: RunState) -> None:
     relationship and freeze the relaxation schedule."""
     if state.schedule is not None:
         raise RuntimeError("switch already happened")
-    try:
-        rs = rs_metric(state.history, state.history.latest_generation)
-    except HistoryNotReady:
-        rs = 1.0
-    if should_switch(rs, state.g, strict_only=state.config.strict_switch_only):
+    if should_switch(rs_metric(state.history), state.g, strict_only=state.config.strict_switch_only):
         state.switch_generation = state.g
         seed_type = classify_relationship(state.pop_aux, state.config.coincident_threshold)
         state.type_at_switch = seed_type
@@ -311,7 +308,7 @@ def stage1_step(state: RunState) -> None:
     state.pop_main = _survivors(main_union, n, 0.0)
     state.pop_aux = _survivors(Population.concat(state.pop_aux, off2), n, math.inf)
 
-    state.history.record(state.g, state.pop_aux)
+    state.history.record(state.pop_aux)
     _append_log(state, generation=state.g, stage=0)
     state.g += 1
 

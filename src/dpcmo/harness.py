@@ -69,16 +69,6 @@ class ExperimentConfig:
         if self.parallel < 1:
             raise ConfigError("parallel must be >= 1")
 
-    def echo(self) -> dict:
-        return {
-            "problems": [list(p) for p in self.problems],
-            "seeds": self.seeds,
-            "variants": self.variants,
-            "outdir": str(self.outdir),
-            "parallel": self.parallel,
-            "run": asdict(self.run),
-        }
-
 
 def _parse_problem_token(token: str, line_no: int) -> tuple[str, int]:
     token = token.strip()
@@ -260,13 +250,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "tool": "dpcmo",
         "version": __version__,
         "generator": "PCG64",
-        "config": config.echo(),
+        "config": asdict(config),
         "started_unix": started,
         "elapsed_seconds": time.time() - started,
         "wall_times": wall_times,
         "failures": failed,
     }
-    (outdir / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
+    (outdir / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True, default=str) + "\n")
 
     return ExperimentReport(outdir=outdir, summary_path=summary_path,
                             completed=len(rows), failed=failed)

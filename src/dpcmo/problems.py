@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .core import Bounds
 
@@ -82,52 +80,27 @@ def _p3_front(n: int) -> np.ndarray:
     return np.column_stack([t, 1.5 - t])
 
 
-def _p2_infeasible_interval() -> tuple[float, float]:
-    # Roots of 1 + t - sqrt(t) = 0.8; between them the curve dips below the
-    # line f1 + f2 = 0.8 and the front follows that line instead.
-    h = lambda t: 1.0 + t - np.sqrt(t) - 0.8
-    lo = brentq(h, 1e-15, 0.25)
-    hi = brentq(h, 0.25, 1.0)
-    return lo, hi
+def _p2_arc(u):
+    """Arc length of the curve f2 = 1 - sqrt(f1) from f1 = 0 to f1 = u^2."""
+    return u * np.sqrt(4.0 * u * u + 1.0) / 2.0 + np.arcsinh(2.0 * u) / 4.0
 
 
 def _p2_front(n: int) -> np.ndarray:
     """Sample the piecewise front (curve arc, line segment, curve arc) at n
     points equally spaced in arc length, so each piece receives points in
     proportion to its length."""
-    lo, hi = _p2_infeasible_interval()
-
-    def curve_speed(t):
-        return np.sqrt(1.0 + 1.0 / (4.0 * t))
-
-    # Cumulative arc length as a function of f1, built piecewise.
-    grid_a = np.linspace(0.0, lo, 200)
-    len_a = np.concatenate([[0.0], np.cumsum([
-        quad(curve_speed, max(grid_a[i], 1e-15), grid_a[i + 1], limit=100)[0]
-        for i in range(len(grid_a) - 1)
-    ])])
-    line_len = np.sqrt(2.0) * (hi - lo)
-    grid_c = np.linspace(hi, 1.0, 200)
-    len_c = np.concatenate([[0.0], np.cumsum([
-        quad(curve_speed, grid_c[i], grid_c[i + 1], limit=100)[0]
-        for i in range(len(grid_c) - 1)
-    ])])
-
-    L1, L2, L3 = len_a[-1], line_len, len_c[-1]
-    total = L1 + L2 + L3
-    targets = np.linspace(0.0, total, n)
-
-    f1 = np.empty(n)
-    for i, s in enumerate(targets):
-        if s <= L1:
-            f1[i] = np.interp(s, len_a, grid_a)
-        elif s <= L1 + L2:
-            f1[i] = lo + (s - L1) / L2 * (hi - lo)
-        else:
-            f1[i] = np.interp(s - L1 - L2, len_c, grid_c)
-
-    f2 = np.where((f1 > lo) & (f1 < hi), 0.8 - f1, 1.0 - np.sqrt(np.maximum(f1, 0.0)))
-    return np.column_stack([f1, f2])
+    # sqrt(f1) at the roots of 1 + f1 - sqrt(f1) = 0.8; between them the curve
+    # dips below the line f1 + f2 = 0.8 and the front follows that line instead.
+    lo, hi = (1.0 - np.sqrt(0.2)) / 2.0, (1.0 + np.sqrt(0.2)) / 2.0
+    u_grid = np.linspace(0.0, 1.0, 4097)
+    s_grid = _p2_arc(u_grid)  # dense enough that inverting it is exact to ~1e-8
+    first, line = _p2_arc(lo), np.sqrt(2.0) * (hi * hi - lo * lo)
+    total = first + line + s_grid[-1] - _p2_arc(hi)
+    s = np.linspace(0.0, total, n)
+    on_line = (s > first) & (s < first + line)
+    u = np.interp(np.where(s <= first, s, s_grid[-1] - (total - s)), s_grid, u_grid)
+    f1 = np.where(on_line, lo * lo + (s - first) / np.sqrt(2.0), u * u)
+    return np.column_stack([f1, np.where(on_line, 0.8 - f1, 1.0 - u)])
 
 
 _DEFINITIONS = {

@@ -23,43 +23,30 @@ TYPE_PARTIAL = 2
 TYPE_SEPARATED = 3
 
 
-class HistoryNotReady(LookupError):
-    """Not enough recorded generations to evaluate the movement metric."""
-
-
 class PointHistory:
-    """Ring buffer of (ideal, nadir, average) points per generation."""
+    """Ring buffer of the (ideal, nadir, average) points of the last gap + 1
+    generations, recorded once per generation."""
 
     def __init__(self, gap: int = 10, delta: float = 1e-7):
         if gap < 1:
             raise ValueError("gap must be at least 1")
         self.gap = gap
         self.delta = delta
-        self._entries: deque[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = deque(maxlen=gap + 1)
+        self.entries: deque[tuple[np.ndarray, np.ndarray, np.ndarray]] = deque(maxlen=gap + 1)
 
-    def record(self, generation: int, pop: Population) -> None:
+    def record(self, pop: Population) -> None:
         F = pop.F
-        self._entries.append((generation, F.min(axis=0), F.max(axis=0), F.mean(axis=0)))
-
-    def lookup(self, generation: int):
-        for entry in self._entries:
-            if entry[0] == generation:
-                return entry
-        raise HistoryNotReady(f"no record for generation {generation}")
-
-    @property
-    def latest_generation(self) -> int | None:
-        return self._entries[-1][0] if self._entries else None
+        self.entries.append((F.min(axis=0), F.max(axis=0), F.mean(axis=0)))
 
 
-def rs_metric(history: PointHistory, g: int) -> float:
+def rs_metric(history: PointHistory) -> float:
     """Largest relative movement of the ideal, nadir or average point over
     the configured generation gap. Small values mean the population has
-    stopped moving in objective space."""
-    _, *now = history.lookup(g)
-    _, *then = history.lookup(g - history.gap)
+    stopped moving in objective space; 1.0 until gap + 1 generations exist."""
+    if len(history.entries) <= history.gap:
+        return 1.0
     worst = 0.0
-    for p_now, p_then in zip(now, then):
+    for p_now, p_then in zip(history.entries[-1], history.entries[0]):
         denom = np.maximum(np.abs(p_then), history.delta)
         worst = max(worst, float((np.abs(p_now - p_then) / denom).max()))
     return worst

@@ -182,8 +182,8 @@ class TestPopulation:
         F = rng.random((40, 3))
         pop = Population(np.zeros((40, 2)), F, np.zeros(40))
         hist = PointHistory(gap=1)
-        hist.record(0, pop)
-        _, ideal, nadir, average = hist.lookup(0)
+        hist.record(pop)
+        ideal, nadir, average = hist.entries[-1]
         assert ideal == pytest.approx(F.min(axis=0))
         assert nadir == pytest.approx(F.max(axis=0))
         assert average == pytest.approx(F.mean(axis=0))

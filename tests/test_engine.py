@@ -106,6 +106,9 @@ class TestRunConfigBounds:
         ("hv_offset", math.nan),
         ("delta", math.inf),
         ("coincident_threshold", -math.inf),
+        ("coincident_threshold", 0.0),
+        ("coincident_threshold", -0.1),
+        ("coincident_threshold", 5.0),
     ])
     def test_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -113,7 +116,7 @@ class TestRunConfigBounds:
 
     def test_edge_values_accepted(self):
         RunConfig(fixed_aux_size=2, pbest_fraction=1.0, igd_points=2, phase3_eps=0.0,
-                  history_gap=1)
+                  history_gap=1, coincident_threshold=1.0)
 
     def test_default_fingerprint_is_pinned(self):
         assert _fingerprint(make_problem("P1-overlap", 10), RunConfig(), 1) == "27f04fe10b2e2f90"

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from dpcmo import harness
-from dpcmo.cli import main
+from dpcmo.cli import _grid_config, build_parser, main
 from dpcmo.harness import (
     ConfigError,
     ExperimentConfig,
@@ -107,6 +107,7 @@ fixed_aux_size = 40
         "eps0 = 0", "curvature = 0", "fixed_aux_size = 1", "pbest_fraction = 0",
         "igd_points = 1", "phase3_eps = 0.3", "history_gap = 0",
         "eps0 = inf", "curvature = inf", "history_delta = nan", "hv_offset = nan",
+        "coincident_threshold = 0.0", "coincident_threshold = -0.1", "coincident_threshold = 5.0",
     ])
     def test_out_of_range_run_value_rejected(self, tmp_path, line):
         key = line.split(" ")[0]
@@ -265,6 +266,9 @@ class TestPlotData:
 
 
 class TestCli:
+    def test_grid_defaults_are_the_experiment_defaults(self):
+        assert _grid_config(build_parser().parse_args(["bench"]), ["full"]) == ExperimentConfig()
+
     def test_bench_and_stats_and_plotdata(self, tmp_path, capsys):
         outdir = tmp_path / "bench"
         code = main(["bench", "--outdir", str(outdir), "--seeds", "2",

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from dpcmo.core import EvalCounter
-from dpcmo.problems import PROBLEM_IDS, make_problem, reference_front
+from dpcmo.problems import PROBLEM_IDS, _p2_arc, make_problem, reference_front
 from dpcmo.selection import unconstrained_nondominated
 
 from oracles import constraint_violation, evaluate
@@ -64,6 +65,19 @@ class TestReferenceFront:
         front = reference_front(make_problem("P2-partial", 10), 1000)
         sums = front.sum(axis=1)
         assert np.all(sums >= 0.8 - 1e-12)
+
+    def test_p2_samples_evenly_spaced(self):
+        # Equal arc-length steps: only a chord across a corner between the
+        # curve and the line falls (about 1 %) short of the median step.
+        front = reference_front(make_problem("P2-partial", 10), 1000)
+        step = np.linalg.norm(np.diff(front, axis=0), axis=1)
+        assert np.all(np.abs(step / np.median(step) - 1.0) <= 0.02)
+
+    @pytest.mark.parametrize("f1", [1e-6, 0.01, 0.0764, 0.25, 0.5236, 0.9, 1.0])
+    def test_p2_arc_length_matches_quadrature(self, f1):
+        speed = lambda t: np.sqrt(1.0 + 1.0 / (4.0 * t))  # |d(f1, f2)/d f1| on the curve
+        assert _p2_arc(np.sqrt(f1)) == pytest.approx(quad(speed, 0.0, f1, limit=200)[0],
+                                                      rel=0, abs=1e-12)
 
     def test_p2_line_segment_present(self):
         front = reference_front(make_problem("P2-partial", 10), 1000)

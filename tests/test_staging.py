@@ -6,7 +6,6 @@ from dpcmo.staging import (
     TYPE_COINCIDENT,
     TYPE_PARTIAL,
     TYPE_SEPARATED,
-    HistoryNotReady,
     PointHistory,
     TypeTracker,
     classify_relationship,
@@ -22,10 +21,11 @@ def population(F, cv=None):
     return Population(F, F, np.zeros(len(F)) if cv is None else cv)
 
 
-def history_with(pops_by_gen, gap=10, delta=1e-7):
+def history_with(then, now, gap=10, delta=1e-7):
+    """A full history whose oldest record is ``then`` and newest ``now``."""
     hist = PointHistory(gap=gap, delta=delta)
-    for g, F in pops_by_gen.items():
-        hist.record(g, population(F))
+    for F in [then] * gap + [now]:
+        hist.record(population(F))
     return hist
 
 
@@ -35,50 +35,48 @@ class TestRsMetric:
 
     def test_stationary_population_scores_zero(self):
         F = [[1.0, 2.0], [3.0, 4.0], [2.0, 3.0]]
-        hist = history_with({0: F, 10: F})
-        assert rs_metric(hist, 10) == 0.0
+        assert rs_metric(history_with(F, F)) == 0.0
 
     def test_single_moving_ideal_coordinate(self):
-        hist = history_with({
-            0: [[1.0, 1.0], [3.0, 3.0], [2.0, 2.0]],
-            10: [[1.1, 1.0], [3.0, 3.0], [1.9, 2.0]],  # same nadir and average
-        })
-        assert rs_metric(hist, 10) == pytest.approx(0.1)
+        hist = history_with(
+            [[1.0, 1.0], [3.0, 3.0], [2.0, 2.0]],
+            [[1.1, 1.0], [3.0, 3.0], [1.9, 2.0]],  # same nadir and average
+        )
+        assert rs_metric(hist) == pytest.approx(0.1)
 
     def test_denominator_guard(self):
-        hist = history_with({
-            0: [[0.0, 0.0], [1.0, 1.0]],
-            10: [[1e-8, 0.0], [1.0, 1.0]],
-        })
-        assert rs_metric(hist, 10) == pytest.approx(1e-8 / 1e-7)
+        hist = history_with([[0.0, 0.0], [1.0, 1.0]], [[1e-8, 0.0], [1.0, 1.0]])
+        assert rs_metric(hist) == pytest.approx(1e-8 / 1e-7)
 
     def test_scale_invariance_above_guard(self):
-        base = {
-            0: np.array([[1.0, 2.0], [3.0, 4.0], [2.0, 3.0]]),
-            10: np.array([[1.2, 2.0], [3.5, 4.0], [1.9, 3.0]]),
-        }
-        scaled = {g: F * 7.5 for g, F in base.items()}
-        assert rs_metric(history_with(base), 10) == pytest.approx(
-            rs_metric(history_with(scaled), 10))
+        then = np.array([[1.0, 2.0], [3.0, 4.0], [2.0, 3.0]])
+        now = np.array([[1.2, 2.0], [3.5, 4.0], [1.9, 3.0]])
+        assert rs_metric(history_with(then, now)) == pytest.approx(
+            rs_metric(history_with(then * 7.5, now * 7.5)))
 
     def test_not_ready(self):
-        hist = history_with({5: [[1.0], [2.0]]})
-        with pytest.raises(HistoryNotReady):
-            rs_metric(hist, 5)
+        # Until gap + 1 generations are recorded the metric reports full
+        # movement, however far the recorded points lie apart.
+        hist = PointHistory(gap=3)
+        for g in range(3):
+            hist.record(population([[10.0 ** g]]))
+            assert rs_metric(hist) == 1.0
+        hist.record(population([[1.0]]))
+        assert rs_metric(hist) == 0.0
 
-    def test_ring_buffer_evicts_old_entries(self):
+    def test_ring_buffer_evicts_oldentries(self):
+        # Only the last gap + 1 records count: generation 6 against 9.
         hist = PointHistory(gap=3)
         for g in range(10):
-            hist.record(g, population([[float(g)]]))
-        with pytest.raises(HistoryNotReady):
-            hist.lookup(2)
-        assert hist.latest_generation == 9
+            hist.record(population([[float(g + 1)]]))
+        assert len(hist.entries) == 4
+        assert rs_metric(hist) == pytest.approx((10.0 - 7.0) / 7.0)
 
     def test_record_from_population(self):
         pop = population([[1.0, 4.0], [3.0, 2.0]])
         hist = PointHistory(gap=1)
-        hist.record(0, pop)
-        _, z, n, a = hist.lookup(0)
+        hist.record(pop)
+        z, n, a = hist.entries[-1]
         assert z.tolist() == [1.0, 2.0]
         assert n.tolist() == [3.0, 4.0]
         assert a.tolist() == [2.0, 3.0]
