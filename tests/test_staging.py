@@ -64,7 +64,7 @@ class TestRsMetric:
         hist.record(population([[1.0]]))
         assert rs_metric(hist) == 0.0
 
-    def test_ring_buffer_evicts_oldentries(self):
+    def test_ring_buffer_evicts_old_entries(self):
         # Only the last gap + 1 records count: generation 6 against 9.
         hist = PointHistory(gap=3)
         for g in range(10):
