@@ -27,6 +27,10 @@ GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 GRIDS = {
     "grid": dict(problems=[(pid, 10) for pid in PROBLEM_IDS], seeds=[1, 2],
                  variants=["full", "Wo3P"], run=RunConfig(pop_size=30, max_fe=15_200)),
+    "variants": dict(problems=[(pid, 10) for pid in PROBLEM_IDS], seeds=[1],
+                     variants=["WoRR", "WoS1C", "WoOP", "Eps1", "HOps-T1", "HOps-T2",
+                               "HOps-T3", "HOps-T4", "WoDRA"],
+                     run=RunConfig(pop_size=30, max_fe=15_200)),
     "p3_full_budget": dict(problems=[("P3-separated", 10)], seeds=[1], variants=["full"],
                            run=RunConfig(pop_size=100, max_fe=50_000)),
 }
