@@ -86,6 +86,8 @@ def _metric_samples(rows, problem, variant, metric):
 
 
 def _cmd_stats(args) -> int:
+    if not 0 < args.alpha < 1:
+        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     rows = read_summary(args.summary)
     problems = sorted({r["problem"] for r in rows})
     variants = [v for v in dict.fromkeys(r["variant"] for r in rows) if v != args.baseline]

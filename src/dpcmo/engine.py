@@ -92,8 +92,6 @@ class RunConfig:
     history_delta: float = 1e-7
     pbest_fraction: float = 0.1
     coincident_threshold: float = 0.9
-    fixed_aux_size: int | None = None
-    reset_cnt_on_update: bool = False
     igd_points: int = 1000
     hv_offset: float = 1.1
     # ablation switches
@@ -119,8 +117,6 @@ class RunConfig:
             raise ValueError(f"eps0 must be positive, got {self.eps0}")
         if not self.curvature > 0:
             raise ValueError(f"curvature must be positive, got {self.curvature}")
-        if self.fixed_aux_size is not None and self.fixed_aux_size < 2:
-            raise ValueError(f"fixed_aux_size must be at least 2, got {self.fixed_aux_size}")
         if not 0 < self.pbest_fraction <= 1:
             raise ValueError(f"pbest_fraction must lie in (0, 1], got {self.pbest_fraction}")
         if not 0 < self.coincident_threshold <= 1:  # compared with a feasible fraction
@@ -180,7 +176,7 @@ class RunState:
         self.type_at_switch: int | None = None
         self.schedule: EpsilonSchedule | None = None  # None until the switch
         self.epsilon = config.eps0
-        self.tracker = TypeTracker(type=0, reset_on_update=config.reset_cnt_on_update)
+        self.tracker = TypeTracker(type=0)
         self.dra = DraState()
         self.history = PointHistory(gap=config.history_gap, delta=config.history_delta)
         self.phase = 0
@@ -272,8 +268,7 @@ def try_switch(state: RunState) -> None:
         state.switch_generation = state.g
         seed_type = classify_relationship(state.pop_aux, state.config.coincident_threshold)
         state.type_at_switch = seed_type
-        state.tracker = TypeTracker(type=seed_type, cnt=0,
-                                    reset_on_update=state.config.reset_cnt_on_update)
+        state.tracker = TypeTracker(type=seed_type)
         state.schedule = EpsilonSchedule(
             switch_fe=state.fe,
             max_fe=state.config.max_fe,
@@ -394,7 +389,7 @@ def stage2_step(state: RunState) -> None:
     n = cfg.pop_size
     fr_main = state.pop_main.feasible_ratio()
     fr_aux = state.pop_aux.feasible_ratio()
-    n_s = cfg.fixed_aux_size if cfg.fixed_aux_size is not None else aux_size(fr_aux, n)
+    n_s = aux_size(fr_aux, n)
 
     if cfg.initial_epsilon_only:
         eps = epsilon_initial(state.schedule, state.fe)

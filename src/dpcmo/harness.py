@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be distinct")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0:  # PCG64 takes only non-negative seeds
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         for v in self.variants:
             if v != "full" and v not in ABLATIONS:
                 raise ConfigError(f"unknown variant {v!r}")
@@ -83,23 +85,17 @@ def _parse_problem_token(token: str, line_no: int) -> tuple[str, int]:
 
 def _parse_scalar(key: str, raw: str, kind, line_no: int):
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except ValueError:
         raise ConfigError(f"line {line_no}: key {key!r} expects {kind.__name__}, got {raw!r}")
 
 
 # Every RunConfig field but the ablation switches is a config key, parsed as
-# the type of its default (an unset optional size parses as int).
+# the type of its default.
 _KEY_ALIASES = {"pop_size": "N", "max_fe": "maxFE"}
 _SWITCHES = {name for switches in ABLATIONS.values() for name in switches}
 _RUN_KEYS = {
-    _KEY_ALIASES.get(f.name, f.name): (f.name, int if f.default is None else type(f.default))
+    _KEY_ALIASES.get(f.name, f.name): (f.name, type(f.default))
     for f in fields(RunConfig) if f.name not in _SWITCHES
 }
 _TOP_KEYS = ("problem", "problems", "seeds", "n_seeds", "variants", "outdir", "parallel")

@@ -199,7 +199,7 @@ def _simplex_lattice(m: int, h: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def das_dennis_vectors(m: int, target: int, pad_seed: int = _VECTOR_PAD_SEED) -> np.ndarray:
+def das_dennis_vectors(m: int, target: int) -> np.ndarray:
     """Simplex-lattice directions in objective space, one per row, unit 2-norm.
 
     Uses the largest lattice parameter H whose point count does not exceed
@@ -215,7 +215,7 @@ def das_dennis_vectors(m: int, target: int, pad_seed: int = _VECTOR_PAD_SEED) ->
     if len(pts) > target:
         pts = pts[:target]
     if len(pts) < target:
-        rng = np.random.Generator(np.random.PCG64(pad_seed + 1000 * m + target))
+        rng = np.random.Generator(np.random.PCG64(_VECTOR_PAD_SEED + 1000 * m + target))
         extra = rng.dirichlet(np.ones(m), size=target - len(pts))
         pts = np.vstack([pts, extra])
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)

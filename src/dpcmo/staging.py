@@ -11,7 +11,7 @@ The relationship types:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,19 +96,15 @@ class TypeTracker:
 
     The counter increments whenever a reclassification disagrees with the
     held type; the type itself only moves once the counter has passed 3.
-    By default the counter persists across updates; ``reset_on_update``
-    clears it each time the type changes.
+    The counter is never reset: past 3, every disagreement moves the type.
     """
 
     type: int
     cnt: int = 0
-    reset_on_update: bool = False
 
 
 def track_type(tracker: TypeTracker, ntype: int) -> TypeTracker:
     if ntype == tracker.type:
         return tracker
     cnt = tracker.cnt + 1
-    if cnt > 3:
-        return replace(tracker, type=ntype, cnt=0 if tracker.reset_on_update else cnt)
-    return replace(tracker, cnt=cnt)
+    return TypeTracker(type=ntype if cnt > 3 else tracker.type, cnt=cnt)

@@ -92,7 +92,6 @@ class TestRunConfigBounds:
     @pytest.mark.parametrize("field,value", [
         ("eps0", 0.0),
         ("curvature", 0.0),
-        ("fixed_aux_size", 1),
         ("pbest_fraction", 0.0),
         ("pbest_fraction", 1.5),
         ("igd_points", 1),
@@ -115,18 +114,18 @@ class TestRunConfigBounds:
             RunConfig(**{field: value})
 
     def test_edge_values_accepted(self):
-        RunConfig(fixed_aux_size=2, pbest_fraction=1.0, igd_points=2, phase3_eps=0.0,
+        RunConfig(pbest_fraction=1.0, igd_points=2, phase3_eps=0.0,
                   history_gap=1, coincident_threshold=1.0)
 
     def test_default_fingerprint_is_pinned(self):
-        assert _fingerprint(make_problem("P1-overlap", 10), RunConfig(), 1) == "27f04fe10b2e2f90"
+        assert _fingerprint(make_problem("P1-overlap", 10), RunConfig(), 1) == "9fc1315ca48e8409"
 
 
 @st.composite
 def small_configs(draw):
     """Any constructible small config: N in [5, 12], a budget from the two
     initial populations up to past the generation-250 switch cap, free
-    auxiliary size, elite fraction and relaxation fields, and any variant."""
+    elite fraction and relaxation fields, and any variant."""
     n = draw(st.integers(5, 12))
     phase1_eps = draw(st.floats(1e-4, 0.5))
     config = RunConfig(
@@ -138,7 +137,6 @@ def small_configs(draw):
         phase3_eps=draw(st.floats(0.0, phase1_eps, exclude_max=True)),
         opposition_eps=draw(st.floats(0.0, 1.0)),
         pbest_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
-        fixed_aux_size=draw(st.none() | st.integers(2, 3 * n)),
     )
     return apply_ablation(config, draw(st.sampled_from(("full",) + ABLATION_VARIANTS)))
 

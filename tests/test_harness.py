@@ -37,8 +37,6 @@ RUN_KEY_CASES = [
     ("history_delta = 1e-6", "history_delta", 1e-6),
     ("pbest_fraction = 0.2", "pbest_fraction", 0.2),
     ("coincident_threshold = 0.8", "coincident_threshold", 0.8),
-    ("fixed_aux_size = 7", "fixed_aux_size", 7),
-    ("reset_cnt_on_update = yes", "reset_cnt_on_update", True),
     ("igd_points = 500", "igd_points", 500),
     ("hv_offset = 1.2", "hv_offset", 1.2),
 ]
@@ -64,7 +62,7 @@ variants = full, WoOP
 outdir = out
 parallel = 2
 eps0 = 0.3
-fixed_aux_size = 40
+history_gap = 7
 """))
         assert cfg.problems == [("P1-overlap", 12), ("P3-separated", 10)]
         assert cfg.run.pop_size == 60
@@ -72,7 +70,7 @@ fixed_aux_size = 40
         assert cfg.seeds == [3, 1, 2]
         assert cfg.variants == ["full", "WoOP"]
         assert cfg.run.eps0 == 0.3
-        assert cfg.run.fixed_aux_size == 40
+        assert cfg.run.history_gap == 7
         assert cfg.parallel == 2
 
     def test_duplicate_seeds_rejected(self, tmp_path):
@@ -104,10 +102,11 @@ fixed_aux_size = 40
             load_config(tmp_path / "absent.cfg")
 
     @pytest.mark.parametrize("line", [
-        "eps0 = 0", "curvature = 0", "fixed_aux_size = 1", "pbest_fraction = 0",
+        "eps0 = 0", "curvature = 0", "pbest_fraction = 0",
         "igd_points = 1", "phase3_eps = 0.3", "history_gap = 0",
         "eps0 = inf", "curvature = inf", "history_delta = nan", "hv_offset = nan",
         "coincident_threshold = 0.0", "coincident_threshold = -0.1", "coincident_threshold = 5.0",
+        "seeds = 3, -1",
     ])
     def test_out_of_range_run_value_rejected(self, tmp_path, line):
         key = line.split(" ")[0]
@@ -127,7 +126,8 @@ fixed_aux_size = 40
     def test_run_key_set(self):
         assert set(harness._RUN_KEYS) == {line.split()[0] for line, _, _ in RUN_KEY_CASES}
 
-    @pytest.mark.parametrize("line", ["pop_size = 50", "max_fe = 900", "disable_dra = true"])
+    @pytest.mark.parametrize("line", ["pop_size = 50", "max_fe = 900", "disable_dra = true",
+                                      "fixed_aux_size = 1", "reset_cnt_on_update = yes"])
     def test_field_names_without_a_key_are_unknown(self, tmp_path, line):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write_config(tmp_path, f"problem = P1-overlap\n{line}\n"))
@@ -336,6 +336,25 @@ class TestCli:
             path.write_text(header + row)
             assert main(["stats", str(path)]) == 2
             assert f"{path}, line 2" in capsys.readouterr().err
+
+    def test_negative_seed_stops_before_any_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"problem = P1-overlap\nseeds = 3, -1\noutdir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alpha,code", [("1.5", 2), ("0", 2), ("-1", 2), ("nan", 2),
+                                            ("0.05", 0)])
+    def test_stats_alpha_must_lie_in_unit_interval(self, tmp_path, capsys, alpha, code):
+        path = tmp_path / "summary.csv"
+        path.write_text("problem,variant,seed,final_hv,final_igd\n" + "".join(
+            f"P1-overlap,{variant},{seed},0.{seed}{k},0.0{seed}{k}\n"
+            for k, variant in enumerate(("full", "WoOP")) for seed in (1, 2, 3)))
+        assert main(["stats", str(path), f"--alpha={alpha}"]) == code
+        captured = capsys.readouterr()
+        assert ("config error:" in captured.err) == (code == 2)
+        assert ("WoOP" in captured.out) == (code == 0)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

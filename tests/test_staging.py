@@ -167,9 +167,3 @@ class TestTrackType:
             t = track_type(t, 1)
             assert t.type == 3
         assert t.cnt == 3
-
-    def test_reset_variant(self):
-        t = TypeTracker(type=1, cnt=3, reset_on_update=True)
-        got = track_type(t, 2)
-        assert got.type == 2
-        assert got.cnt == 0
