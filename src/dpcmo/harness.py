@@ -59,8 +59,12 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown problem id {pid!r}; expected one of {PROBLEM_IDS}")
             if dim < 2:
                 raise ConfigError(f"problem dimension must be >= 2, got {dim}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
+        # Cells are named problem__variant__seed, so a repeat would share
+        # (and overwrite) another cell's log and front.
+        for kind, values in (("problems", [pid for pid, _ in self.problems]),
+                             ("seeds", self.seeds), ("variants", self.variants)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{kind} must be distinct, got {', '.join(map(str, values))}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:  # PCG64 takes only non-negative seeds

@@ -1,10 +1,12 @@
 """Two-sample rank-sum test and multi-problem signed-rank test.
 
 Both tests are two-sided and rank with midranks for ties. Small samples get
-the exact null distribution of the midrank statistic, enumerated by
-``scipy.stats.permutation_test``; larger ones get scipy's normal
-approximation with tie and continuity corrections. Only the size limits,
-the error cases and the verdicts are decided here.
+the exact null distribution of the midrank statistic, counted here: doubled
+midranks are integers, so one subset-sum table counts every split of the
+ranks (rank-sum) or every sign assignment (signed-rank) by its doubled rank
+sum. Larger samples get scipy's normal approximation with tie and continuity
+corrections, and only those branches import ``scipy.stats``, so importing
+this module does not load it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import mannwhitneyu, permutation_test, rankdata, wilcoxon
 
 EXACT_RANKSUM_LIMIT = 16  # combined sample size for exact enumeration
 EXACT_SIGNEDRANK_LIMIT = 12  # nonzero-delta count for exact enumeration
@@ -30,37 +31,60 @@ class TestReport:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
 
-def _first_rank_sum(x, _y, axis):
-    return x.sum(axis=axis)
+def _doubled_midranks(values: np.ndarray) -> np.ndarray:
+    """Twice the 1-based midranks of ``values``, as integers.
+
+    Tied values share the mean of their positions, so a midrank is a whole
+    or half integer and its double is exact.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    doubled = np.empty(len(values), dtype=np.int64)
+    doubled[order] = np.repeat(starts + ends + 1, ends - starts)
+    return doubled
 
 
-def _positive_rank_sum(x, axis):
-    return np.maximum(x, 0).sum(axis=axis)
+def _subset_sum_counts(doubled: np.ndarray) -> np.ndarray:
+    """counts[k, s]: how many k-element subsets of ``doubled`` sum to s."""
+    total = int(doubled.sum())
+    counts = np.zeros((len(doubled) + 1, total + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    for d in doubled:
+        counts[1:, d:] = counts[1:, d:] + counts[:-1, :total + 1 - d]
+    return counts
 
 
-def _exact_p(data, statistic, permutation_type: str) -> float:
-    return float(permutation_test(data, statistic, permutation_type=permutation_type,
-                                  vectorized=True, n_resamples=np.inf).pvalue)
+def _two_sided_p(counts: np.ndarray, observed: int) -> float:
+    """Twice the smaller tail count at ``observed`` over all arrangements,
+    capped at 1; the rule ``scipy.stats.permutation_test`` applies when it
+    enumerates, so the p-values agree bit for bit."""
+    tail = min(int(counts[:observed + 1].sum()), int(counts[observed:].sum()))
+    return min(1.0, 2 * tail / int(counts.sum()))
 
 
 def ranksum_test(a, b, alpha: float = 0.05, larger_is_better: bool = False) -> TestReport:
     """Two-sided rank-sum comparison of two independent samples.
 
     The verdict says how sample ``a`` compares to sample ``b`` at level
-    alpha, oriented by ``larger_is_better``. Exact enumeration is used when
-    the combined size is at most 16.
+    alpha, oriented by ``larger_is_better``. The p-value is exact when the
+    combined size is at most 16.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("each sample needs at least 2 observations")
-    ranks = rankdata(np.concatenate([a, b]))
+    doubled = _doubled_midranks(np.concatenate([a, b]))
+    ranks = doubled / 2.0
     ranks_a, ranks_b = ranks[: len(a)], ranks[len(a):]
     w = float(ranks_a.sum())
 
     if len(ranks) <= EXACT_RANKSUM_LIMIT:
-        p = _exact_p((ranks_a, ranks_b), _first_rank_sum, "independent")
+        p = _two_sided_p(_subset_sum_counts(doubled)[len(a)], int(2 * w))
     else:
+        from scipy.stats import mannwhitneyu
+
         p = float(mannwhitneyu(a, b, method="asymptotic").pvalue)
 
     if p >= alpha:
@@ -77,7 +101,7 @@ def signed_rank_multiproblem(deltas, alpha: float = 0.05) -> TestReport:
     Zero differences are dropped before ranking. The report's extras carry
     the positive and negative rank sums (R+ and R-); the verdict orients on
     the sign convention that positive deltas favor the first method.
-    Exact enumeration is used for at most 12 nonzero differences.
+    The p-value is exact for at most 12 nonzero differences.
     """
     deltas = np.asarray(deltas, dtype=float)
     nonzero = deltas[deltas != 0.0]
@@ -86,13 +110,18 @@ def signed_rank_multiproblem(deltas, alpha: float = 0.05) -> TestReport:
                           extras={"r_plus": 0.0, "r_minus": 0.0, "n": 0})
     if nonzero.size < 5:
         raise ValueError("need at least 5 nonzero differences")
-    ranks = rankdata(np.abs(nonzero))
+    doubled = _doubled_midranks(np.abs(nonzero))
+    ranks = doubled / 2.0
     r_plus = float(ranks[nonzero > 0].sum())
     r_minus = float(ranks[nonzero < 0].sum())
 
     if nonzero.size <= EXACT_SIGNEDRANK_LIMIT:
-        p = _exact_p((np.sign(nonzero) * ranks,), _positive_rank_sum, "samples")
+        # Every sign assignment, whatever its number of positive ranks.
+        counts = _subset_sum_counts(doubled).sum(axis=0)
+        p = _two_sided_p(counts, int(2 * r_plus))
     else:
+        from scipy.stats import wilcoxon
+
         p = float(wilcoxon(nonzero, correction=True, method="approx").pvalue)
 
     if p >= alpha:

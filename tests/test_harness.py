@@ -77,6 +77,18 @@ history_gap = 7
         with pytest.raises(ConfigError, match="distinct"):
             load_config(write_config(tmp_path, "problem = P1-overlap\nseeds = 1, 1\n"))
 
+    @pytest.mark.parametrize("text", [
+        "problems = P1-overlap, P1-overlap\n",
+        "problems = P1-overlap:10, P1-overlap:20\n",  # one cell name for both
+        "problem = P1-overlap\nvariants = full, WoOP, full\n",
+    ])
+    def test_duplicate_problems_or_variants_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError, match="distinct"):
+            load_config(write_config(tmp_path, text))
+        cfg = write_config(tmp_path, text + f"outdir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_suggests_fix(self, tmp_path):
         with pytest.raises(ConfigError, match="eps0"):
             load_config(write_config(tmp_path, "epslion0 = 0.2\n"))

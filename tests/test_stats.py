@@ -1,11 +1,20 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpcmo
 from dpcmo.stats import (
     EXACT_RANKSUM_LIMIT,
     EXACT_SIGNEDRANK_LIMIT,
+    _doubled_midranks,
+    _subset_sum_counts,
     ranksum_test,
     signed_rank_multiproblem,
 )
@@ -26,6 +35,10 @@ class TestMidranks:
 
     def test_ties_share_mean_rank(self):
         assert midranks([1.0, 2.0, 2.0, 3.0]).tolist() == [1.0, 2.5, 2.5, 4.0]
+
+    def test_doubled_midranks_match_oracle(self):
+        values = np.array([3.0, 1.0, 3.0, 2.0, 3.0, -1.0, 1.0, 7.0])
+        assert (_doubled_midranks(values) / 2.0).tolist() == midranks(values).tolist()
 
 
 class TestRanksum:
@@ -155,6 +168,72 @@ class TestSignedRank:
                 exact = exact_signedrank_p(ranks, r_plus)
                 approx = approx_signedrank_p(ranks, r_plus)
                 assert abs(exact - approx) <= 0.02
+
+
+_RNG = np.random.default_rng(5)
+
+
+class TestExactCounting:
+    """The counting paths against the brute-force oracles, at the sizes and
+    tie patterns that the hypothesis draws below rarely reach."""
+
+    @pytest.mark.parametrize("pooled,n_a", [
+        (_RNG.random(16), 8),
+        (_RNG.integers(0, 4, 16).astype(float), 8),
+        (_RNG.random(16), 2),
+        (_RNG.integers(0, 3, 16).astype(float), 2),
+        (np.full(16, 3.0), 8),
+        (np.arange(16.0), 8),
+    ], ids=["8+8", "8+8-tied", "2+14", "2+14-tied", "16-all-tied", "8+8-separated"])
+    def test_ranksum_p_equals_oracle(self, pooled, n_a):
+        report = ranksum_test(pooled[:n_a], pooled[n_a:])
+        ranks = midranks(pooled)
+        assert report.p_value == exact_ranksum_p(ranks, n_a, float(ranks[:n_a].sum()))
+
+    @pytest.mark.parametrize("deltas", [
+        _RNG.choice([-1.0, 1.0], 12) * _RNG.integers(1, 4, 12),
+        _RNG.choice([-1.0, 1.0], 12) * 0.5,
+        np.r_[np.full(6, 2.0), np.full(6, -2.0)],
+        np.full(12, 1.0),
+        _RNG.normal(0.3, 1.0, 12),
+    ], ids=["12-tied", "12-all-tied", "12-balanced", "12-all-positive", "12"])
+    def test_signed_rank_p_equals_oracle(self, deltas):
+        report = signed_rank_multiproblem(deltas)
+        ranks = midranks(np.abs(deltas))
+        assert report.p_value == exact_signedrank_p(ranks, float(ranks[deltas > 0].sum()))
+
+    @pytest.mark.parametrize("values", [np.arange(16.0), np.full(16, 2.0),
+                                        np.array([1.0, 1.0, 2.0, 5.0, 5.0, 5.0, 9.0])])
+    def test_counts_cover_every_arrangement(self, values):
+        counts = _subset_sum_counts(_doubled_midranks(values))
+        n = len(values)
+        assert [int(row.sum()) for row in counts] == [math.comb(n, k) for k in range(n + 1)]
+        assert int(counts.sum()) == 2 ** n
+
+
+_SRC = str(Path(dpcmo.__file__).resolve().parents[1])
+_NO_SCIPY_STATS = "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'"
+
+
+@pytest.mark.parametrize("entry", ["import dpcmo", "import dpcmo.cli"])
+def test_import_leaves_scipy_stats_unloaded(entry):
+    code = f"import sys\n{entry}\n{_NO_SCIPY_STATS}\n"
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_exact_stats_command_leaves_scipy_stats_unloaded(tmp_path):
+    # Two seeds per cell and six problems: both tests take their exact path.
+    summary = tmp_path / "summary.csv"
+    summary.write_text("problem,variant,seed,final_hv,final_igd\n" + "".join(
+        f"Q{q},{variant},{seed},0.{q}{k}{seed},0.0{q}{k}{seed}\n"
+        for q in range(1, 7) for k, variant in enumerate(("full", "WoOP")) for seed in (1, 2)))
+    code = (f"import sys\nfrom dpcmo import cli\n"
+            f"assert cli.main(['stats', {str(summary)!r}]) == 0\n{_NO_SCIPY_STATS}\n")
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert "R+=" in out
 
 
 # Samples on an integer grid tie often; unique floats never tie. Sizes
