@@ -232,9 +232,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         log_path = outdir / "logs" / f"{name}.jsonl"
         log_path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in outcome.log))
         front_path = outdir / "fronts" / f"{name}.csv"
-        header = ",".join(f"f{i + 1}" for i in range(outcome.front_objectives.shape[1] or 2))
-        lines = [header] + [",".join(repr(float(v)) for v in row)
-                            for row in outcome.front_objectives]
+        lines = ["f1,f2"] + [",".join(repr(float(v)) for v in row)
+                             for row in outcome.front_objectives]
         front_path.write_text("\n".join(lines) + "\n")
         rows.append((pid, variant, seed, outcome.final_hv, outcome.final_igd,
                      outcome.evaluations, len(outcome.log)))
@@ -268,8 +267,9 @@ _SUMMARY_COLUMNS = ("problem", "variant", "seed", "final_hv", "final_igd")
 def read_summary(path) -> list[dict]:
     """The rows of a summary.csv, with seed and the final metrics parsed.
 
-    A missing or empty file, an absent column, a short or long row and an
-    unparsable value are ConfigErrors that name the file.
+    A missing or empty file, an absent column, a short or long row, an
+    unparsable value and a NaN metric are ConfigErrors that name the file.
+    An infinite metric is kept: an empty final front has IGD inf.
     """
     path = Path(path)
     try:
@@ -296,6 +296,9 @@ def read_summary(path) -> list[dict]:
             row["final_igd"] = float(row["final_igd"])
         except ValueError as exc:
             raise ConfigError(f"{path}, line {line_no}: {exc}") from None
+        for key in ("final_hv", "final_igd"):
+            if np.isnan(row[key]):
+                raise ConfigError(f"{path}, line {line_no}: {key} is nan")
         rows.append(row)
     return rows
 

@@ -19,10 +19,9 @@ feasible-first comparison, epsilon = inf ignores constraints.
 Under that ordering every row with a lower adjusted violation dominates every
 row with a higher one, so nondominated sorting splits into groups of equal
 adjusted violation: a row's rank is the number of fronts in all
-lower-violation groups plus its Pareto rank inside its own group. With two
-objectives the in-group rank is one sort plus a binary search per row
-(Jensen 2003; ENS-BS, Zhang et al. 2015). With three or more objectives the
-ranks come from a dense pairwise dominance matrix.
+lower-violation groups plus its Pareto rank inside its own group. Every
+problem has two objectives, so the in-group rank is one sort plus a binary
+search per row (Jensen 2003; ENS-BS, Zhang et al. 2015).
 
 Tie-break contract (shared by every consumer, including test oracles):
 fronts are filled in rank order; a split front is truncated by descending
@@ -38,35 +37,6 @@ import numpy as np
 
 from .core import Population
 
-_VECTOR_PAD_SEED = 987654321
-
-
-def _dominance_matrix(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
-    """dom[i, j] = row i dominates row j under the relaxed order."""
-    less_cv = cv_adj[:, None] < cv_adj[None, :]
-    eq_cv = cv_adj[:, None] == cv_adj[None, :]
-    le = (F[:, None, :] <= F[None, :, :]).all(axis=2)
-    lt = (F[:, None, :] < F[None, :, :]).any(axis=2)
-    return less_cv | (eq_cv & le & lt)
-
-
-def _dense_ranks(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
-    """Front peeling over the full dominance matrix; any number of objectives."""
-    n = len(F)
-    dom = _dominance_matrix(F, cv_adj)
-    n_dominators = dom.sum(axis=0)
-    ranks = np.full(n, -1, dtype=int)
-    current = np.flatnonzero(n_dominators == 0)
-    rank = 0
-    while current.size:
-        ranks[current] = rank
-        n_dominators = n_dominators - dom[current].sum(axis=0)
-        n_dominators[current] = -1
-        current = np.flatnonzero(n_dominators == 0)
-        rank += 1
-    return ranks
-
-
 def _sweep_ranks(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
     """Group-and-sweep ranks for two objectives.
 
@@ -75,6 +45,8 @@ def _sweep_ranks(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
     next, and a row joins the first front whose last f2 exceeds its own.
     Exact duplicates share a front, since neither dominates the other.
     """
+    if F.ndim != 2 or F.shape[1] != 2:
+        raise ValueError(f"need an objective matrix with 2 columns, got shape {F.shape}")
     order = np.lexsort((F[:, 1], F[:, 0], cv_adj))
     rows = zip(cv_adj[order].tolist(), F[order, 0].tolist(), F[order, 1].tolist())
     sorted_ranks = []
@@ -100,20 +72,15 @@ def _sweep_ranks(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
 
 
 def nondominated_ranks(F: np.ndarray, cvs: np.ndarray, epsilon: float) -> np.ndarray:
-    """Nondominated sorting under the relaxed order; rank 0 is the best front.
-
-    Two objectives use the group-and-sweep rule of the module docstring;
-    three or more fall back to front peeling over the dense dominance matrix.
-    """
+    """Nondominated sorting under the relaxed order; rank 0 is the best front,
+    by the group-and-sweep rule of the module docstring."""
     F = np.asarray(F, dtype=float)
     n = len(F)
     if math.isinf(epsilon):
         cv_adj = np.zeros(n)
     else:
         cv_adj = np.maximum(0.0, np.asarray(cvs, dtype=float) - epsilon)
-    if F.shape[1] == 2:
-        return _sweep_ranks(F, cv_adj)
-    return _dense_ranks(F, cv_adj)
+    return _sweep_ranks(F, cv_adj)
 
 
 def crowding_distances(F: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -187,46 +154,24 @@ def environmental_select(union: Population, n: int, epsilon: float) -> np.ndarra
     return order[:n]
 
 
-def _simplex_lattice(m: int, h: int) -> np.ndarray:
-    """All compositions of h into m nonnegative parts, first coordinate
-    descending, scaled to the unit simplex."""
-    if m == 1:
-        return np.array([[float(h)]])
-    rows = []
-    for first in range(h, -1, -1):
-        rest = _simplex_lattice(m - 1, h - first)
-        rows.append(np.column_stack([np.full(len(rest), float(first)), rest]))
-    return np.vstack(rows)
+def das_dennis_vectors(target: int) -> np.ndarray:
+    """Two-objective simplex-lattice directions, one per row, unit 2-norm.
 
-
-def das_dennis_vectors(m: int, target: int) -> np.ndarray:
-    """Simplex-lattice directions in objective space, one per row, unit 2-norm.
-
-    Uses the largest lattice parameter H whose point count does not exceed
-    ``target``; any shortfall is padded with seeded uniform simplex points
-    so the result always holds exactly ``target`` vectors.
+    The lattice with H = target - 1 has exactly ``target`` points
+    (k, H - k) / H, listed for k = H down to 0.
     """
-    if m < 2 or target < 2:
-        raise ValueError("need m >= 2 and target >= 2")
-    h = 1
-    while math.comb(h + m, m - 1) <= target:
-        h += 1
-    pts = _simplex_lattice(m, h) / h
-    if len(pts) > target:
-        pts = pts[:target]
-    if len(pts) < target:
-        rng = np.random.Generator(np.random.PCG64(_VECTOR_PAD_SEED + 1000 * m + target))
-        extra = rng.dirichlet(np.ones(m), size=target - len(pts))
-        pts = np.vstack([pts, extra])
+    if target < 2:
+        raise ValueError(f"need target >= 2, got {target}")
+    h = target - 1
+    k = np.arange(h, -1, -1, dtype=float)
+    pts = np.column_stack([k, h - k]) / h
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def unconstrained_nondominated(F: np.ndarray) -> np.ndarray:
     """Indices of the Pareto-nondominated rows of an objective matrix, in
     ascending order."""
-    if F.shape[1] == 2:
-        return np.flatnonzero(_sweep_ranks(F, np.zeros(len(F))) == 0)
-    return np.flatnonzero(~_dominance_matrix(F, np.zeros(len(F))).any(axis=0))
+    return np.flatnonzero(_sweep_ranks(F, np.zeros(len(F))) == 0)
 
 
 def angular_distances(normalized: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -259,7 +204,7 @@ def angle_subregion_select(union: Population, n_aux: int, n_s: int,
     span = np.maximum(z_max - z_min, 1e-12)
     normalized = (F[nd] - z_min) / span
 
-    ang = angular_distances(normalized, das_dennis_vectors(F.shape[1], n_s))
+    ang = angular_distances(normalized, das_dennis_vectors(n_s))
     pool = nd[ang.argmin(axis=0)]
     if n_aux < 25:
         unpicked = np.flatnonzero(~np.isin(np.arange(len(union)), pool))

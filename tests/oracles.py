@@ -336,6 +336,36 @@ def mc_hypervolume(points: np.ndarray, ref: np.ndarray, n_samples: int,
 
 
 # ---------------------------------------------------------------------------
+# Dense nondominated sorting: front peeling over the full pairwise dominance
+# matrix, for any number of objectives. The package ranks two objectives by
+# one sort-and-sweep; a problem with more objectives would need this back.
+
+
+def dense_ranks(F, cvs, epsilon: float) -> np.ndarray:
+    """Front index of each row under the epsilon-relaxed order."""
+    F = np.asarray(F, dtype=float)
+    n = len(F)
+    cv_adj = np.zeros(n) if math.isinf(epsilon) else np.maximum(0.0, np.asarray(cvs) - epsilon)
+    # dom[i, j]: row i dominates row j
+    less_cv = cv_adj[:, None] < cv_adj[None, :]
+    eq_cv = cv_adj[:, None] == cv_adj[None, :]
+    le = (F[:, None, :] <= F[None, :, :]).all(axis=2)
+    lt = (F[:, None, :] < F[None, :, :]).any(axis=2)
+    dom = less_cv | (eq_cv & le & lt)
+    n_dominators = dom.sum(axis=0)
+    ranks = np.full(n, -1, dtype=int)
+    current = np.flatnonzero(n_dominators == 0)
+    rank = 0
+    while current.size:
+        ranks[current] = rank
+        n_dominators = n_dominators - dom[current].sum(axis=0)
+        n_dominators[current] = -1
+        current = np.flatnonzero(n_dominators == 0)
+        rank += 1
+    return ranks
+
+
+# ---------------------------------------------------------------------------
 # Loop forms of the vectorized selection and IGD steps. They keep the
 # arithmetic order of the vectorized code, so results must match with ==.
 

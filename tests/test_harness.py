@@ -344,10 +344,21 @@ class TestCli:
     def test_stats_malformed_row(self, tmp_path, capsys):
         path = tmp_path / "summary.csv"
         header = "problem,variant,seed,final_hv,final_igd,evaluations,generations\n"
-        for row in ("P1-overlap,full,1,0.8\n", "P1-overlap,full,one,0.8,0.01,800,8\n"):
+        for row in ("P1-overlap,full,1,0.8\n", "P1-overlap,full,one,0.8,0.01,800,8\n",
+                    "P1-overlap,full,1,nan,0.01,800,8\n", "P1-overlap,full,1,0.8,nan,800,8\n"):
             path.write_text(header + row)
             assert main(["stats", str(path)]) == 2
-            assert f"{path}, line 2" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "config error:" in err and f"{path}, line 2" in err
+
+    def test_stats_infinite_igd_accepted(self, tmp_path, capsys):
+        """An empty final front has IGD inf, and the harness writes it."""
+        path = tmp_path / "summary.csv"
+        path.write_text("problem,variant,seed,final_hv,final_igd\n" + "".join(
+            f"P1-overlap,{variant},{seed},0.{seed}{k},{'inf' if seed == 1 else '0.05'}\n"
+            for k, variant in enumerate(("full", "WoOP")) for seed in (1, 2)))
+        assert main(["stats", str(path), "--metric", "igd"]) == 0
+        assert "WoOP" in capsys.readouterr().out
 
     def test_negative_seed_stops_before_any_cell(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -9,11 +9,13 @@ from dpcmo.selection import (
     das_dennis_vectors,
     environmental_select,
     fitness_order,
+    nondominated_ranks,
     unconstrained_nondominated,
 )
 
 from oracles import (
     Solution,
+    _two_objective_directions,
     adjusted_cv,
     angle_select_literal,
     epsilon_cdp_compare,
@@ -127,34 +129,32 @@ class TestEnvironmentalSelect:
 
 class TestReferenceVectors:
     def test_two_objective_three_targets(self):
-        vecs = das_dennis_vectors(2, 3)
+        vecs = das_dennis_vectors(3)
         want = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
         want = want / np.linalg.norm(want, axis=1, keepdims=True)
         assert vecs == pytest.approx(want)
 
     def test_two_objective_two_targets(self):
-        vecs = das_dennis_vectors(2, 2)
+        vecs = das_dennis_vectors(2)
         assert vecs == pytest.approx(np.array([[1.0, 0.0], [0.0, 1.0]]))
-
-    def test_three_objective_six_targets(self):
-        vecs = das_dennis_vectors(3, 6)
-        assert len(vecs) == 6
-        assert np.linalg.norm(vecs, axis=1) == pytest.approx(np.ones(6))
-
-    def test_padding_reaches_target(self):
-        vecs = das_dennis_vectors(3, 8)
-        assert len(vecs) == 8
-        assert np.all(vecs >= 0)
-        assert np.linalg.norm(vecs, axis=1) == pytest.approx(np.ones(8), abs=1e-12)
 
     def test_axes_present_for_two_objectives(self):
         for target in (2, 5, 11, 40):
-            vecs = das_dennis_vectors(2, target)
+            vecs = das_dennis_vectors(target)
             assert any(np.allclose(v, [1, 0]) for v in vecs)
             assert any(np.allclose(v, [0, 1]) for v in vecs)
 
     def test_deterministic(self):
-        assert np.array_equal(das_dennis_vectors(3, 9), das_dennis_vectors(3, 9))
+        assert np.array_equal(das_dennis_vectors(9), das_dennis_vectors(9))
+
+    def test_equals_literal_lattice_bit_for_bit(self):
+        for target in range(2, 401):
+            assert das_dennis_vectors(target).tolist() == [
+                list(v) for v in _two_objective_directions(target)], f"target {target}"
+
+    def test_fewer_than_two_targets_rejected(self):
+        with pytest.raises(ValueError):
+            das_dennis_vectors(1)
 
 
 class TestAngleSubregionSelect:
@@ -216,6 +216,14 @@ class TestHelpers:
     def test_unconstrained_nondominated(self):
         F = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
         assert unconstrained_nondominated(F).tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_other_objective_counts_rejected(self, m):
+        F = np.random.default_rng(9).random((6, m))
+        with pytest.raises(ValueError, match="2 columns"):
+            nondominated_ranks(F, np.zeros(6), 0.0)
+        with pytest.raises(ValueError, match="2 columns"):
+            unconstrained_nondominated(F)
 
     def test_fitness_order_prefers_feasible_rank(self):
         order = fitness_order(population([[0.2, 0.2], [0.5, 0.5]], [1.0, 0.0]), 0.0)

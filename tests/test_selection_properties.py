@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dpcmo import selection
 from dpcmo.core import Population
 from dpcmo.metrics import igd
 from dpcmo.selection import (
@@ -20,7 +19,7 @@ from dpcmo.selection import (
     unconstrained_nondominated,
 )
 
-from oracles import crowding_per_front, epsilon_ranks, igd_dense, truncation_scan
+from oracles import crowding_per_front, dense_ranks, epsilon_ranks, igd_dense, truncation_scan
 
 EPSILONS = st.sampled_from([0.0, 0.15, math.inf])
 
@@ -39,13 +38,6 @@ def instances(draw, max_n=300, m=2):
     return F, cv
 
 
-def dense_ranks(F, cv, epsilon):
-    cv_adj = np.zeros(len(F)) if math.isinf(epsilon) else np.maximum(0.0, cv - epsilon)
-    return selection._dense_ranks(F, cv_adj)
-
-
-
-
 @settings(max_examples=150, deadline=None)
 @given(instances(), EPSILONS)
 def test_ranks_equal_dense_path(inst, epsilon):
@@ -62,16 +54,16 @@ def test_ranks_equal_front_oracle(inst, epsilon):
 
 @settings(max_examples=50, deadline=None)
 @given(instances(max_n=40, m=3), EPSILONS)
-def test_three_objectives_use_dense_path(inst, epsilon):
+def test_dense_oracle_equals_front_oracle_on_three_objectives(inst, epsilon):
     F, cv = inst
-    assert nondominated_ranks(F, cv, epsilon).tolist() == epsilon_ranks(F, cv, epsilon)
+    assert dense_ranks(F, cv, epsilon).tolist() == epsilon_ranks(F, cv, epsilon)
 
 
 @settings(max_examples=150, deadline=None)
 @given(instances())
 def test_unconstrained_nondominated_equals_dense(inst):
     F, _ = inst
-    want = np.flatnonzero(selection._dense_ranks(F, np.zeros(len(F))) == 0)
+    want = np.flatnonzero(dense_ranks(F, np.zeros(len(F)), 0.0) == 0)
     np.testing.assert_array_equal(unconstrained_nondominated(F), want)
 
 
@@ -87,7 +79,7 @@ def test_crowding_equals_per_front_loop(inst, epsilon):
 @given(hnp.arrays(float, st.tuples(st.integers(1, 200), st.just(2)),
                   elements=st.floats(0, 1, allow_subnormal=False)))
 def test_crowding_equals_per_front_loop_on_real_values(F):
-    ranks = selection._dense_ranks(F, np.zeros(len(F)))
+    ranks = dense_ranks(F, np.zeros(len(F)), 0.0)
     np.testing.assert_array_equal(crowding_distances(F, ranks), crowding_per_front(F, ranks))
 
 
