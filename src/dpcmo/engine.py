@@ -62,18 +62,18 @@ from .variation import (
     tournament_pool,
 )
 
-# Each ablation variant and the RunConfig switches it sets.
+# Each ablation variant and the component it removes or pins.
 ABLATIONS = {
-    "WoRR": {"strict_switch_only": True},
-    "WoS1C": {"stage1_isolated_main": True},
-    "WoOP": {"disable_opposition": True},
-    "Wo3P": {"force_angle_selection": True},
-    "Eps1": {"initial_epsilon_only": True},
-    "HOps-T1": {"force_hops_type": 1},
-    "HOps-T2": {"force_hops_type": 2},
-    "HOps-T3": {"force_hops_type": 3},
-    "HOps-T4": {"force_hops_type": 4},
-    "WoDRA": {"disable_dra": True},
+    "WoRR": "tightest stage-switch threshold only",
+    "WoS1C": "stage-1 main selection without auxiliary offspring",
+    "WoOP": "no opposition offspring",
+    "Wo3P": "angular selection in every stage-2 generation",
+    "Eps1": "single-phase exponential relaxation",
+    "HOps-T1": "operator plan 1 in every stage-2 generation",
+    "HOps-T2": "operator plan 2 in every stage-2 generation",
+    "HOps-T3": "operator plan 3 in every stage-2 generation",
+    "HOps-T4": "operator plan 4 in every stage-2 generation",
+    "WoDRA": "static offspring allocation",
 }
 ABLATION_VARIANTS = tuple(ABLATIONS)
 
@@ -94,14 +94,7 @@ class RunConfig:
     coincident_threshold: float = 0.9
     igd_points: int = 1000
     hv_offset: float = 1.1
-    # ablation switches
-    strict_switch_only: bool = False     # tightest switch threshold only
-    stage1_isolated_main: bool = False   # main union excludes aux offspring
-    disable_opposition: bool = False
-    force_angle_selection: bool = False  # angular selection in every stage-2 step
-    initial_epsilon_only: bool = False   # single-phase exponential relaxation
-    force_hops_type: int | None = None
-    disable_dra: bool = False
+    variant: str = "full"  # "full" or one of ABLATION_VARIANTS
 
     def __post_init__(self):
         for f in fields(self):
@@ -130,15 +123,13 @@ class RunConfig:
             raise ValueError(f"history_gap must be at least 1, got {self.history_gap}")
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        if self.variant != "full" and self.variant not in ABLATIONS:
+            raise ValueError(f"unknown variant {self.variant!r}; expected 'full' or one of {ABLATION_VARIANTS}")
 
 
 def apply_ablation(config: RunConfig, variant: str) -> RunConfig:
     """Return a config with one algorithm component removed or pinned."""
-    if variant == "full":
-        return config
-    if variant not in ABLATIONS:
-        raise ValueError(f"unknown variant {variant!r}; expected 'full' or one of {ABLATION_VARIANTS}")
-    return replace(config, **ABLATIONS[variant])
+    return config if config.variant == variant else replace(config, variant=variant)
 
 
 @dataclass(frozen=True)
@@ -157,6 +148,8 @@ HOPS_PLANS = {
     3: HopsPlan(("cur_rand",), ("T",), ("cur_rand", "pbest", "de"), ("T", "R", "R")),
     4: HopsPlan(("ga", "de"), ("T", "R"), ("transfer", "cur_rand", "pbest"), ("T", "R", "R")),
 }
+# The plan each HOps-Tk variant pins.
+_PINNED_PLANS = {"HOps-T1": 1, "HOps-T2": 2, "HOps-T3": 3, "HOps-T4": 4}
 
 
 class RunState:
@@ -264,7 +257,7 @@ def try_switch(state: RunState) -> None:
     relationship and freeze the relaxation schedule."""
     if state.schedule is not None:
         raise RuntimeError("switch already happened")
-    if should_switch(rs_metric(state.history), state.g, strict_only=state.config.strict_switch_only):
+    if should_switch(rs_metric(state.history), state.g, strict_only=state.config.variant == "WoRR"):
         state.switch_generation = state.g
         seed_type = classify_relationship(state.pop_aux, state.config.coincident_threshold)
         state.type_at_switch = seed_type
@@ -296,7 +289,7 @@ def stage1_step(state: RunState) -> None:
     X2 = ga_offspring(state.pop_aux.X[pool_aux], 1, state.problem.bounds, rng)
     off2 = evaluate_batch(state.problem, X2, state.counter, cfg.delta)
 
-    if cfg.stage1_isolated_main:
+    if cfg.variant == "WoS1C":
         main_union = Population.concat(state.pop_main, off1)
     else:
         main_union = Population.concat(state.pop_main, off1, off2)
@@ -391,22 +384,22 @@ def stage2_step(state: RunState) -> None:
     fr_aux = state.pop_aux.feasible_ratio()
     n_s = aux_size(fr_aux, n)
 
-    if cfg.initial_epsilon_only:
+    if cfg.variant == "Eps1":
         eps = epsilon_initial(state.schedule, state.fe)
     else:
         eps = epsilon_final(state.schedule, state.fe, state.tracker.type)
     state.epsilon = eps
 
     off3 = Population.empty()
-    if (not cfg.disable_opposition and (fr_main == 1.0 or fr_main == 0.0)
+    if (cfg.variant != "WoOP" and (fr_main == 1.0 or fr_main == 0.0)
             and fr_aux == 0.0 and eps > cfg.opposition_eps):
         X3 = opposition_offspring(state.pop_aux, state.problem.bounds)
         off3 = evaluate_batch(state.problem, X3, state.counter, cfg.delta)
 
-    eff_type = cfg.force_hops_type if cfg.force_hops_type is not None else (
+    eff_type = _PINNED_PLANS.get(cfg.variant) or (
         4 if state.tracker.cnt > 3 else state.tracker.type)
     plan = HOPS_PLANS[eff_type]
-    if cfg.disable_dra:
+    if cfg.variant == "WoDRA":
         f1, f2 = no_dra_factors(len(plan.main_ops), len(plan.aux_ops))
         state.dra = DraState(f1=f1, f2=f2)
     else:
@@ -418,7 +411,7 @@ def stage2_step(state: RunState) -> None:
 
     state.pop_main = _survivors(Population.concat(state.pop_main, off), n, 0.0)
 
-    if cfg.force_angle_selection:
+    if cfg.variant == "Wo3P":
         state.phase = 2
     elif eps >= cfg.phase1_eps:
         state.phase = 1

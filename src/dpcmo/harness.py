@@ -2,7 +2,8 @@
 plot-data emission.
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments,
-list values comma-separated. Example::
+list values comma-separated; only ``problem`` may repeat, and ``seeds``
+excludes ``n_seeds``. Example::
 
     # minimal experiment
     problem = P1-overlap
@@ -94,28 +95,27 @@ def _parse_scalar(key: str, raw: str, kind, line_no: int):
         raise ConfigError(f"line {line_no}: key {key!r} expects {kind.__name__}, got {raw!r}")
 
 
-# Every RunConfig field but the ablation switches is a config key, parsed as
-# the type of its default.
+# Every RunConfig field but variant is a config key, parsed as the type of its
+# default; the grid's variants come from the ``variants`` key.
 _KEY_ALIASES = {"pop_size": "N", "max_fe": "maxFE"}
-_SWITCHES = {name for switches in ABLATIONS.values() for name in switches}
 _RUN_KEYS = {
     _KEY_ALIASES.get(f.name, f.name): (f.name, type(f.default))
-    for f in fields(RunConfig) if f.name not in _SWITCHES
+    for f in fields(RunConfig) if f.name != "variant"
 }
 _TOP_KEYS = ("problem", "problems", "seeds", "n_seeds", "variants", "outdir", "parallel")
 _ALL_KEYS = tuple(_RUN_KEYS) + _TOP_KEYS
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config file; unknown keys are
-    rejected with a closest-match suggestion."""
+    """Parse and validate an experiment config file. An unknown key is
+    rejected with a closest-match suggestion, a repeated one with both lines."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     problems: list[tuple[str, int]] = []
-    seeds: list[int] | None = None
     top: dict = {}
     run_kwargs: dict = {}
+    first_lines: dict[str, tuple[int, str]] = {}  # seeds and n_seeds share one slot
 
     for line_no, raw_line in enumerate(path.read_text().splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -130,15 +130,18 @@ def load_config(path) -> ExperimentConfig:
             hint = difflib.get_close_matches(key, _ALL_KEYS, n=1)
             suffix = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ConfigError(f"line {line_no}: unknown key {key!r}{suffix}")
+        first_no, first_key = first_lines.setdefault("seeds" if key == "n_seeds" else key, (line_no, key))
+        if first_no != line_no and key != "problem":
+            raise ConfigError(f"line {line_no}: key {key!r} repeats {first_key!r} from line {first_no}")
         if key == "problem":
             problems.append(_parse_problem_token(value, line_no))
         elif key == "problems":
             problems.extend(_parse_problem_token(t, line_no) for t in value.split(","))
         elif key == "seeds":
-            seeds = [_parse_scalar("seeds", t.strip(), int, line_no) for t in value.split(",")]
+            top["seeds"] = [_parse_scalar("seeds", t.strip(), int, line_no) for t in value.split(",")]
         elif key == "n_seeds":
             count = _parse_scalar(key, value, int, line_no)
-            seeds = list(range(1, count + 1))
+            top["seeds"] = list(range(1, count + 1))
         elif key == "variants":
             top["variants"] = [t.strip() for t in value.split(",")]
         elif key == "outdir":
@@ -156,8 +159,6 @@ def load_config(path) -> ExperimentConfig:
     config = ExperimentConfig(run=run_config, **top)
     if problems:
         config.problems = problems
-    if seeds is not None:
-        config.seeds = seeds
     config.validate()
     return config
 
@@ -267,9 +268,9 @@ _SUMMARY_COLUMNS = ("problem", "variant", "seed", "final_hv", "final_igd")
 def read_summary(path) -> list[dict]:
     """The rows of a summary.csv, with seed and the final metrics parsed.
 
-    A missing or empty file, an absent column, a short or long row, an
-    unparsable value and a NaN metric are ConfigErrors that name the file.
-    An infinite metric is kept: an empty final front has IGD inf.
+    A missing or empty file, an absent column and a short, long, unparsable,
+    NaN-metric or repeated (problem, variant, seed) row are ConfigErrors that
+    name the file. An infinite metric is kept: an empty final front has IGD inf.
     """
     path = Path(path)
     try:
@@ -283,6 +284,7 @@ def read_summary(path) -> list[dict]:
     if missing:
         raise ConfigError(f"{path}: summary lacks column(s) {', '.join(missing)}")
     rows = []
+    cell_lines: dict[tuple, int] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -299,6 +301,9 @@ def read_summary(path) -> list[dict]:
         for key in ("final_hv", "final_igd"):
             if np.isnan(row[key]):
                 raise ConfigError(f"{path}, line {line_no}: {key} is nan")
+        first_no = cell_lines.setdefault((row["problem"], row["variant"], row["seed"]), line_no)
+        if first_no != line_no:
+            raise ConfigError(f"{path}, line {line_no}: same problem, variant and seed as line {first_no}")
         rows.append(row)
     return rows
 

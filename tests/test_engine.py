@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -108,6 +109,7 @@ class TestRunConfigBounds:
         ("coincident_threshold", 0.0),
         ("coincident_threshold", -0.1),
         ("coincident_threshold", 5.0),
+        ("variant", "WoXYZ"),
     ])
     def test_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -118,7 +120,7 @@ class TestRunConfigBounds:
                   history_gap=1, coincident_threshold=1.0)
 
     def test_default_fingerprint_is_pinned(self):
-        assert _fingerprint(make_problem("P1-overlap", 10), RunConfig(), 1) == "9fc1315ca48e8409"
+        assert _fingerprint(make_problem("P1-overlap", 10), RunConfig(), 1) == "a449e8107365c515"
 
 
 @st.composite
@@ -128,7 +130,7 @@ def small_configs(draw):
     elite fraction and relaxation fields, and any variant."""
     n = draw(st.integers(5, 12))
     phase1_eps = draw(st.floats(1e-4, 0.5))
-    config = RunConfig(
+    return RunConfig(
         pop_size=n,
         max_fe=draw(st.integers(2 * n, 2 * n * 260)),
         eps0=draw(st.floats(1e-6, 1.0)),
@@ -137,8 +139,8 @@ def small_configs(draw):
         phase3_eps=draw(st.floats(0.0, phase1_eps, exclude_max=True)),
         opposition_eps=draw(st.floats(0.0, 1.0)),
         pbest_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        variant=draw(st.sampled_from(("full",) + ABLATION_VARIANTS)),
     )
-    return apply_ablation(config, draw(st.sampled_from(("full",) + ABLATION_VARIANTS)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -184,7 +186,7 @@ class TestStage1:
     def test_isolated_main_ablation_changes_outcome(self):
         p = make_problem("P3-separated", 10)
         full = initialize(p, RunConfig(pop_size=40), 9)
-        isolated = initialize(p, RunConfig(pop_size=40, stage1_isolated_main=True), 9)
+        isolated = initialize(p, RunConfig(pop_size=40, variant="WoS1C"), 9)
         for _ in range(3):
             stage1_step(full)
             stage1_step(isolated)
@@ -280,15 +282,14 @@ class TestHops:
 class TestStage2Dispatch:
     def test_phase1_runs_reclassification(self):
         # fresh switch on a long budget keeps the relaxation near its start
-        state = stage2_state(n=30, max_fe=500_000, rel_type=1,
-                             disable_opposition=True)
+        state = stage2_state(n=30, max_fe=500_000, rel_type=1, opposition_eps=1.0)
         stage2_step(state)
         rec = state.log[-1]
         assert rec["phase"] == 1
         assert rec["eps"] >= 0.195
 
     def test_phase2_angle_selection_for_separated(self):
-        state = stage2_state(n=30, rel_type=3, disable_opposition=True)
+        state = stage2_state(n=30, rel_type=3, opposition_eps=1.0)
         fe = state.fe
         state.schedule = EpsilonSchedule(switch_fe=fe - 100, max_fe=fe + 300)
         stage2_step(state)
@@ -297,7 +298,7 @@ class TestStage2Dispatch:
         assert 0.005 < rec["eps"] < 0.195
 
     def test_phase3_for_coincident_type(self):
-        state = stage2_state(n=30, rel_type=1, disable_opposition=True)
+        state = stage2_state(n=30, rel_type=1, opposition_eps=1.0)
         fe = state.fe
         state.schedule = EpsilonSchedule(switch_fe=fe - 100, max_fe=fe + 300)
         stage2_step(state)
@@ -306,7 +307,7 @@ class TestStage2Dispatch:
         assert rec["eps"] < 0.195
 
     def test_phase3_when_relaxation_exhausted(self):
-        state = stage2_state(n=30, rel_type=3, disable_opposition=True)
+        state = stage2_state(n=30, rel_type=3, opposition_eps=1.0)
         fe = state.fe
         state.schedule = EpsilonSchedule(switch_fe=fe - 400, max_fe=fe + 10)
         stage2_step(state)
@@ -315,7 +316,7 @@ class TestStage2Dispatch:
         assert rec["eps"] <= 0.005
 
     def test_aux_size_tracks_feasible_ratio(self):
-        state = stage2_state(n=100, rel_type=1, disable_opposition=True)
+        state = stage2_state(n=100, rel_type=1, opposition_eps=1.0)
         fr = state.pop_aux.feasible_ratio()
         stage2_step(state)
         want = max(25, math.ceil((1 - fr) * 100))
@@ -343,7 +344,7 @@ class TestOppositionTrigger:
         assert state.fe - fe == hops_count + 30  # 30 mirrored offspring
 
     def test_opposition_disabled_by_ablation(self):
-        state = self._infeasible_state(disable_opposition=True)
+        state = self._infeasible_state(variant="WoOP")
         fe = state.fe
         stage2_step(state)
         plan = HOPS_PLANS[3]
@@ -371,20 +372,13 @@ class TestAblations:
         cfg = RunConfig()
         assert apply_ablation(cfg, "full") is cfg
 
-    @pytest.mark.parametrize("variant,attr,value", [
-        ("WoRR", "strict_switch_only", True),
-        ("WoS1C", "stage1_isolated_main", True),
-        ("WoOP", "disable_opposition", True),
-        ("Wo3P", "force_angle_selection", True),
-        ("Eps1", "initial_epsilon_only", True),
-        ("HOps-T2", "force_hops_type", 2),
-        ("WoDRA", "disable_dra", True),
-    ])
-    def test_flag_wiring(self, variant, attr, value):
-        assert getattr(apply_ablation(RunConfig(), variant), attr) == value
+    @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
+    def test_variant_is_the_only_changed_field(self, variant):
+        changed = asdict(apply_ablation(RunConfig(), variant))
+        assert changed == {**asdict(RunConfig()), "variant": variant}
 
     def test_forced_plan_overrides_tracker(self):
-        state = stage2_state(rel_type=1, disable_opposition=True, force_hops_type=3)
+        state = stage2_state(rel_type=1, opposition_eps=1.0, variant="HOps-T3")
         fe = state.fe
         stage2_step(state)
         plan3 = HOPS_PLANS[3]
@@ -393,7 +387,7 @@ class TestAblations:
         assert state.fe - fe == want
 
     def test_unstable_counter_selects_fallback_plan(self):
-        state = stage2_state(rel_type=1, cnt=4, disable_opposition=True)
+        state = stage2_state(rel_type=1, cnt=4, opposition_eps=1.0)
         fe = state.fe
         stage2_step(state)
         plan4 = HOPS_PLANS[4]
@@ -402,14 +396,13 @@ class TestAblations:
         assert state.fe - fe == want
 
     def test_static_allocation(self):
-        state = stage2_state(rel_type=1, disable_opposition=True, disable_dra=True)
+        state = stage2_state(rel_type=1, opposition_eps=1.0, variant="WoDRA")
         stage2_step(state)
         assert state.dra.f1 == 0.5
         assert state.dra.f2 == 0.5
 
     def test_single_phase_relaxation(self):
-        state = stage2_state(n=30, rel_type=3, disable_opposition=True,
-                             initial_epsilon_only=True)
+        state = stage2_state(n=30, rel_type=3, opposition_eps=1.0, variant="Eps1")
         stage2_step(state)
         assert state.log[-1]["eps"] == pytest.approx(0.2, abs=0.01)
 

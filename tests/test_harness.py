@@ -139,7 +139,8 @@ history_gap = 7
         assert set(harness._RUN_KEYS) == {line.split()[0] for line, _, _ in RUN_KEY_CASES}
 
     @pytest.mark.parametrize("line", ["pop_size = 50", "max_fe = 900", "disable_dra = true",
-                                      "fixed_aux_size = 1", "reset_cnt_on_update = yes"])
+                                      "fixed_aux_size = 1", "reset_cnt_on_update = yes",
+                                      "variant = Wo3P"])
     def test_field_names_without_a_key_are_unknown(self, tmp_path, line):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write_config(tmp_path, f"problem = P1-overlap\n{line}\n"))
@@ -151,6 +152,24 @@ history_gap = 7
     def test_n_seeds_shortcut(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "problem = P1-overlap\nn_seeds = 5\n"))
         assert cfg.seeds == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("first,second", [
+        ("seeds = 1, 2", "n_seeds = 5"),
+        ("n_seeds = 5", "seeds = 1, 2"),
+        ("N = 10", "N = 20"),
+        ("seeds = 1", "seeds = 2"),
+        ("variants = full", "variants = WoOP"),
+        ("problems = P1-overlap", "problems = P2-partial"),
+        ("eps0 = 0.2", "eps0 = 0.3"),
+    ])
+    def test_repeated_key_names_both_lines(self, tmp_path, first, second):
+        text = f"problem = P1-overlap\n{first}\n# comment\n{second}\n"
+        with pytest.raises(ConfigError, match=r"line 4: .* from line 2$"):
+            load_config(write_config(tmp_path, text))
+
+    def test_problem_key_may_repeat(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "problem = P1-overlap\nproblem = P3-separated\n"))
+        assert cfg.problems == [("P1-overlap", 10), ("P3-separated", 10)]
 
 
 def tiny_experiment(outdir, seeds=(1, 2, 3), variants=("full",), parallel=1):
@@ -359,6 +378,15 @@ class TestCli:
             for k, variant in enumerate(("full", "WoOP")) for seed in (1, 2)))
         assert main(["stats", str(path), "--metric", "igd"]) == 0
         assert "WoOP" in capsys.readouterr().out
+
+    def test_stats_repeated_cell_names_both_lines(self, tmp_path, capsys):
+        path = tmp_path / "summary.csv"
+        rows = [f"P1-overlap,{variant},{seed},0.{seed}{k},0.0{seed}{k}\n"
+                for k, variant in enumerate(("full", "WoOP")) for seed in (1, 2)]
+        path.write_text("problem,variant,seed,final_hv,final_igd\n" + "".join(rows + rows[:1]))
+        assert main(["stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"{path}, line 6" in err and "line 2" in err
 
     def test_negative_seed_stops_before_any_cell(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
