@@ -5,6 +5,9 @@ Hypervolume is the Lebesgue measure of the region dominated by the front
 and bounded above by a reference point (minimization: larger is better).
 IGD is the mean distance from reference-front samples to their nearest
 obtained point (smaller is better).
+
+Both are plain numpy and reproduce their loop and dense-matrix forms
+(``tests/oracles.py``) bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 IGD_EMPTY = float("inf")
 
@@ -55,15 +57,15 @@ class MetricConfig:
 
 
 def _hv_2d(pts: np.ndarray, ref: np.ndarray) -> float:
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    total = 0.0
-    best_f2 = ref[1]
-    for f1, f2 in pts:
-        if f2 < best_f2:
-            total += (ref[0] - f1) * (best_f2 - f2)
-            best_f2 = f2
-    return total
+    """Sweep by ascending f1: each point whose f2 beats every earlier one
+    (and the reference) adds the rectangle up to that running minimum."""
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    f1, f2 = pts[:, 0], pts[:, 1]
+    best_f2 = np.minimum.accumulate(np.concatenate(([ref[1]], f2[:-1])))
+    keep = f2 < best_f2
+    # cumsum adds left to right, as the sweep does; np.sum adds pairwise.
+    total = np.cumsum((ref[0] - f1[keep]) * (best_f2[keep] - f2[keep]))
+    return float(total[-1]) if total.size else 0.0
 
 
 def _hv_3d(pts: np.ndarray, ref: np.ndarray) -> float:
@@ -102,10 +104,23 @@ def hypervolume(front, ref) -> float:
     return float(_hv_3d(pts, ref))
 
 
+def _squared_distances(ref: np.ndarray, pts: np.ndarray, i, k) -> np.ndarray:
+    """Squared distances from reference points ``i`` to front points ``k``,
+    both stored one objective per row, summed objective by objective."""
+    d2 = (ref[0, i] - pts[0, k]) ** 2
+    for j in range(1, len(ref)):
+        d2 += (ref[j, i] - pts[j, k]) ** 2
+    return d2
+
+
 def igd(front, ref_points) -> float:
     """Mean distance from each reference point to its nearest front point.
 
-    An empty front yields the +inf sentinel.
+    An empty front yields the +inf sentinel; a nonempty one must match the
+    reference's objective count, and both must be finite. The front is
+    sorted by its first objective; each reference point's nearer neighbour
+    in that order bounds its search to the window of points whose f1 lies
+    within that neighbour's distance, so only those points are compared.
     """
     ref = np.atleast_2d(np.asarray(ref_points, dtype=float))
     if ref.size == 0:
@@ -113,5 +128,25 @@ def igd(front, ref_points) -> float:
     pts = np.atleast_2d(np.asarray(front, dtype=float))
     if pts.size == 0:
         return IGD_EMPTY
-    distances, _ = cKDTree(pts).query(ref)
-    return float(distances.mean())
+    if pts.shape[1] != ref.shape[1]:
+        raise ValueError(f"front has {pts.shape[1]} objectives but reference has {ref.shape[1]}")
+    if not (np.isfinite(pts).all() and np.isfinite(ref).all()):
+        raise ValueError("front and reference must be finite")
+    ref = np.ascontiguousarray(ref.T)
+    pts = pts.T[:, np.argsort(pts[:, 0], kind="stable")]
+    x, r1 = pts[0], ref[0]
+    right = np.minimum(np.searchsorted(x, r1), len(x) - 1)
+    left = np.maximum(right - 1, 0)
+    d2_left = _squared_distances(ref, pts, ..., left)
+    d2_right = _squared_distances(ref, pts, ..., right)
+    near = np.where(d2_left <= d2_right, left, right)
+    # |df1| keeps the window nonempty where the squares underflow to 0; the
+    # slack covers the rounding of the distance.
+    w = np.maximum(np.sqrt(np.minimum(d2_left, d2_right)), np.abs(x[near] - r1)) * (1 + 1e-9)
+    lo = np.searchsorted(x, r1 - w, side="left")
+    counts = np.searchsorted(x, r1 + w, side="right") - lo
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(r1)), counts)
+    cand = np.arange(counts.sum()) + np.repeat(lo - starts, counts)
+    d2 = np.minimum.reduceat(_squared_distances(ref, pts, owner, cand), starts)
+    return float(np.sqrt(d2).mean())

@@ -306,7 +306,7 @@ def angle_select_literal(aux_objs, aux_cvs, off_objs, off_cvs, n_s: int,
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo hypervolume
+# Hypervolume: a Monte-Carlo estimate and the loop sweep
 
 
 def mc_hypervolume(points: np.ndarray, ref: np.ndarray, n_samples: int,
@@ -333,6 +333,39 @@ def mc_hypervolume(points: np.ndarray, ref: np.ndarray, n_samples: int,
     estimate = p_hat * volume
     stderr = math.sqrt(p_hat * (1 - p_hat) / n_samples) * volume
     return estimate, stderr
+
+
+def hv_2d_loop(pts, ref) -> float:
+    """Two-objective hypervolume by a sweep in ascending (f1, f2) order: each
+    point below the running f2 minimum adds one rectangle, left to right."""
+    pts = np.asarray(pts, dtype=float)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    total = 0.0
+    best_f2 = ref[1]
+    for f1, f2 in pts:
+        if f2 < best_f2:
+            total += (ref[0] - f1) * (best_f2 - f2)
+            best_f2 = f2
+    return total
+
+
+def hypervolume_loop(front, ref) -> float:
+    """Exact 2- or 3-objective hypervolume: points beyond the reference are
+    dropped, and three objectives are cut into slabs at each distinct f3,
+    each slab's area coming from ``hv_2d_loop``."""
+    ref = np.asarray(ref, dtype=float)
+    pts = np.asarray(front, dtype=float)
+    pts = pts[(pts <= ref).all(axis=1)]
+    if len(pts) == 0:
+        return 0.0
+    if len(ref) == 2:
+        return float(hv_2d_loop(pts, ref))
+    levels = np.unique(pts[:, 2])
+    total = 0.0
+    for z, dz in zip(levels, np.diff(np.append(levels, ref[2]))):
+        if dz > 0:
+            total += hv_2d_loop(pts[pts[:, 2] <= z][:, :2], ref[:2]) * dz
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

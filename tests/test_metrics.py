@@ -111,6 +111,22 @@ class TestIgd:
         with pytest.raises(ValueError):
             igd([[0.0, 0.0]], np.empty((0, 2)))
 
+    @pytest.mark.parametrize("front, ref", [
+        (np.zeros((1, 2)), np.zeros((2, 1))),
+        (np.zeros((2, 1)), np.zeros((1, 2))),
+        ([[0.0, 0.0]], [[0.0, 0.0, 0.0]]),
+    ])
+    def test_objective_count_mismatch_rejected(self, front, ref):
+        with pytest.raises(ValueError):
+            igd(front, ref)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("side", ["front", "reference"])
+    def test_non_finite_rejected(self, bad, side):
+        pts = [[0.0, 1.0], [bad, 0.0]]
+        with pytest.raises(ValueError):
+            igd(pts, [[0.5, 0.5]]) if side == "front" else igd([[0.5, 0.5]], pts)
+
 
 class TestMetricConfig:
     def test_normalization_and_reference(self):

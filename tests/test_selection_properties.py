@@ -1,16 +1,17 @@
-"""Property tests: the fast two-objective selection paths and the KD-tree
-IGD against their dense and loop forms, element for element."""
+"""Property tests: the fast two-objective selection paths, the windowed IGD
+and the vectorised hypervolume against their dense and loop forms, element
+for element."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dpcmo.core import Population
-from dpcmo.metrics import igd
+from dpcmo.metrics import hypervolume, igd
 from dpcmo.selection import (
     crowding_distances,
     environmental_select,
@@ -19,7 +20,14 @@ from dpcmo.selection import (
     unconstrained_nondominated,
 )
 
-from oracles import crowding_per_front, dense_ranks, epsilon_ranks, igd_dense, truncation_scan
+from oracles import (
+    crowding_per_front,
+    dense_ranks,
+    epsilon_ranks,
+    hypervolume_loop,
+    igd_dense,
+    truncation_scan,
+)
 
 EPSILONS = st.sampled_from([0.0, 0.15, math.inf])
 
@@ -95,14 +103,78 @@ def test_environmental_select_equals_scan(inst, epsilon, data):
     assert environmental_select(union, n, epsilon).tolist() == list(want)
 
 
+class _Replay:
+    """Stands in for ``st.data()`` in an ``@example``: returns the given
+    values in draw order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy, label=None):
+        return self.values.pop(0)
+
+
+def _igd_example(front, ref):
+    front, ref = np.array(front), np.array(ref)
+    return example(front.shape[1], _Replay(len(front), front, len(ref), ref))
+
+
+# In the first two pairs the squared distances underflow to 0, so the search
+# window's half-width needs its |df1| term; the third needs its rounding
+# slack. Without either, a window misses the nearer neighbour.
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 3), st.data())
+@_igd_example([[0.0, 0.0]], [[2.2e-308, 2.2e-308]])
+@_igd_example([[8.78e-285, 8.78e-285]], [[1.42e-281, 1.42e-281]])
+@_igd_example([[-1.05777292e-296, 0.0]], [[-2.49254922e-284, -2.49254922e-284]])
 def test_igd_equals_dense_formula_exactly(m, data):
     rows = data.draw(st.integers(1, 150))
     front = data.draw(hnp.arrays(float, (rows, m), elements=st.floats(-2, 2, allow_subnormal=False)))
     ref = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 300)), m),
                                elements=st.floats(-2, 2, allow_subnormal=False)))
     assert igd(front, ref) == igd_dense(front, ref)
+
+
+_COORD = st.floats(-2, 2, allow_subnormal=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3), st.data())
+def test_igd_equals_dense_formula_on_tied_and_repeated_rows(m, data):
+    """Fronts whose rows share first-objective values and repeat whole rows;
+    reference points may sit on those shared values too."""
+    f1 = np.array(data.draw(st.lists(_COORD, min_size=1, max_size=4)))
+    rows = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 20)), m), elements=_COORD,
+                                fill=st.nothing()))
+    rows[:, 0] = f1[data.draw(hnp.arrays(np.int64, len(rows), elements=st.integers(0, len(f1) - 1)))]
+    front = rows[data.draw(hnp.arrays(np.int64, data.draw(st.integers(1, 60)),
+                                      elements=st.integers(0, len(rows) - 1)))]
+    ref = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 100)), m), elements=_COORD,
+                               fill=st.nothing()))
+    on_f1 = data.draw(hnp.arrays(bool, len(ref)))
+    ref[on_f1, 0] = f1[0]
+    assert igd(front, ref) == igd_dense(front, ref)
+
+
+# Coordinates on a 0.1 grid against the unit reference: duplicates, points
+# on the reference (1.0) and beyond it (1.1, 1.2) are common.
+_GRID = st.integers(0, 12).map(lambda k: k / 10)
+_REAL = st.floats(0, 1.2, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3), st.sampled_from([_GRID, _REAL]), st.booleans(), st.data())
+def test_hypervolume_equals_loop_sweep(m, coords, staircase, data):
+    front = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 60)), m), elements=coords,
+                                 fill=st.nothing()))
+    if staircase:
+        # f1 ascending against f2 descending: the rows are mutually
+        # nondominated, so the sweep adds many rectangles and the order of
+        # the additions shows in the bits.
+        front[:, 0].sort()
+        front[:, 1] = -np.sort(-front[:, 1])
+    ref = np.ones(m)
+    assert hypervolume(front, ref) == hypervolume_loop(front, ref)
 
 
 def test_population_ranks_once_per_epsilon():

@@ -213,13 +213,37 @@ class TestExactCounting:
 
 _SRC = str(Path(dpcmo.__file__).resolve().parents[1])
 _NO_SCIPY_STATS = "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'"
+_NO_SCIPY = ("loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+             "assert not loaded, f'scipy modules loaded: {loaded}'")
+
+
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports dpcmo from this
+    checkout; return its stdout."""
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 @pytest.mark.parametrize("entry", ["import dpcmo", "import dpcmo.cli"])
 def test_import_leaves_scipy_stats_unloaded(entry):
-    code = f"import sys\n{entry}\n{_NO_SCIPY_STATS}\n"
-    env = {**os.environ, "PYTHONPATH": _SRC}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    _run_fresh(f"import sys\n{entry}\n{_NO_SCIPY_STATS}\n")
+
+
+@pytest.mark.parametrize("entry", ["import dpcmo", "import dpcmo.cli"])
+def test_import_leaves_scipy_unloaded(entry):
+    _run_fresh(f"import sys\n{entry}\n{_NO_SCIPY}\n")
+
+
+def test_run_and_plotdata_leave_scipy_unloaded(tmp_path):
+    # One small cell: the run logs IGD and HV every generation.
+    outdir = tmp_path / "out"
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"problem = P1-overlap\nN = 10\nmaxFE = 300\nseeds = 1\noutdir = {outdir}\n")
+    out = _run_fresh(f"import sys\nfrom dpcmo import cli\n"
+                     f"assert cli.main(['run', {str(config)!r}]) == 0\n"
+                     f"assert cli.main(['plotdata', {str(outdir)!r}]) == 0\n{_NO_SCIPY}\n")
+    assert "completed 1 runs" in out
 
 
 def test_exact_stats_command_leaves_scipy_stats_unloaded(tmp_path):
@@ -228,11 +252,8 @@ def test_exact_stats_command_leaves_scipy_stats_unloaded(tmp_path):
     summary.write_text("problem,variant,seed,final_hv,final_igd\n" + "".join(
         f"Q{q},{variant},{seed},0.{q}{k}{seed},0.0{q}{k}{seed}\n"
         for q in range(1, 7) for k, variant in enumerate(("full", "WoOP")) for seed in (1, 2)))
-    code = (f"import sys\nfrom dpcmo import cli\n"
-            f"assert cli.main(['stats', {str(summary)!r}]) == 0\n{_NO_SCIPY_STATS}\n")
-    env = {**os.environ, "PYTHONPATH": _SRC}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = _run_fresh(f"import sys\nfrom dpcmo import cli\n"
+                     f"assert cli.main(['stats', {str(summary)!r}]) == 0\n{_NO_SCIPY_STATS}\n")
     assert "R+=" in out
 
 
