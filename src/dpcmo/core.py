@@ -71,8 +71,9 @@ class Bounds:
 class Population:
     """Row-aligned decisions X, objectives F and violations cv, read-only.
 
-    ``ranked`` maps an epsilon to the (ranks, crowding) pair that selection
-    computed for this population, so it is computed at most once.
+    Selection memoises its work per epsilon: ``ranks`` holds the
+    nondomination ranks, ``ranked`` the (ranks, crowding) pair once crowding
+    has been read, so each is computed at most once.
     """
 
     def __init__(self, X, F, cv):
@@ -82,6 +83,7 @@ class Population:
         if not len(self.X) == len(self.F) == len(self.cv):
             raise ValueError(f"row counts differ: X {len(self.X)}, F {len(self.F)}, "
                              f"cv {len(self.cv)}")
+        self.ranks: dict[float, np.ndarray] = {}
         self.ranked: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
@@ -107,7 +109,8 @@ class Population:
         return len(self.X)
 
     def __iter__(self):
-        """Iterates over the decision rows."""
+        """Iterates over the decision rows. Only perfbench/tracing.py iterates
+        a population, but ``--trace 1`` needs it to."""
         return iter(self.X)
 
     def feasible_ratio(self) -> float:

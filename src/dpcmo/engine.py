@@ -39,9 +39,12 @@ from .schedule import (
     epsilon_initial,
     no_dra_factors,
 )
-from .selection import (
+# The engine no longer calls unconstrained_nondominated; perfbench/tracing.py
+# wraps it under this module's name.
+from .selection import (  # noqa: F401
     angle_subregion_select,
     environmental_select,
+    ranks_of,
     unconstrained_nondominated,
 )
 from .staging import (
@@ -227,9 +230,10 @@ def initialize(problem: Problem, config: RunConfig, seed: int) -> RunState:
 
 
 def feasible_front(pop: Population) -> Population:
-    """The feasible nondominated members of ``pop`` (may be empty)."""
-    feasible = pop.take(pop.cv == 0.0)
-    return feasible.take(unconstrained_nondominated(feasible.F))
+    """The feasible nondominated members of ``pop`` (may be empty), in row
+    order. At epsilon = 0 the feasible rows form the lowest violation group,
+    so their nondominated ones are exactly its rank-0 rows."""
+    return pop.take((ranks_of(pop, 0.0) == 0) & (pop.cv == 0.0))
 
 
 def _append_log(state: RunState, generation: int, stage: int) -> None:
@@ -283,11 +287,9 @@ def stage1_step(state: RunState) -> None:
 
     pool_main = random_pool(state.pop_main, n, rng)
     X1 = ga_offspring(state.pop_main.X[pool_main], 1, state.problem.bounds, rng)
-    off1 = evaluate_batch(state.problem, X1, state.counter, cfg.delta)
-
     pool_aux = random_pool(state.pop_aux, n, rng)
     X2 = ga_offspring(state.pop_aux.X[pool_aux], 1, state.problem.bounds, rng)
-    off2 = evaluate_batch(state.problem, X2, state.counter, cfg.delta)
+    off1, off2 = _evaluate_split(state, X1, X2)
 
     if cfg.variant == "WoS1C":
         main_union = Population.concat(state.pop_main, off1)
@@ -311,7 +313,25 @@ def opposition_offspring(pop_aux: Population, bounds: Bounds) -> np.ndarray:
 
 
 def _survivors(union: Population, n: int, epsilon: float) -> Population:
-    return union.take(environmental_select(union, n, epsilon))
+    """The rows ``environmental_select`` keeps, with the union's ranks at
+    ``epsilon``: fronts below the split one survive whole, so every dominator
+    of a survivor survives too and no rank changes."""
+    idx = environmental_select(union, n, epsilon)
+    survivors = union.take(idx)
+    if epsilon in union.ranks:
+        ranks = union.ranks[epsilon][idx]
+        ranks.setflags(write=False)
+        survivors.ranks[epsilon] = ranks
+    return survivors
+
+
+def _evaluate_split(state: RunState, *parts: np.ndarray) -> list[Population]:
+    """Evaluate the rows of all parts in one batch; one population per part.
+    The budget grants the prefix that a call per part, in order, would."""
+    off = evaluate_batch(state.problem, np.concatenate(parts), state.counter,
+                         state.config.delta)
+    ends = np.cumsum([len(X) for X in parts])
+    return [off.take(slice(end - len(X), end)) for X, end in zip(parts, ends)]
 
 
 _DE_FAMILY = {"de", "cur_rand", "pbest"}
@@ -350,24 +370,22 @@ def hops_generate(state: RunState, eff_type: int, f1: float, f2: float
 
     Pool sizes are round(f * N) per operator; a pool that rounds to zero
     makes its operator emit nothing. Main-population tournaments use the
-    strict ordering, auxiliary ones the unconstrained ordering.
+    strict ordering, auxiliary ones the unconstrained ordering. Every
+    operator's rows are drawn first, in plan order, and then evaluated in
+    one batch.
     """
     plan = HOPS_PLANS[eff_type]
     n = state.config.pop_size
-    out = []
+    sides = []
     for ops, kinds, factor, source in (
         (plan.main_ops, plan.main_pools, f1, "main"),
         (plan.aux_ops, plan.aux_pools, f2, "aux"),
     ):
         k = round(factor * n)
-        batches = []
-        for op, kind in zip(ops, kinds):
-            if k <= 0:
-                continue
-            X = _run_operator(state, op, kind, k, source)
-            batches.append(evaluate_batch(state.problem, X, state.counter, state.config.delta))
-        out.append(Population.concat(*batches))
-    return out[0], out[1]
+        rows = [_run_operator(state, op, kind, k, source)
+                for op, kind in zip(ops, kinds)] if k > 0 else []
+        sides.append(np.concatenate(rows) if rows else np.empty((0, state.problem.dimension)))
+    return tuple(_evaluate_split(state, *sides))
 
 
 def stage2_step(state: RunState) -> None:

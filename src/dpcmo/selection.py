@@ -48,24 +48,24 @@ def _sweep_ranks(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
     if F.ndim != 2 or F.shape[1] != 2:
         raise ValueError(f"need an objective matrix with 2 columns, got shape {F.shape}")
     order = np.lexsort((F[:, 1], F[:, 0], cv_adj))
-    rows = zip(cv_adj[order].tolist(), F[order, 0].tolist(), F[order, 1].tolist())
+    c, f1, f2 = cv_adj[order], F[order, 0], F[order, 1]
+    new_group = np.concatenate(([True], c[1:] != c[:-1]))
+    repeat = np.concatenate(([False], (f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1]))) & ~new_group
     sorted_ranks = []
-    offset = 0
+    offset = k = 0
     lasts: list[float] = []  # last f2 of each front of the current group
-    prev = None
-    for row in rows:
-        if prev is None or row[0] != prev[0]:
+    for y, new, same in zip(f2.tolist(), new_group.tolist(), repeat.tolist()):
+        if new:
             offset += len(lasts)
-            lasts = [row[2]]
+            lasts = [y]
             k = 0
-        elif row != prev:
-            k = bisect_right(lasts, row[2])
+        elif not same:
+            k = bisect_right(lasts, y)
             if k == len(lasts):
-                lasts.append(row[2])
+                lasts.append(y)
             else:
-                lasts[k] = row[2]
+                lasts[k] = y
         sorted_ranks.append(offset + k)
-        prev = row
     ranks = np.empty(len(order), dtype=int)
     ranks[order] = sorted_ranks
     return ranks
@@ -87,44 +87,56 @@ def crowding_distances(F: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Cuboid crowding distance per front; boundary members get +inf.
 
     Each objective is sorted once over all fronts, by (rank, value), with ties
-    kept in index order.
+    kept in index order. The sorted ranks, and so the fronts' first and last
+    positions, are the same for every objective.
     """
     F = np.asarray(F, dtype=float)
     n, m = F.shape
     dist = np.zeros(n)
     if n == 0:
         return dist
+    r = np.sort(ranks)
+    change = r[1:] != r[:-1]
+    first = np.concatenate(([True], change))
+    last = np.concatenate((change, [True]))
+    edge = first | last
+    sizes = np.diff(np.flatnonzero(first), append=n)
     for j in range(m):
         order = np.lexsort((F[:, j], ranks))
-        r = ranks[order]
         f = F[order, j]
-        change = r[1:] != r[:-1]
-        first = np.concatenate(([True], change))
-        last = np.concatenate((change, [True]))
-        front = np.cumsum(first) - 1
-        span = (f[last] - f[first])[front]
+        span = np.repeat(f[last] - f[first], sizes)
         gaps = np.zeros(n)
         gaps[1:-1] = f[2:] - f[:-2]
-        interior = ~(first | last) & (span > 0)
+        interior = ~edge & (span > 0)
         dist[order[interior]] += gaps[interior] / span[interior]
-        dist[order[first | last]] = np.inf
+        dist[order[edge]] = np.inf
     return dist
+
+
+def ranks_of(pop: Population, epsilon: float) -> np.ndarray:
+    """Nondomination ranks of the population's rows, read-only. A Population
+    is immutable, so they are computed once per epsilon and kept on it."""
+    memo = pop.ranks
+    if epsilon not in memo:
+        ranks = nondominated_ranks(pop.F, pop.cv, epsilon)
+        ranks.setflags(write=False)
+        memo[epsilon] = ranks
+    return memo[epsilon]
 
 
 def rank_and_crowd(pop: Population, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Nondomination ranks and crowding distances of the population's rows.
 
-    A Population is immutable, so its result is computed once per epsilon and
-    kept on the instance, read-only.
+    Crowding is computed the first time it is asked for, once per epsilon,
+    and the same read-only pair is returned on every later call.
     """
-    cache = pop.ranked
-    if epsilon not in cache:
-        ranks = nondominated_ranks(pop.F, pop.cv, epsilon)
+    memo = pop.ranked
+    if epsilon not in memo:
+        ranks = ranks_of(pop, epsilon)
         crowd = crowding_distances(pop.F, ranks)
-        ranks.setflags(write=False)
         crowd.setflags(write=False)
-        cache[epsilon] = ranks, crowd
-    return cache[epsilon]
+        memo[epsilon] = ranks, crowd
+    return memo[epsilon]
 
 
 def fitness_order(pop: Population, epsilon: float) -> np.ndarray:
@@ -138,18 +150,21 @@ def environmental_select(union: Population, n: int, epsilon: float) -> np.ndarra
     """Indices of the best min(n, |union|) rows under the relaxed ordering.
 
     Whole fronts are admitted in rank order, members in index order; the
-    front that overflows is truncated by descending crowding distance.
+    front that overflows is truncated by descending crowding distance. Only
+    that front is crowded: within one front the neighbours, spans and
+    index-order ties are those of the whole union, so the distances are too.
     """
     if not len(union):
         raise ValueError("cannot select from an empty union")
     if len(union) <= n:
         return np.arange(len(union))
-    ranks, crowd = rank_and_crowd(union, epsilon)
+    ranks = ranks_of(union, epsilon)
     order = np.argsort(ranks, kind="stable")
     split = ranks[order[n - 1]]  # the front that holds the n-th place
     if np.count_nonzero(ranks <= split) > n:
         front = np.flatnonzero(ranks == split)
-        front = front[np.argsort(-crowd[front], kind="stable")]
+        crowd = crowding_distances(union.F[front], np.zeros(len(front), dtype=int))
+        front = front[np.argsort(-crowd, kind="stable")]
         order = np.concatenate([order[: np.count_nonzero(ranks < split)], front])
     return order[:n]
 

@@ -12,7 +12,9 @@ from dpcmo.engine import (
     ABLATION_VARIANTS,
     HOPS_PLANS,
     RunConfig,
+    _evaluate_split,
     _fingerprint,
+    _run_operator,
     apply_ablation,
     feasible_front,
     hops_generate,
@@ -55,6 +57,18 @@ def stage2_state(problem_id="P1-overlap", n=100, max_fe=200_000, seed=3,
     state.tracker = TypeTracker(type=rel_type, cnt=cnt)
     state.schedule = schedule or EpsilonSchedule(switch_fe=state.fe, max_fe=max_fe)
     return state
+
+
+def count_evaluate_calls(monkeypatch) -> list:
+    """Record the row count of each engine call to ``evaluate_batch``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return evaluate_batch(*args, **kwargs)
+
+    monkeypatch.setattr("dpcmo.engine.evaluate_batch", counted)
+    return calls
 
 
 class TestInitialize:
@@ -279,6 +293,74 @@ class TestHops:
             assert len(plan.aux_ops) == len(plan.aux_pools)
 
 
+class TestBatchedEvaluation:
+    """Offspring are evaluated in one batch per generation (plus one for the
+    opposition rows), with the rows, values and budget grants that a call
+    per operator would give."""
+
+    @staticmethod
+    def _assert_same_rows(got, want):
+        assert len(got) == len(want)
+        if len(want):
+            for a, b in ((got.X, want.X), (got.F, want.F), (got.cv, want.cv)):
+                np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PROBLEM_IDS), st.lists(st.integers(0, 40), min_size=1, max_size=4),
+           st.integers(0, 170), st.integers(0, 2**32 - 1))
+    def test_one_batch_equals_a_call_per_part(self, pid, sizes, remaining, seed):
+        problem = make_problem(pid, 10)
+        rng = np.random.default_rng(seed)
+        parts = [problem.bounds.sample(k, rng) for k in sizes]
+        state = initialize(problem, RunConfig(pop_size=10, max_fe=20 + remaining), 0)
+        counter = EvalCounter(remaining)
+        got = _evaluate_split(state, *parts)
+        assert len(got) == len(parts)
+        for part, pop in zip(parts, got):
+            self._assert_same_rows(pop, evaluate_batch(problem, part, counter))
+        assert state.counter.remaining == counter.remaining
+
+    @pytest.mark.parametrize("rel_type", [1, 2, 3, 4])
+    @pytest.mark.parametrize("remaining", [0, 30, 75, 1_000])
+    def test_hops_batch_equals_a_call_per_operator(self, rel_type, remaining):
+        batched, separate = stage2_state(rel_type=rel_type), stage2_state(rel_type=rel_type)
+        for state in (batched, separate):
+            state.counter.count = state.counter.budget - remaining
+        got = hops_generate(batched, rel_type, 0.5, 0.25)
+        plan = HOPS_PLANS[rel_type]
+        for ops, kinds, factor, source, pop in (
+            (plan.main_ops, plan.main_pools, 0.5, "main", got[0]),
+            (plan.aux_ops, plan.aux_pools, 0.25, "aux", got[1]),
+        ):
+            want = Population.concat(*[
+                evaluate_batch(separate.problem,
+                               _run_operator(separate, op, kind, round(factor * 100), source),
+                               separate.counter)
+                for op, kind in zip(ops, kinds)])
+            self._assert_same_rows(pop, want)
+        assert batched.fe == separate.fe
+        assert batched.rng.bit_generator.state == separate.rng.bit_generator.state
+
+    def test_one_call_per_stage1_generation(self, monkeypatch):
+        calls = count_evaluate_calls(monkeypatch)
+        state = initialize(make_problem("P3-separated", 10), RunConfig(pop_size=30), 1)
+        assert calls == [30, 30]
+        for _ in range(5):
+            del calls[:]
+            stage1_step(state)
+            assert calls == [60]
+
+    def test_at_most_two_calls_per_stage2_generation(self, monkeypatch):
+        calls = count_evaluate_calls(monkeypatch)
+        state = stage2_state(problem_id="P2-partial", n=30)
+        for _ in range(20):
+            del calls[:]
+            fe = state.fe
+            stage2_step(state)
+            assert 1 <= len(calls) <= 2
+            assert sum(calls) == state.fe - fe
+
+
 class TestStage2Dispatch:
     def test_phase1_runs_reclassification(self):
         # fresh switch on a long budget keeps the relaxation near its start
@@ -342,6 +424,15 @@ class TestOppositionTrigger:
         hops_count = (len(plan.main_ops) * round(state.dra.f1 * 30)
                       + len(plan.aux_ops) * round(state.dra.f2 * 30))
         assert state.fe - fe == hops_count + 30  # 30 mirrored offspring
+
+    def test_opposition_rows_take_their_own_call(self, monkeypatch):
+        state = self._infeasible_state()
+        calls = count_evaluate_calls(monkeypatch)
+        stage2_step(state)
+        plan = HOPS_PLANS[3]
+        hops_count = (len(plan.main_ops) * round(state.dra.f1 * 30)
+                      + len(plan.aux_ops) * round(state.dra.f2 * 30))
+        assert calls == [30, hops_count]
 
     def test_opposition_disabled_by_ablation(self):
         state = self._infeasible_state(variant="WoOP")

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dpcmo.core import Population
+from dpcmo.engine import _survivors, feasible_front
 from dpcmo.metrics import hypervolume, igd
 from dpcmo.selection import (
     crowding_distances,
     environmental_select,
     nondominated_ranks,
     rank_and_crowd,
+    ranks_of,
     unconstrained_nondominated,
 )
 
@@ -30,6 +32,8 @@ from oracles import (
 )
 
 EPSILONS = st.sampled_from([0.0, 0.15, math.inf])
+# The two fixed orderings plus any relaxation the schedule may reach.
+ANY_EPSILON = st.one_of(st.sampled_from([0.0, math.inf]), st.floats(0, 0.5))
 
 
 @st.composite
@@ -103,6 +107,51 @@ def test_environmental_select_equals_scan(inst, epsilon, data):
     assert environmental_select(union, n, epsilon).tolist() == list(want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(instances(), ANY_EPSILON)
+def test_split_front_crowding_equals_union_crowding(inst, epsilon):
+    """Crowding one front on its own gives the union's distances on it."""
+    F, cv = inst
+    ranks = nondominated_ranks(F, cv, epsilon)
+    union_crowd = crowding_per_front(F, ranks)
+    for r in np.unique(ranks):
+        front = np.flatnonzero(ranks == r)
+        alone = crowding_distances(F[front], np.zeros(len(front), dtype=int))
+        np.testing.assert_array_equal(alone, union_crowd[front])
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), ANY_EPSILON, st.data())
+def test_survivors_inherit_their_own_ranks(inst, epsilon, data):
+    """The ranks survivors take from their union are those of the survivor
+    set ranked on its own."""
+    F, cv = inst
+    union = Population(F, F, cv)
+    n = data.draw(st.integers(1, len(union)))
+    survivors = _survivors(union, n, epsilon)
+    assert (epsilon in survivors.ranks) == (n < len(union))
+    want = dense_ranks(survivors.F, survivors.cv, epsilon)
+    np.testing.assert_array_equal(ranks_of(survivors, epsilon), want)
+    assert not ranks_of(survivors, epsilon).flags.writeable
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.sampled_from([None, 0.0, 0.15, math.inf]))
+def test_feasible_front_equals_filter_then_nondominated(inst, memo_epsilon):
+    """The rank-0 feasible rows are the nondominated feasible rows, in row
+    order, whether or not ranks are already memoised."""
+    F, cv = inst
+    pop = Population(F, F, cv)
+    if memo_epsilon is not None:
+        ranks_of(pop, memo_epsilon)
+    feasible = pop.take(cv == 0.0)
+    want = feasible.take(unconstrained_nondominated(feasible.F))
+    got = feasible_front(pop)
+    for a, b in ((got.X, want.X), (got.F, want.F), (got.cv, want.cv)):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
 class _Replay:
     """Stands in for ``st.data()`` in an ``@example``: returns the given
     values in draw order."""
@@ -129,9 +178,10 @@ def _igd_example(front, ref):
 @_igd_example([[-1.05777292e-296, 0.0]], [[-2.49254922e-284, -2.49254922e-284]])
 def test_igd_equals_dense_formula_exactly(m, data):
     rows = data.draw(st.integers(1, 150))
-    front = data.draw(hnp.arrays(float, (rows, m), elements=st.floats(-2, 2, allow_subnormal=False)))
+    front = data.draw(hnp.arrays(float, (rows, m), elements=st.floats(-2, 2, allow_subnormal=False),
+                                 fill=st.nothing()))
     ref = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 300)), m),
-                               elements=st.floats(-2, 2, allow_subnormal=False)))
+                               elements=st.floats(-2, 2, allow_subnormal=False), fill=st.nothing()))
     assert igd(front, ref) == igd_dense(front, ref)
 
 
