@@ -118,8 +118,8 @@ def _cmd_stats(args) -> int:
                 sr = signed_rank_multiproblem(deltas, alpha=args.alpha)
                 sr_text = (f"R+={sr.extras['r_plus']:.1f} R-={sr.extras['r_minus']:.1f} "
                            f"p={sr.p_value:.3g}")
-            except ValueError:
-                sr_text = "signed-rank n/a (needs >= 5 nonzero per-problem deltas)"
+            except ValueError as exc:
+                sr_text = f"signed-rank n/a ({exc})"
             print(f"  {variant:12s} {plus}/{minus}/{eq}  {sr_text}")
     return 0
 

@@ -308,12 +308,29 @@ def read_summary(path) -> list[dict]:
     return rows
 
 
+def _read_log(log_path: Path) -> list[tuple]:
+    """(fe, igd) per generation of a run log; an empty log or a line that is
+    not a JSON record with both keys is a ConfigError naming the file and line."""
+    lines = log_path.read_text().splitlines()
+    if not lines:
+        raise ConfigError(f"{log_path}: empty log, expected one record per generation")
+    points = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            record = json.loads(line)
+            points.append((record["fe"], record["igd"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{log_path}, line {line_no}: not a log record ({exc})") from None
+    return points
+
+
 def emit_plot_data(results_dir) -> list[Path]:
     """Write per-(problem, variant) plot inputs from stored artifacts.
 
     Produces a median-IGD-versus-FE series (runs aligned on generation
     index) and a final-front scatter file. Missing logs produce a warning
-    and partial output.
+    and partial output. A broken log is a ConfigError, raised before any
+    file is written.
     """
     results_dir = Path(results_dir)
     summary_path = results_dir / "summary.csv"
@@ -321,14 +338,12 @@ def emit_plot_data(results_dir) -> list[Path]:
         print(f"warning: no summary.csv under {results_dir}; nothing to emit")
         return []
     rows = read_summary(summary_path)
-    plots = results_dir / "plots"
-    plots.mkdir(exist_ok=True)
 
     groups: dict[tuple[str, str], list[int]] = {}
     for row in rows:
         groups.setdefault((row["problem"], row["variant"]), []).append(row["seed"])
 
-    written = []
+    collected = []
     for (pid, variant), seeds in sorted(groups.items()):
         series = []
         fronts = []
@@ -338,15 +353,18 @@ def emit_plot_data(results_dir) -> list[Path]:
             if not log_path.exists():
                 print(f"warning: missing log {log_path}")
                 continue
-            records = [json.loads(line) for line in log_path.read_text().splitlines()]
-            series.append([(r["fe"], r["igd"]) for r in records])
+            series.append(_read_log(log_path))
             front_path = results_dir / "fronts" / f"{name}.csv"
             if front_path.exists():
                 body = front_path.read_text().splitlines()[1:]
                 fronts.extend((seed, line) for line in body if line)
-        if not series:
-            continue
+        if series:
+            collected.append((pid, variant, series, fronts))
 
+    plots = results_dir / "plots"
+    plots.mkdir(exist_ok=True)
+    written = []
+    for pid, variant, series, fronts in collected:
         depth = min(len(s) for s in series)
         out = plots / f"igd__{pid}__{variant}.csv"
         with out.open("w") as fh:

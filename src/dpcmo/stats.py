@@ -4,13 +4,15 @@ Both tests are two-sided and rank with midranks for ties. Small samples get
 the exact null distribution of the midrank statistic, counted here: doubled
 midranks are integers, so one subset-sum table counts every split of the
 ranks (rank-sum) or every sign assignment (signed-rank) by its doubled rank
-sum. Larger samples get scipy's normal approximation with tie and continuity
-corrections, and only those branches import ``scipy.stats``, so importing
-this module does not load it.
+sum. Larger samples get the normal approximation with tie and continuity
+corrections, computed here from the same doubled midranks (the formulas of
+``scipy.stats.mannwhitneyu`` and ``wilcoxon``, which are not imported).
+NaN samples are rejected; infinite values rank like any other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +66,22 @@ def _two_sided_p(counts: np.ndarray, observed: int) -> float:
     return min(1.0, 2 * tail / int(counts.sum()))
 
 
+def _tie_sum(doubled: np.ndarray) -> float:
+    """Sum of t^3 - t over the groups of t tied values; tied values share a
+    doubled midrank, distinct values never do."""
+    _, t = np.unique(doubled, return_counts=True)
+    return float((t ** 3 - t).sum())
+
+
+def _normal_two_sided(diff: float, var: float) -> float:
+    """Two-sided normal tail of a statistic ``diff`` away from its mean, with
+    a continuity correction of 1/2; 1 when |diff| <= 1/2 or var <= 0."""
+    if abs(diff) <= 0.5 or var <= 0:
+        return 1.0
+    z = (abs(diff) - 0.5) / math.sqrt(var)
+    return min(1.0, math.erfc(z / math.sqrt(2.0)))
+
+
 def ranksum_test(a, b, alpha: float = 0.05, larger_is_better: bool = False) -> TestReport:
     """Two-sided rank-sum comparison of two independent samples.
 
@@ -73,6 +91,8 @@ def ranksum_test(a, b, alpha: float = 0.05, larger_is_better: bool = False) -> T
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("samples must not contain NaN")
     if len(a) < 2 or len(b) < 2:
         raise ValueError("each sample needs at least 2 observations")
     doubled = _doubled_midranks(np.concatenate([a, b]))
@@ -83,9 +103,9 @@ def ranksum_test(a, b, alpha: float = 0.05, larger_is_better: bool = False) -> T
     if len(ranks) <= EXACT_RANKSUM_LIMIT:
         p = _two_sided_p(_subset_sum_counts(doubled)[len(a)], int(2 * w))
     else:
-        from scipy.stats import mannwhitneyu
-
-        p = float(mannwhitneyu(a, b, method="asymptotic").pvalue)
+        n, n_a, n_b = len(ranks), len(a), len(b)
+        var = n_a * n_b / 12.0 * (n + 1 - _tie_sum(doubled) / (n * (n - 1)))
+        p = _normal_two_sided(w - n_a * (n + 1) / 2.0, var)
 
     if p >= alpha:
         verdict = "equal"
@@ -104,12 +124,14 @@ def signed_rank_multiproblem(deltas, alpha: float = 0.05) -> TestReport:
     The p-value is exact for at most 12 nonzero differences.
     """
     deltas = np.asarray(deltas, dtype=float)
+    if np.isnan(deltas).any():
+        raise ValueError("a per-problem delta is NaN")
     nonzero = deltas[deltas != 0.0]
     if nonzero.size == 0:
         return TestReport(statistic=0.0, p_value=1.0, verdict="equal",
                           extras={"r_plus": 0.0, "r_minus": 0.0, "n": 0})
     if nonzero.size < 5:
-        raise ValueError("need at least 5 nonzero differences")
+        raise ValueError("needs >= 5 nonzero per-problem deltas")
     doubled = _doubled_midranks(np.abs(nonzero))
     ranks = doubled / 2.0
     r_plus = float(ranks[nonzero > 0].sum())
@@ -120,9 +142,9 @@ def signed_rank_multiproblem(deltas, alpha: float = 0.05) -> TestReport:
         counts = _subset_sum_counts(doubled).sum(axis=0)
         p = _two_sided_p(counts, int(2 * r_plus))
     else:
-        from scipy.stats import wilcoxon
-
-        p = float(wilcoxon(nonzero, correction=True, method="approx").pvalue)
+        n = nonzero.size
+        var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_sum(doubled) / 48.0
+        p = _normal_two_sided(r_plus - n * (n + 1) / 4.0, var)
 
     if p >= alpha:
         verdict = "equal"

@@ -291,6 +291,36 @@ class TestPlotData:
         assert "warning" in capsys.readouterr().out
         assert any(p.name.startswith("igd__") for p in written)
 
+    @staticmethod
+    def _two_seed_results(tmp_path):
+        outdir = tmp_path / "r"
+        (outdir / "logs").mkdir(parents=True)
+        (outdir / "summary.csv").write_text(
+            "problem,variant,seed,final_hv,final_igd,evaluations,generations\n"
+            "P,v,1,0.5,0.1,20,2\nP,v,2,0.5,0.2,20,2\n")
+        for seed in (1, 2):
+            (outdir / "logs" / f"P__v__s{seed}.jsonl").write_text(
+                json.dumps({"g": 0, "fe": 10, "igd": 0.5}) + "\n"
+                + json.dumps({"g": 1, "fe": 20, "igd": 0.1}) + "\n")
+        return outdir
+
+    def test_empty_log_is_a_config_error(self, tmp_path, capsys):
+        outdir = self._two_seed_results(tmp_path)
+        (outdir / "logs" / "P__v__s2.jsonl").write_text("")
+        assert main(["plotdata", str(outdir)]) == 2
+        assert "P__v__s2.jsonl: empty log" in capsys.readouterr().err
+        assert not (outdir / "plots").exists()
+
+    @pytest.mark.parametrize("last_line", ['{"g": 1, "fe": 20, "ig', '{"g": 1, "fe": 20}', "[1, 20]"],
+                             ids=["truncated", "without-igd", "not-an-object"])
+    def test_broken_log_line_is_a_config_error(self, tmp_path, capsys, last_line):
+        outdir = self._two_seed_results(tmp_path)
+        log = outdir / "logs" / "P__v__s1.jsonl"
+        log.write_text(log.read_text().splitlines()[0] + "\n" + last_line)
+        assert main(["plotdata", str(outdir)]) == 2
+        assert "P__v__s1.jsonl, line 2: not a log record" in capsys.readouterr().err
+        assert not (outdir / "plots").exists()
+
     def test_empty_directory_warns(self, tmp_path, capsys):
         assert emit_plot_data(tmp_path) == []
         assert "warning" in capsys.readouterr().out
@@ -378,6 +408,16 @@ class TestCli:
             for k, variant in enumerate(("full", "WoOP")) for seed in (1, 2)))
         assert main(["stats", str(path), "--metric", "igd"]) == 0
         assert "WoOP" in capsys.readouterr().out
+
+    def test_stats_infinite_igd_in_both_arms_has_no_signed_rank(self, tmp_path, capsys):
+        # inf - inf makes that problem's delta of means NaN, which the
+        # signed-rank test refuses; the reason is printed, not a wrong p.
+        path = tmp_path / "summary.csv"
+        path.write_text("problem,variant,seed,final_hv,final_igd\n" + "".join(
+            f"Q{q},{variant},{seed},0.{q}{k}{seed},{'inf' if (q, seed) == (0, 1) else f'0.0{q}{k}{seed}'}\n"
+            for q in range(6) for k, variant in enumerate(("full", "WoOP")) for seed in (1, 2)))
+        assert main(["stats", str(path), "--metric", "igd"]) == 0
+        assert "signed-rank n/a (a per-problem delta is NaN)" in capsys.readouterr().out
 
     def test_stats_repeated_cell_names_both_lines(self, tmp_path, capsys):
         path = tmp_path / "summary.csv"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import mannwhitneyu, wilcoxon
 
 import dpcmo
 from dpcmo.stats import (
@@ -96,6 +97,25 @@ class TestRanksum:
         with pytest.raises(ValueError):
             ranksum_test([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("n", [3, 10], ids=["exact", "asymptotic"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_nan_rejected(self, n, side):
+        a = list(range(n))
+        b = [v + 0.5 for v in range(n)]
+        (a if side == "a" else b)[1] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ranksum_test(a, b)
+
+    @pytest.mark.parametrize("n", [3, 10], ids=["exact", "asymptotic"])
+    def test_inf_ranks_as_the_largest_value(self, n):
+        # An empty final front has IGD inf; it ranks above every finite value.
+        a = [float(v) for v in range(1, n)]
+        b = [v + n for v in range(n)]
+        finite = ranksum_test(a + [1e300], b).p_value
+        assert ranksum_test(a + [math.inf], b).p_value == finite
+        if n == 3:
+            assert finite == 0.7
+
 
 class TestSignedRank:
     def test_all_positive_six(self):
@@ -142,6 +162,20 @@ class TestSignedRank:
     def test_too_few_nonzero(self):
         with pytest.raises(ValueError):
             signed_rank_multiproblem([1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("n", [6, 20], ids=["exact", "asymptotic"])
+    def test_nan_rejected(self, n):
+        deltas = [(-1.0) ** k * (k + 1) for k in range(n)]
+        deltas[2] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            signed_rank_multiproblem(deltas)
+
+    @pytest.mark.parametrize("n", [6, 20], ids=["exact", "asymptotic"])
+    def test_inf_ranks_as_the_largest_magnitude(self, n):
+        deltas = [(-1.0) ** k * (k + 1) for k in range(n)]
+        finite = signed_rank_multiproblem(deltas[:-1] + [math.copysign(1e300, deltas[-1])])
+        infinite = signed_rank_multiproblem(deltas[:-1] + [math.copysign(math.inf, deltas[-1])])
+        assert (infinite.p_value, infinite.extras) == (finite.p_value, finite.extras)
 
     def test_reported_shape_from_comparison_tables(self):
         # 61 magnitudes ranked 1..61 with ranks {48, 61} negative:
@@ -212,9 +246,19 @@ class TestExactCounting:
 
 
 _SRC = str(Path(dpcmo.__file__).resolve().parents[1])
-_NO_SCIPY_STATS = "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'"
+# A meta-path finder that records and refuses every scipy import, so a
+# lazy or guarded import fails the check even when scipy is installed.
+_BLOCK_SCIPY = """import sys
+attempts = []
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            attempts.append(name)
+            raise ImportError(f"scipy is blocked: {name}")
+sys.meta_path.insert(0, BlockScipy())
+"""
 _NO_SCIPY = ("loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-             "assert not loaded, f'scipy modules loaded: {loaded}'")
+             "assert not attempts and not loaded, f'scipy imports: {attempts}, loaded: {loaded}'\n")
 
 
 def _run_fresh(code: str) -> str:
@@ -225,36 +269,40 @@ def _run_fresh(code: str) -> str:
                           capture_output=True, text=True).stdout
 
 
-@pytest.mark.parametrize("entry", ["import dpcmo", "import dpcmo.cli"])
-def test_import_leaves_scipy_stats_unloaded(entry):
-    _run_fresh(f"import sys\n{entry}\n{_NO_SCIPY_STATS}\n")
+def _stats_entry(tmp_path: Path, n_problems: int, n_seeds: int) -> tuple[str, str]:
+    summary = tmp_path / "summary.csv"
+    summary.write_text("problem,variant,seed,final_hv,final_igd\n" + "".join(
+        f"Q{q},{variant},{seed},0.{q:02d}{k}{seed:02d},0.0{q:02d}{k}{seed:02d}\n"
+        for q in range(1, n_problems + 1) for k, variant in enumerate(("full", "WoOP"))
+        for seed in range(1, n_seeds + 1)))
+    return f"from dpcmo import cli\nassert cli.main(['stats', {str(summary)!r}]) == 0\n", "R+="
 
 
-@pytest.mark.parametrize("entry", ["import dpcmo", "import dpcmo.cli"])
-def test_import_leaves_scipy_unloaded(entry):
-    _run_fresh(f"import sys\n{entry}\n{_NO_SCIPY}\n")
-
-
-def test_run_and_plotdata_leave_scipy_unloaded(tmp_path):
+def _run_and_plotdata_entry(tmp_path: Path) -> tuple[str, str]:
     # One small cell: the run logs IGD and HV every generation.
     outdir = tmp_path / "out"
     config = tmp_path / "exp.cfg"
     config.write_text(f"problem = P1-overlap\nN = 10\nmaxFE = 300\nseeds = 1\noutdir = {outdir}\n")
-    out = _run_fresh(f"import sys\nfrom dpcmo import cli\n"
-                     f"assert cli.main(['run', {str(config)!r}]) == 0\n"
-                     f"assert cli.main(['plotdata', {str(outdir)!r}]) == 0\n{_NO_SCIPY}\n")
-    assert "completed 1 runs" in out
+    return (f"from dpcmo import cli\nassert cli.main(['run', {str(config)!r}]) == 0\n"
+            f"assert cli.main(['plotdata', {str(outdir)!r}]) == 0\n", "completed 1 runs")
 
 
-def test_exact_stats_command_leaves_scipy_stats_unloaded(tmp_path):
+_ENTRIES = {
+    "import dpcmo": lambda tmp_path: ("import dpcmo\n", ""),
+    "import dpcmo.cli": lambda tmp_path: ("import dpcmo.cli\n", ""),
+    "run and plotdata": _run_and_plotdata_entry,
     # Two seeds per cell and six problems: both tests take their exact path.
-    summary = tmp_path / "summary.csv"
-    summary.write_text("problem,variant,seed,final_hv,final_igd\n" + "".join(
-        f"Q{q},{variant},{seed},0.{q}{k}{seed},0.0{q}{k}{seed}\n"
-        for q in range(1, 7) for k, variant in enumerate(("full", "WoOP")) for seed in (1, 2)))
-    out = _run_fresh(f"import sys\nfrom dpcmo import cli\n"
-                     f"assert cli.main(['stats', {str(summary)!r}]) == 0\n{_NO_SCIPY_STATS}\n")
-    assert "R+=" in out
+    "exact stats": lambda tmp_path: _stats_entry(tmp_path, 6, 2),
+    # 9 + 9 runs per comparison and 13 problems: both take the normal approximation.
+    "asymptotic stats": lambda tmp_path: _stats_entry(tmp_path, 13, 9),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+def test_entry_point_runs_with_scipy_blocked(entry, tmp_path):
+    code, expected = _ENTRIES[entry](tmp_path)
+    out = _run_fresh(_BLOCK_SCIPY + code + _NO_SCIPY)
+    assert expected in out
 
 
 # Samples on an integer grid tie often; unique floats never tie. Sizes
@@ -296,6 +344,7 @@ def test_ranksum_matches_oracle(samples, larger_is_better):
         assert report.p_value == p
     else:
         assert abs(report.p_value - p) <= 1e-15
+        assert abs(report.p_value - mannwhitneyu(a, b, method="asymptotic").pvalue) <= 1e-15
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,3 +357,5 @@ def test_signed_rank_matches_oracle(deltas):
         assert report.p_value == p
     else:
         assert abs(report.p_value - p) <= 1e-15
+        scipy_p = wilcoxon(deltas, correction=True, method="approx").pvalue
+        assert abs(report.p_value - scipy_p) <= 1e-15
