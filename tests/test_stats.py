@@ -259,6 +259,9 @@ sys.meta_path.insert(0, BlockScipy())
 """
 _NO_SCIPY = ("loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
              "assert not attempts and not loaded, f'scipy imports: {attempts}, loaded: {loaded}'\n")
+_NO_SCIPY_STATS = "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+_SCIPY_NOT_LOADED = ("loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+                     "assert not loaded, f'scipy modules loaded: {loaded}'\n")
 
 
 def _run_fresh(code: str) -> str:
@@ -303,6 +306,18 @@ def test_entry_point_runs_with_scipy_blocked(entry, tmp_path):
     code, expected = _ENTRIES[entry](tmp_path)
     out = _run_fresh(_BLOCK_SCIPY + code + _NO_SCIPY)
     assert expected in out
+
+
+# The same imports with scipy left importable: nothing pulls it in, neither
+# scipy.stats nor any other scipy module.
+@pytest.mark.parametrize("entry", ["import dpcmo", "import dpcmo.cli"])
+def test_import_leaves_scipy_stats_unloaded(entry):
+    _run_fresh(f"import sys\n{entry}\n{_NO_SCIPY_STATS}")
+
+
+@pytest.mark.parametrize("entry", ["import dpcmo", "import dpcmo.cli"])
+def test_import_leaves_scipy_unloaded(entry):
+    _run_fresh(f"import sys\n{entry}\n{_SCIPY_NOT_LOADED}")
 
 
 # Samples on an integer grid tie often; unique floats never tie. Sizes
