@@ -73,7 +73,8 @@ class Population:
 
     Selection memoises its work per epsilon: ``ranks`` holds the
     nondomination ranks, ``ranked`` the (ranks, crowding) pair once crowding
-    has been read, so each is computed at most once.
+    has been read, so each is computed at most once. ``kept_ranks`` holds,
+    per (epsilon, n), the ranks of the rows that truncation to n kept.
     """
 
     def __init__(self, X, F, cv):
@@ -85,6 +86,7 @@ class Population:
                              f"cv {len(self.cv)}")
         self.ranks: dict[float, np.ndarray] = {}
         self.ranked: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self.kept_ranks: dict[tuple[float, int], np.ndarray] = {}
 
     @classmethod
     def empty(cls) -> "Population":
@@ -114,7 +116,7 @@ class Population:
         return iter(self.X)
 
     def feasible_ratio(self) -> float:
-        return float(np.mean(self.cv == 0.0)) if len(self) else 0.0
+        return np.count_nonzero(self.cv == 0.0) / len(self) if len(self) else 0.0
 
 
 class EvalCounter:

@@ -313,15 +313,13 @@ def opposition_offspring(pop_aux: Population, bounds: Bounds) -> np.ndarray:
 
 
 def _survivors(union: Population, n: int, epsilon: float) -> Population:
-    """The rows ``environmental_select`` keeps, with the union's ranks at
-    ``epsilon``: fronts below the split one survive whole, so every dominator
-    of a survivor survives too and no rank changes."""
+    """The rows ``environmental_select`` keeps, with their ranks in the
+    union at ``epsilon``: fronts below the split one survive whole, so every
+    dominator of a survivor survives too and no rank changes."""
     idx = environmental_select(union, n, epsilon)
     survivors = union.take(idx)
-    if epsilon in union.ranks:
-        ranks = union.ranks[epsilon][idx]
-        ranks.setflags(write=False)
-        survivors.ranks[epsilon] = ranks
+    if (epsilon, n) in union.kept_ranks:
+        survivors.ranks[epsilon] = union.kept_ranks[(epsilon, n)]
     return survivors
 
 

@@ -118,9 +118,9 @@ def igd(front, ref_points) -> float:
 
     An empty front yields the +inf sentinel; a nonempty one must match the
     reference's objective count, and both must be finite. The front is
-    sorted by its first objective; each reference point's nearer neighbour
-    in that order bounds its search to the window of points whose f1 lies
-    within that neighbour's distance, so only those points are compared.
+    sorted by its first objective; any front point's distance bounds the
+    nearest one, so each reference point searches only the window of points
+    whose f1 lies within the distance of its neighbour in that order.
     """
     ref = np.atleast_2d(np.asarray(ref_points, dtype=float))
     if ref.size == 0:
@@ -135,14 +135,11 @@ def igd(front, ref_points) -> float:
     ref = np.ascontiguousarray(ref.T)
     pts = pts.T[:, np.argsort(pts[:, 0], kind="stable")]
     x, r1 = pts[0], ref[0]
-    right = np.minimum(np.searchsorted(x, r1), len(x) - 1)
-    left = np.maximum(right - 1, 0)
-    d2_left = _squared_distances(ref, pts, ..., left)
-    d2_right = _squared_distances(ref, pts, ..., right)
-    near = np.where(d2_left <= d2_right, left, right)
+    near = np.minimum(np.searchsorted(x, r1), len(x) - 1)
     # |df1| keeps the window nonempty where the squares underflow to 0; the
     # slack covers the rounding of the distance.
-    w = np.maximum(np.sqrt(np.minimum(d2_left, d2_right)), np.abs(x[near] - r1)) * (1 + 1e-9)
+    w = np.maximum(np.sqrt(_squared_distances(ref, pts, ..., near)),
+                   np.abs(x[near] - r1)) * (1 + 1e-9)
     lo = np.searchsorted(x, r1 - w, side="left")
     counts = np.searchsorted(x, r1 + w, side="right") - lo
     starts = np.cumsum(counts) - counts

@@ -21,7 +21,8 @@ row with a higher one, so nondominated sorting splits into groups of equal
 adjusted violation: a row's rank is the number of fronts in all
 lower-violation groups plus its Pareto rank inside its own group. Every
 problem has two objectives, so the in-group rank is one sort plus a binary
-search per row (Jensen 2003; ENS-BS, Zhang et al. 2015).
+search per row (Jensen 2003; ENS-BS, Zhang et al. 2015). Truncation reads no
+rank past the front it splits, so it peels fronts only up to that one.
 
 Tie-break contract (shared by every consumer, including test oracles):
 fronts are filled in rank order; a split front is truncated by descending
@@ -37,6 +38,20 @@ import numpy as np
 
 from .core import Population
 
+
+def _visit_order(F: np.ndarray, cv_adj: np.ndarray):
+    """Rows sorted by (cv_adj, f1, f2): the order, the sorted f2, where each
+    group of equal cv_adj starts, and which rows repeat the row before
+    within their group."""
+    if F.ndim != 2 or F.shape[1] != 2:
+        raise ValueError(f"need an objective matrix with 2 columns, got shape {F.shape}")
+    order = np.lexsort((F[:, 1], F[:, 0], cv_adj))
+    c, f1, f2 = cv_adj[order], F[order, 0], F[order, 1]
+    new_group = np.concatenate(([True], c[1:] != c[:-1]))[: len(c)]
+    repeat = np.concatenate(([False], (f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1]))) & ~new_group
+    return order, f2, new_group, repeat
+
+
 def _sweep_ranks(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
     """Group-and-sweep ranks for two objectives.
 
@@ -45,12 +60,7 @@ def _sweep_ranks(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
     next, and a row joins the first front whose last f2 exceeds its own.
     Exact duplicates share a front, since neither dominates the other.
     """
-    if F.ndim != 2 or F.shape[1] != 2:
-        raise ValueError(f"need an objective matrix with 2 columns, got shape {F.shape}")
-    order = np.lexsort((F[:, 1], F[:, 0], cv_adj))
-    c, f1, f2 = cv_adj[order], F[order, 0], F[order, 1]
-    new_group = np.concatenate(([True], c[1:] != c[:-1]))
-    repeat = np.concatenate(([False], (f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1]))) & ~new_group
+    order, f2, new_group, repeat = _visit_order(F, cv_adj)
     sorted_ranks = []
     offset = k = 0
     lasts: list[float] = []  # last f2 of each front of the current group
@@ -71,45 +81,89 @@ def _sweep_ranks(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _peel_ranks(F: np.ndarray, cv_adj: np.ndarray, n: int) -> np.ndarray:
+    """Ranks of the fronts that hold the n best rows, as ``_sweep_ranks``
+    gives them; every later row gets one rank past the last front peeled.
+
+    Rows are visited by (cv_adj, f1, f2). A group is peeled front by front:
+    a front is the rows whose f2 is a strict new prefix minimum, each with
+    the exact repeats that follow it. A one-row group is one front.
+    """
+    order, f2, new_group, repeat = _visit_order(F, cv_adj)
+    bounds = np.flatnonzero(np.append(new_group, True)).tolist()
+    sorted_ranks = np.empty(len(order), dtype=int)
+    rank = done = 0
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if done >= n:
+            sorted_ranks[start:] = rank
+            break
+        if stop - start == 1:
+            sorted_ranks[start] = rank
+            rank += 1
+            done += 1
+            continue
+        rows = np.arange(start, stop)
+        while rows.size and done < n:
+            y = f2[rows]
+            strict = np.concatenate(([True], y[1:] < np.minimum.accumulate(y)[:-1]))
+            head = np.maximum.accumulate(np.where(repeat[rows], 0, np.arange(rows.size)))
+            member = strict[head]
+            sorted_ranks[rows[member]] = rank
+            done += np.count_nonzero(member)
+            rank += 1
+            rows = rows[~member]
+        sorted_ranks[rows] = rank  # rows of this group past the split front
+    ranks = np.empty(len(order), dtype=int)
+    ranks[order] = sorted_ranks
+    return ranks
+
+
+def _adjusted_cv(cvs: np.ndarray, epsilon: float) -> np.ndarray:
+    """max(0, cv - epsilon) per row; all zero at epsilon = inf."""
+    if math.isinf(epsilon):
+        return np.zeros(len(cvs))
+    return np.maximum(0.0, np.asarray(cvs, dtype=float) - epsilon)
+
+
 def nondominated_ranks(F: np.ndarray, cvs: np.ndarray, epsilon: float) -> np.ndarray:
     """Nondominated sorting under the relaxed order; rank 0 is the best front,
     by the group-and-sweep rule of the module docstring."""
-    F = np.asarray(F, dtype=float)
-    n = len(F)
-    if math.isinf(epsilon):
-        cv_adj = np.zeros(n)
-    else:
-        cv_adj = np.maximum(0.0, np.asarray(cvs, dtype=float) - epsilon)
-    return _sweep_ranks(F, cv_adj)
+    return _sweep_ranks(np.asarray(F, dtype=float), _adjusted_cv(cvs, epsilon))
+
+
+def front_crowding(F: np.ndarray) -> np.ndarray:
+    """Cuboid crowding distance of the rows of one front; each objective's
+    two extreme rows, and every row of a front of at most two, get +inf.
+
+    Each objective is sorted once, ties kept in index order; a zero span
+    adds nothing to the interior rows.
+    """
+    k = len(F)
+    if k <= 2:
+        return np.full(k, np.inf)
+    dist = np.zeros(k)
+    for f in F.T:
+        order = np.argsort(f, kind="stable")
+        f = f[order]
+        span = f[-1] - f[0]
+        if span > 0:
+            dist[order[1:-1]] += (f[2:] - f[:-2]) / span
+        dist[order[[0, -1]]] = np.inf
+    return dist
 
 
 def crowding_distances(F: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Cuboid crowding distance per front; boundary members get +inf.
-
-    Each objective is sorted once over all fronts, by (rank, value), with ties
-    kept in index order. The sorted ranks, and so the fronts' first and last
-    positions, are the same for every objective.
-    """
+    """Cuboid crowding distance per front (``front_crowding``); members of
+    fronts of at most two rows get +inf."""
     F = np.asarray(F, dtype=float)
-    n, m = F.shape
-    dist = np.zeros(n)
-    if n == 0:
-        return dist
-    r = np.sort(ranks)
-    change = r[1:] != r[:-1]
-    first = np.concatenate(([True], change))
-    last = np.concatenate((change, [True]))
-    edge = first | last
-    sizes = np.diff(np.flatnonzero(first), append=n)
-    for j in range(m):
-        order = np.lexsort((F[:, j], ranks))
-        f = F[order, j]
-        span = np.repeat(f[last] - f[first], sizes)
-        gaps = np.zeros(n)
-        gaps[1:-1] = f[2:] - f[:-2]
-        interior = ~edge & (span > 0)
-        dist[order[interior]] += gaps[interior] / span[interior]
-        dist[order[edge]] = np.inf
+    dist = np.full(len(F), np.inf)
+    order = np.argsort(ranks, kind="stable")
+    r = ranks[order]
+    starts = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1], [True])))
+    for start, stop in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        if stop - start > 2:
+            front = order[start:stop]
+            dist[front] = front_crowding(F[front])
     return dist
 
 
@@ -153,20 +207,30 @@ def environmental_select(union: Population, n: int, epsilon: float) -> np.ndarra
     front that overflows is truncated by descending crowding distance. Only
     that front is crowded: within one front the neighbours, spans and
     index-order ties are those of the whole union, so the distances are too.
+
+    Unless the union's ranks at ``epsilon`` are memoised, fronts are peeled
+    only up to the split one. The kept rows' ranks, exact either way, go to
+    ``union.kept_ranks[(epsilon, n)]``; partial ranks never enter
+    ``union.ranks``.
     """
     if not len(union):
         raise ValueError("cannot select from an empty union")
     if len(union) <= n:
         return np.arange(len(union))
-    ranks = ranks_of(union, epsilon)
+    ranks = union.ranks.get(epsilon)
+    if ranks is None:
+        ranks = _peel_ranks(union.F, _adjusted_cv(union.cv, epsilon), n)
     order = np.argsort(ranks, kind="stable")
     split = ranks[order[n - 1]]  # the front that holds the n-th place
     if np.count_nonzero(ranks <= split) > n:
         front = np.flatnonzero(ranks == split)
-        crowd = crowding_distances(union.F[front], np.zeros(len(front), dtype=int))
-        front = front[np.argsort(-crowd, kind="stable")]
+        front = front[np.argsort(-front_crowding(union.F[front]), kind="stable")]
         order = np.concatenate([order[: np.count_nonzero(ranks < split)], front])
-    return order[:n]
+    idx = order[:n]
+    kept = ranks[idx]
+    kept.setflags(write=False)
+    union.kept_ranks[(epsilon, n)] = kept
+    return idx
 
 
 def das_dennis_vectors(target: int) -> np.ndarray:
@@ -186,7 +250,7 @@ def das_dennis_vectors(target: int) -> np.ndarray:
 def unconstrained_nondominated(F: np.ndarray) -> np.ndarray:
     """Indices of the Pareto-nondominated rows of an objective matrix, in
     ascending order."""
-    return np.flatnonzero(_sweep_ranks(F, np.zeros(len(F))) == 0)
+    return np.flatnonzero(_peel_ranks(F, np.zeros(len(F)), 1) == 0)
 
 
 def angular_distances(normalized: np.ndarray, vectors: np.ndarray) -> np.ndarray:

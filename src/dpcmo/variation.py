@@ -99,7 +99,7 @@ def sbx_crossover(X: np.ndarray, eta: float, rng: np.random.Generator) -> np.nda
     u = rng.random((pairs, d))
     beta = np.where(u <= 0.5, (2.0 * u) ** (1.0 / (eta + 1.0)),
                     (2.0 - 2.0 * u) ** (-1.0 / (eta + 1.0)))
-    beta *= (-1.0) ** rng.integers(0, 2, size=(pairs, d))
+    beta *= 1.0 - 2.0 * rng.integers(0, 2, size=(pairs, d))
     beta[rng.random((pairs, d)) < 0.5] = 1.0
     # The per-pair crossover draw: with crossover probability 1 it masks no
     # pair, but it stays so that later draws keep their place in the stream.

@@ -9,6 +9,7 @@ from dpcmo.selection import (
     das_dennis_vectors,
     environmental_select,
     fitness_order,
+    front_crowding,
     nondominated_ranks,
     unconstrained_nondominated,
 )
@@ -125,6 +126,20 @@ class TestEnvironmentalSelect:
     def test_empty_union_rejected(self):
         with pytest.raises(ValueError):
             environmental_select(Population.empty(), 5, 0.0)
+
+
+class TestFrontCrowding:
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_fronts_of_one_and_two_rows_are_all_boundary(self, rows):
+        F = np.arange(2.0 * rows).reshape(rows, 2)
+        assert front_crowding(F).tolist() == [math.inf] * rows
+
+    def test_all_duplicate_front_has_zero_interior(self):
+        assert front_crowding(np.ones((4, 2))).tolist() == [math.inf, 0.0, 0.0, math.inf]
+
+    def test_interior_sums_normalized_gaps(self):
+        F = np.array([[0.0, 4.0], [1.0, 2.0], [3.0, 1.0], [4.0, 0.0]])
+        assert front_crowding(F).tolist() == [math.inf, 3 / 4 + 3 / 4, 3 / 4 + 2 / 4, math.inf]
 
 
 class TestReferenceVectors:

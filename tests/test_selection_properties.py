@@ -14,8 +14,10 @@ from dpcmo.core import Population
 from dpcmo.engine import _survivors, feasible_front
 from dpcmo.metrics import hypervolume, igd
 from dpcmo.selection import (
+    _peel_ranks,
     crowding_distances,
     environmental_select,
+    front_crowding,
     nondominated_ranks,
     rank_and_crowd,
     ranks_of,
@@ -116,8 +118,33 @@ def test_split_front_crowding_equals_union_crowding(inst, epsilon):
     union_crowd = crowding_per_front(F, ranks)
     for r in np.unique(ranks):
         front = np.flatnonzero(ranks == r)
-        alone = crowding_distances(F[front], np.zeros(len(front), dtype=int))
-        np.testing.assert_array_equal(alone, union_crowd[front])
+        np.testing.assert_array_equal(front_crowding(F[front]), union_crowd[front])
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), ANY_EPSILON, st.data())
+def test_peeled_ranks_are_exact_up_to_the_split_front(inst, epsilon, data):
+    """Truncation to n ranks exactly the fronts that hold the n best rows,
+    and every later row one past the front that holds the n-th."""
+    F, cv = inst
+    n = data.draw(st.integers(1, len(F)))
+    cv_adj = np.zeros(len(F)) if math.isinf(epsilon) else np.maximum(0.0, cv - epsilon)
+    want = dense_ranks(F, cv, epsilon)
+    split = np.sort(want)[n - 1]
+    got = _peel_ranks(F, cv_adj, n)
+    upto = want <= split
+    np.testing.assert_array_equal(got[upto], want[upto])
+    assert (got[~upto] == split + 1).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), ANY_EPSILON, st.data())
+def test_truncation_leaves_the_union_rank_memo_full(inst, epsilon, data):
+    """The partial ranks of a truncation never stand in for full ranks."""
+    F, cv = inst
+    union = Population(F, F, cv)
+    environmental_select(union, data.draw(st.integers(1, len(union))), epsilon)
+    np.testing.assert_array_equal(ranks_of(union, epsilon), dense_ranks(F, cv, epsilon))
 
 
 @settings(max_examples=150, deadline=None)
