@@ -315,11 +315,13 @@ def opposition_offspring(pop_aux: Population, bounds: Bounds) -> np.ndarray:
 def _survivors(union: Population, n: int, epsilon: float) -> Population:
     """The rows ``environmental_select`` keeps, with their ranks in the
     union at ``epsilon``: fronts below the split one survive whole, so every
-    dominator of a survivor survives too and no rank changes."""
+    dominator of a survivor survives too and no rank changes. A union of at
+    most n rows survives whole, with its own memoised ranks if it has them."""
     idx = environmental_select(union, n, epsilon)
     survivors = union.take(idx)
-    if (epsilon, n) in union.kept_ranks:
-        survivors.ranks[epsilon] = union.kept_ranks[(epsilon, n)]
+    ranks = union.kept_ranks.get((epsilon, n), union.ranks.get(epsilon))
+    if ranks is not None:
+        survivors.ranks[epsilon] = ranks
     return survivors
 
 

@@ -208,18 +208,15 @@ def environmental_select(union: Population, n: int, epsilon: float) -> np.ndarra
     that front is crowded: within one front the neighbours, spans and
     index-order ties are those of the whole union, so the distances are too.
 
-    Unless the union's ranks at ``epsilon`` are memoised, fronts are peeled
-    only up to the split one. The kept rows' ranks, exact either way, go to
-    ``union.kept_ranks[(epsilon, n)]``; partial ranks never enter
-    ``union.ranks``.
+    Fronts are peeled only up to the split one. The kept rows' ranks, which
+    are exact, go to ``union.kept_ranks[(epsilon, n)]``; partial ranks never
+    enter ``union.ranks``.
     """
     if not len(union):
         raise ValueError("cannot select from an empty union")
     if len(union) <= n:
         return np.arange(len(union))
-    ranks = union.ranks.get(epsilon)
-    if ranks is None:
-        ranks = _peel_ranks(union.F, _adjusted_cv(union.cv, epsilon), n)
+    ranks = _peel_ranks(union.F, _adjusted_cv(union.cv, epsilon), n)
     order = np.argsort(ranks, kind="stable")
     split = ranks[order[n - 1]]  # the front that holds the n-th place
     if np.count_nonzero(ranks <= split) > n:

@@ -162,6 +162,18 @@ def test_survivors_inherit_their_own_ranks(inst, epsilon, data):
     assert not ranks_of(survivors, epsilon).flags.writeable
 
 
+@settings(max_examples=100, deadline=None)
+@given(instances(), ANY_EPSILON, st.data())
+def test_whole_union_survivors_keep_its_memoised_ranks(inst, epsilon, data):
+    """A union of at most n rows survives whole, and its survivors take the
+    union's memoised ranks instead of ranking again."""
+    F, cv = inst
+    union = Population(F, F, cv)
+    ranks = ranks_of(union, epsilon)
+    survivors = _survivors(union, data.draw(st.integers(len(union), len(union) + 3)), epsilon)
+    assert survivors.ranks.get(epsilon) is ranks
+
+
 @settings(max_examples=150, deadline=None)
 @given(instances(), st.sampled_from([None, 0.0, 0.15, math.inf]))
 def test_feasible_front_equals_filter_then_nondominated(inst, memo_epsilon):
