@@ -13,6 +13,7 @@ relaxation value.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -79,6 +80,8 @@ ABLATIONS = {
     "WoDRA": "static offspring allocation",
 }
 ABLATION_VARIANTS = tuple(ABLATIONS)
+# The variants that stage 1 reads; every other variant runs full's stage 1.
+STAGE1_VARIANTS = ("WoRR", "WoS1C")
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,8 @@ _PINNED_PLANS = {"HOps-T1": 1, "HOps-T2": 2, "HOps-T3": 3, "HOps-T4": 4}
 
 class RunState:
     """Everything one run owns: both populations, counters, schedule and
-    trackers. Never shared across runs."""
+    trackers. A stage-1 prefix (``run_stage1``) seeds other runs only
+    through forks (``run``); no run advances another's state."""
 
     def __init__(self, problem: Problem, config: RunConfig, seed: int):
         self.problem = problem
@@ -177,6 +181,7 @@ class RunState:
         self.history = PointHistory(gap=config.history_gap, delta=config.history_delta)
         self.phase = 0
         self.log: list[dict] = []
+        self.stage1_seconds = 0.0  # wall seconds of run_stage1
 
         self.ref_points = reference_front(problem, config.igd_points)
         self.metric_cfg = MetricConfig.from_front(self.ref_points, reference_offset=config.hv_offset)
@@ -454,18 +459,59 @@ def stage2_step(state: RunState) -> None:
     state.g += 1
 
 
-def run(problem: Problem, config: RunConfig | None = None, seed: int = 0) -> RunResult:
-    """Execute a full run and return its log and final front."""
-    config = config or RunConfig()
+def stage1_key(problem: Problem, config: RunConfig, seed: int) -> tuple:
+    """What stage 1 depends on: runs with equal keys reach the switch in the
+    same state, so they can continue one ``run_stage1`` prefix."""
+    variant = config.variant if config.variant in STAGE1_VARIANTS else "full"
+    return problem.id, problem.dimension, int(seed), apply_ablation(config, variant)
+
+
+def run_stage1(problem: Problem, config: RunConfig, seed: int) -> RunState:
+    """Initialize and run stage 1 through the switch generation, or until
+    the budget runs out: the prefix that ``run`` continues."""
     started = time.perf_counter()
     state = initialize(problem, config, seed)
+    while state.schedule is None and state.fe < config.max_fe:
+        try_switch(state)
+        stage1_step(state)
+    state.stage1_seconds = time.perf_counter() - started
+    return state
+
+
+def _fork(prefix: RunState, problem: Problem, config: RunConfig) -> RunState:
+    """A copy of ``prefix`` for one run: what the loop changes in place (the
+    generator, the counter, the log list and the point history) is copied;
+    populations, reference front and metric config, whose memos hold only
+    values computed from their own rows, are shared."""
+    state = copy.copy(prefix)
+    state.problem, state.config = problem, config
+    state.rng = copy.deepcopy(prefix.rng)
+    state.counter = copy.copy(prefix.counter)
+    state.log = list(prefix.log)
+    state.history = copy.deepcopy(prefix.history)
+    return state
+
+
+def run(problem: Problem, config: RunConfig | None = None, seed: int = 0,
+        prefix: RunState | None = None) -> RunResult:
+    """Execute a full run and return its log and final front.
+
+    ``prefix``, a ``run_stage1`` state with this run's ``stage1_key``, skips
+    stage 1: the run continues a fork of it, never the prefix in place, so
+    one prefix can seed any number of runs. The result equals a run without
+    it, bar the wall time, which includes the prefix's stage-1 seconds.
+    """
+    config = config or RunConfig()
+    if prefix is None:
+        state = run_stage1(problem, config, seed)
+    elif stage1_key(prefix.problem, prefix.config, prefix.seed) != stage1_key(problem, config, seed):
+        raise ValueError("prefix ran stage 1 for another problem, seed or config")
+    else:
+        state = _fork(prefix, problem, config)
+    started = time.perf_counter()
 
     while state.fe < config.max_fe:
-        if state.schedule is None:
-            try_switch(state)
-            stage1_step(state)
-        else:
-            stage2_step(state)
+        stage2_step(state)
     assert state.fe <= config.max_fe
 
     front = feasible_front(state.pop_main)
@@ -483,6 +529,6 @@ def run(problem: Problem, config: RunConfig | None = None, seed: int = 0) -> Run
         switch_generation=state.switch_generation,
         type_at_switch=state.type_at_switch,
         evaluations=state.fe,
-        wall_time=time.perf_counter() - started,
+        wall_time=state.stage1_seconds + time.perf_counter() - started,
         fingerprint=_fingerprint(problem, config, seed),
     )

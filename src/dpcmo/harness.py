@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import ABLATIONS, RunConfig, RunResult, apply_ablation, run
+from .engine import ABLATIONS, RunConfig, RunResult, apply_ablation, run, run_stage1, stage1_key
 from .problems import DEFAULT_DIMENSION, PROBLEM_IDS, make_problem
 
 DEFAULT_SEED_COUNT = 30
@@ -168,9 +168,26 @@ def _cell_name(pid: str, variant: str, seed: int) -> str:
 
 
 def _run_cell(args) -> RunResult:
-    pid, dim, variant, seed, run_config = args
+    pid, dim, variant, seed, run_config, prefix = args
     problem = make_problem(pid, dim)
-    return run(problem, apply_ablation(run_config, variant), seed)
+    return run(problem, apply_ablation(run_config, variant), seed, prefix=prefix)
+
+
+def _run_group(jobs) -> list[RunResult | Exception]:
+    """Run cells that share one stage-1 key: stage 1 once, then each cell
+    from that prefix. A failed stage 1 fails every cell of the group."""
+    pid, dim, variant, seed, run_config = jobs[0]
+    try:
+        prefix = run_stage1(make_problem(pid, dim), apply_ablation(run_config, variant), seed)
+    except Exception as exc:  # recorded, not fatal
+        return [exc] * len(jobs)
+    results: list[RunResult | Exception] = []
+    for job in jobs:
+        try:
+            results.append(_run_cell((*job, prefix)))
+        except Exception as exc:
+            results.append(exc)
+    return results
 
 
 @dataclass
@@ -188,9 +205,12 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute the (problem x variant x seed) grid and persist artifacts.
 
-    Cell failures are recorded in the metadata and do not abort the grid.
-    Summary and log bytes are reproducible for identical configs; wall
-    times and timestamps live only in the metadata file.
+    Cells with one ``stage1_key`` form a group that runs stage 1 once and
+    continues each cell from a fork of it; ``parallel`` runs one group per
+    job, in at most as many processes as there are groups. Cell failures are
+    recorded in the metadata and do not abort the grid. Summary and log
+    bytes are reproducible for identical configs; wall times (each including
+    its group's stage-1 seconds) and timestamps live only in the metadata file.
     """
     config.validate()
     outdir = Path(config.outdir)
@@ -203,24 +223,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         for variant in config.variants
         for seed in config.seeds
     ]
-    jobs = [(pid, dim, variant, seed, config.run) for pid, dim, variant, seed in cells]
+    groups: dict[tuple, list[int]] = {}
+    for i, (pid, dim, variant, seed) in enumerate(cells):
+        key = stage1_key(make_problem(pid, dim), apply_ablation(config.run, variant), seed)
+        groups.setdefault(key, []).append(i)
+    jobs = [[(*cells[i], config.run) for i in members] for members in groups.values()]
 
     started = time.time()
-    results: list[RunResult | Exception] = []
-    if config.parallel > 1:
-        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
-            futures = [pool.submit(_run_cell, job) for job in jobs]
-            for fut in futures:
+    workers = min(config.parallel, len(jobs))  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_group, group) for group in jobs]
+            outcomes = []
+            for fut, group in zip(futures, jobs):
                 try:
-                    results.append(fut.result())
-                except Exception as exc:  # recorded, not fatal
-                    results.append(exc)
+                    outcomes.append(fut.result())
+                except Exception as exc:  # a worker that died fails its group
+                    outcomes.append([exc] * len(group))
     else:
-        for job in jobs:
-            try:
-                results.append(_run_cell(job))
-            except Exception as exc:
-                results.append(exc)
+        outcomes = [_run_group(group) for group in jobs]
+    by_cell: dict[int, RunResult | Exception] = {}
+    for members, group_results in zip(groups.values(), outcomes):
+        by_cell.update(zip(members, group_results))
+    results = [by_cell[i] for i in range(len(cells))]
 
     rows = []
     failed: list[tuple[str, str]] = []

@@ -1,6 +1,7 @@
 import json
 import math
-from dataclasses import asdict
+import time
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dpcmo.core import Bounds, EvalCounter, Population, evaluate_batch
 from dpcmo.engine import (
     ABLATION_VARIANTS,
     HOPS_PLANS,
+    STAGE1_VARIANTS,
     RunConfig,
     _evaluate_split,
     _fingerprint,
@@ -21,6 +23,8 @@ from dpcmo.engine import (
     initialize,
     opposition_offspring,
     run,
+    run_stage1,
+    stage1_key,
     stage1_step,
     stage2_step,
     try_switch,
@@ -562,3 +566,87 @@ class TestRun:
         result = run(make_problem("P2-partial", 10), RunConfig(pop_size=30, max_fe=1500), 4)
         assert result.final_igd == result.log[-1]["igd"]
         assert result.final_hv == result.log[-1]["hv"]
+
+
+# maxFE >= 2 * N * 252, so the g > 250 switch cap ends stage 1 in every run.
+SHARED = RunConfig(pop_size=30, max_fe=15_200)
+FULL_CLASS = tuple(v for v in ("full",) + ABLATION_VARIANTS if v not in STAGE1_VARIANTS)
+
+
+def log_bytes(log) -> bytes:
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in log).encode()
+
+
+def result_view(result) -> tuple:
+    """Everything a run returns but its wall time, as comparable values."""
+    front = b"".join(np.ascontiguousarray(a, dtype=float).tobytes() for a in (
+        result.front_decisions, result.front_objectives, result.front_cv))
+    return (log_bytes(result.log), front, result.final_igd, result.final_hv,
+            result.switch_generation, result.type_at_switch, result.evaluations,
+            result.fingerprint)
+
+
+@pytest.fixture(scope="module")
+def stage1_prefixes():
+    """run_stage1 of every variant on every problem, seed 1."""
+    return {(pid, variant): run_stage1(make_problem(pid, 10), apply_ablation(SHARED, variant), 1)
+            for pid in PROBLEM_IDS for variant in ("full",) + ABLATION_VARIANTS}
+
+
+class TestSharedStage1:
+    def test_stage1_variants_are_exactly_those_that_move_stage1(self, stage1_prefixes):
+        def view(state):
+            return log_bytes(state.log), state.switch_generation, state.type_at_switch
+
+        for variant in ABLATION_VARIANTS:
+            same = [view(stage1_prefixes[pid, variant]) == view(stage1_prefixes[pid, "full"])
+                    for pid in PROBLEM_IDS]
+            if variant in STAGE1_VARIANTS:
+                assert not all(same), variant
+            else:
+                assert all(same), variant
+        assert all(state.switch_generation is not None for state in stage1_prefixes.values())
+
+    def test_key_maps_only_stage2_variants_to_full(self):
+        problem = make_problem("P3-separated", 10)
+        full_key = stage1_key(problem, SHARED, 1)
+        for variant in ABLATION_VARIANTS:
+            key = stage1_key(problem, apply_ablation(SHARED, variant), 1)
+            assert (key == full_key) == (variant not in STAGE1_VARIANTS), variant
+        assert stage1_key(problem, SHARED, 2) != full_key
+        assert stage1_key(make_problem("P3-separated", 12), SHARED, 1) != full_key
+        assert stage1_key(problem, replace(SHARED, eps0=0.3), 1) != full_key
+
+    def test_continued_runs_equal_fresh_runs(self, stage1_prefixes):
+        # The golden "variants" grid pins the other problems' continued runs.
+        problem = make_problem("P3-separated", 10)
+        prefix = stage1_prefixes["P3-separated", "full"]
+        fe, generations = prefix.fe, len(prefix.log)
+        fresh = {v: result_view(run(problem, apply_ablation(SHARED, v), 1)) for v in FULL_CLASS}
+        for order in (FULL_CLASS, FULL_CLASS[::-1]):
+            for variant in order:
+                continued = run(problem, apply_ablation(SHARED, variant), 1, prefix=prefix)
+                assert result_view(continued) == fresh[variant], variant
+        assert (prefix.fe, len(prefix.log)) == (fe, generations)
+
+    def test_prefix_from_another_key_is_refused(self, stage1_prefixes):
+        prefix = stage1_prefixes["P1-overlap", "WoRR"]
+        with pytest.raises(ValueError, match="prefix"):
+            run(make_problem("P1-overlap", 10), SHARED, 1, prefix=prefix)
+
+    def test_prefix_that_spent_the_budget_continues_to_the_fresh_result(self):
+        problem = make_problem("P2-partial", 10)
+        config = RunConfig(pop_size=30, max_fe=1500)
+        prefix = run_stage1(problem, config, 1)
+        assert prefix.schedule is None and prefix.fe == config.max_fe
+        continued = run(problem, apply_ablation(config, "WoOP"), 1, prefix=prefix)
+        assert result_view(continued) == result_view(run(problem, apply_ablation(config, "WoOP"), 1))
+
+    def test_continued_wall_time_adds_the_prefix_seconds(self):
+        problem = make_problem("P1-overlap", 10)
+        config = RunConfig(pop_size=30, max_fe=3000)
+        prefix = run_stage1(problem, config, 1)
+        prefix.stage1_seconds = 1000.0
+        started = time.perf_counter()
+        result = run(problem, config, 1, prefix=prefix)
+        assert 1000.0 < result.wall_time < 1000.0 + time.perf_counter() - started

@@ -1,9 +1,10 @@
 import json
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
-from dpcmo import harness
+from dpcmo import engine, harness
 from dpcmo.cli import _grid_config, build_parser, main
 from dpcmo.harness import (
     ConfigError,
@@ -251,6 +252,94 @@ class TestRunExperiment:
         assert "boom" in report.failed[0][1]
         rows = read_summary(report.summary_path)
         assert {r["seed"] for r in rows} == {1, 3}
+
+
+def shared_grid(outdir, parallel=1):
+    """P3 x seeds {1, 2} x {full, WoOP, WoRR}: full and WoOP share each seed's
+    stage 1, WoRR runs its own, so 6 cells need 4 prefixes."""
+    cfg = tiny_experiment(outdir, seeds=(1, 2), variants=("full", "WoOP", "WoRR"),
+                          parallel=parallel)
+    cfg.run = RunConfig(pop_size=30, max_fe=15_200)
+    return cfg
+
+
+def stage1_generations(outdir, name) -> int:
+    records = [json.loads(line) for line in (outdir / "logs" / f"{name}.jsonl").open()]
+    return sum(r["stage"] == 0 and r["g"] > 0 for r in records)
+
+
+def artifact_bytes(outdir) -> dict:
+    return {p.relative_to(outdir): p.read_bytes()
+            for p in sorted(outdir.rglob("*")) if p.is_file() and p.name != "metadata.json"}
+
+
+class TestSharedStage1:
+    def test_each_group_runs_stage1_once(self, tmp_path, monkeypatch):
+        steps = []
+        inner = engine.stage1_step
+
+        def counted(state):
+            steps.append(state.config.variant)
+            inner(state)
+
+        monkeypatch.setattr(engine, "stage1_step", counted)
+        outdir = tmp_path / "g"
+        report = run_experiment(shared_grid(outdir))
+        assert report.exit_code == 0 and report.completed == 6
+        per_cell = {(v, s): stage1_generations(outdir, f"P3-separated__{v}__s{s}")
+                    for v in ("full", "WoOP", "WoRR") for s in (1, 2)}
+        assert per_cell["full", 1] == per_cell["WoOP", 1]
+        assert per_cell["full", 2] == per_cell["WoOP", 2]
+        prefixes = sum(per_cell[v, s] for v in ("full", "WoRR") for s in (1, 2))
+        assert len(steps) == prefixes < sum(per_cell.values())
+
+    def test_parallel_grid_writes_the_serial_bytes(self, tmp_path):
+        run_experiment(shared_grid(tmp_path / "s"))
+        run_experiment(shared_grid(tmp_path / "p", parallel=2))
+        serial = artifact_bytes(tmp_path / "s")
+        assert len(serial) == 13  # summary, 6 logs, 6 fronts
+        assert artifact_bytes(tmp_path / "p") == serial
+
+    def test_failed_stage1_fails_its_groups_cells(self, tmp_path, monkeypatch):
+        inner = harness.run_stage1
+
+        def flaky(problem, config, seed):
+            if seed == 2:
+                raise RuntimeError("stage 1 boom")
+            return inner(problem, config, seed)
+
+        monkeypatch.setattr(harness, "run_stage1", flaky)
+        report = run_experiment(shared_grid(tmp_path / "f"))
+        assert report.completed == 3
+        assert sorted(name for name, _ in report.failed) == [
+            f"P3-separated__{v}__s2" for v in ("WoOP", "WoRR", "full")]
+        assert all(msg == "RuntimeError: stage 1 boom" for _, msg in report.failed)
+        assert {r["seed"] for r in read_summary(report.summary_path)} == {1}
+
+    def test_pool_never_outnumbers_the_groups(self, tmp_path, monkeypatch):
+        workers = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        serial = run_experiment(tiny_experiment(tmp_path / "s", variants=("full", "WoOP")))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        pooled = run_experiment(tiny_experiment(tmp_path / "p", variants=("full", "WoOP"),
+                                                parallel=64))
+        assert workers == [3]  # 6 cells, one stage-1 group per seed
+        assert pooled.summary_path.read_bytes() == serial.summary_path.read_bytes()
 
 
 class TestPlotData:
