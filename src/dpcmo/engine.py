@@ -120,6 +120,8 @@ class RunConfig:
             raise ValueError(f"pbest_fraction must lie in (0, 1], got {self.pbest_fraction}")
         if not 0 < self.coincident_threshold <= 1:  # compared with a feasible fraction
             raise ValueError(f"coincident_threshold must lie in (0, 1], got {self.coincident_threshold}")
+        if not self.hv_offset > 0:  # the reference point must lie past the normalised ideal
+            raise ValueError(f"hv_offset must be positive, got {self.hv_offset}")
         if self.igd_points < 2:
             raise ValueError(f"igd_points must be at least 2, got {self.igd_points}")
         if not 0 <= self.phase3_eps < self.phase1_eps:

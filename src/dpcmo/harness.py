@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:  # PCG64 takes only non-negative seeds
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if not self.variants:
+            raise ConfigError("at least one variant is required")
         for v in self.variants:
             if v != "full" and v not in ABLATIONS:
                 raise ConfigError(f"unknown variant {v!r}")

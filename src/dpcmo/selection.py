@@ -20,9 +20,11 @@ Under that ordering every row with a lower adjusted violation dominates every
 row with a higher one, so nondominated sorting splits into groups of equal
 adjusted violation: a row's rank is the number of fronts in all
 lower-violation groups plus its Pareto rank inside its own group. Every
-problem has two objectives, so the in-group rank is one sort plus a binary
-search per row (Jensen 2003; ENS-BS, Zhang et al. 2015). Truncation reads no
-rank past the front it splits, so it peels fronts only up to that one.
+problem has two objectives, so one sort by (violation, f1, f2) lets each
+group be peeled front by front in numpy: a front is the rows whose f2 is a
+strict new prefix minimum (NSGA-II front peeling, Deb et al. 2002, on the
+sorted rows). A full ranking peels every front; truncation reads no rank
+past the front it splits, so it peels fronts only up to that one.
 
 Tie-break contract (shared by every consumer, including test oracles):
 fronts are filled in rank order; a split front is truncated by descending
@@ -32,64 +34,28 @@ crowding distance, ties kept in original index order.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
 from .core import Population
 
 
-def _visit_order(F: np.ndarray, cv_adj: np.ndarray):
-    """Rows sorted by (cv_adj, f1, f2): the order, the sorted f2, where each
-    group of equal cv_adj starts, and which rows repeat the row before
-    within their group."""
+def _peel_ranks(F: np.ndarray, cv_adj: np.ndarray, n: int) -> np.ndarray:
+    """Nondomination ranks of the fronts that hold the n best rows; every
+    later row gets one rank past the last front peeled, so n = len(F) ranks
+    every row exactly.
+
+    Rows are visited by (cv_adj, f1, f2). A group of equal cv_adj is peeled
+    front by front: a front is the rows whose f2 is a strict new prefix
+    minimum, each with the exact repeats that follow it. A one-row group is
+    one front.
+    """
     if F.ndim != 2 or F.shape[1] != 2:
         raise ValueError(f"need an objective matrix with 2 columns, got shape {F.shape}")
     order = np.lexsort((F[:, 1], F[:, 0], cv_adj))
     c, f1, f2 = cv_adj[order], F[order, 0], F[order, 1]
     new_group = np.concatenate(([True], c[1:] != c[:-1]))[: len(c)]
     repeat = np.concatenate(([False], (f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1]))) & ~new_group
-    return order, f2, new_group, repeat
-
-
-def _sweep_ranks(F: np.ndarray, cv_adj: np.ndarray) -> np.ndarray:
-    """Group-and-sweep ranks for two objectives.
-
-    Rows are visited by (cv_adj, f1, f2). Within a group, each front keeps the
-    f2 of its last member; those values never decrease from one front to the
-    next, and a row joins the first front whose last f2 exceeds its own.
-    Exact duplicates share a front, since neither dominates the other.
-    """
-    order, f2, new_group, repeat = _visit_order(F, cv_adj)
-    sorted_ranks = []
-    offset = k = 0
-    lasts: list[float] = []  # last f2 of each front of the current group
-    for y, new, same in zip(f2.tolist(), new_group.tolist(), repeat.tolist()):
-        if new:
-            offset += len(lasts)
-            lasts = [y]
-            k = 0
-        elif not same:
-            k = bisect_right(lasts, y)
-            if k == len(lasts):
-                lasts.append(y)
-            else:
-                lasts[k] = y
-        sorted_ranks.append(offset + k)
-    ranks = np.empty(len(order), dtype=int)
-    ranks[order] = sorted_ranks
-    return ranks
-
-
-def _peel_ranks(F: np.ndarray, cv_adj: np.ndarray, n: int) -> np.ndarray:
-    """Ranks of the fronts that hold the n best rows, as ``_sweep_ranks``
-    gives them; every later row gets one rank past the last front peeled.
-
-    Rows are visited by (cv_adj, f1, f2). A group is peeled front by front:
-    a front is the rows whose f2 is a strict new prefix minimum, each with
-    the exact repeats that follow it. A one-row group is one front.
-    """
-    order, f2, new_group, repeat = _visit_order(F, cv_adj)
     bounds = np.flatnonzero(np.append(new_group, True)).tolist()
     sorted_ranks = np.empty(len(order), dtype=int)
     rank = done = 0
@@ -127,8 +93,9 @@ def _adjusted_cv(cvs: np.ndarray, epsilon: float) -> np.ndarray:
 
 def nondominated_ranks(F: np.ndarray, cvs: np.ndarray, epsilon: float) -> np.ndarray:
     """Nondominated sorting under the relaxed order; rank 0 is the best front,
-    by the group-and-sweep rule of the module docstring."""
-    return _sweep_ranks(np.asarray(F, dtype=float), _adjusted_cv(cvs, epsilon))
+    every front peeled as the module docstring describes."""
+    F = np.asarray(F, dtype=float)
+    return _peel_ranks(F, _adjusted_cv(cvs, epsilon), len(F))
 
 
 def front_crowding(F: np.ndarray) -> np.ndarray:

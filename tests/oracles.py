@@ -371,7 +371,8 @@ def hypervolume_loop(front, ref) -> float:
 # ---------------------------------------------------------------------------
 # Dense nondominated sorting: front peeling over the full pairwise dominance
 # matrix, for any number of objectives. The package ranks two objectives by
-# one sort-and-sweep; a problem with more objectives would need this back.
+# one sort and prefix-minimum peeling; a problem with more objectives would
+# need this back.
 
 
 def dense_ranks(F, cvs, epsilon: float) -> np.ndarray:

@@ -122,6 +122,8 @@ class TestRunConfigBounds:
         ("curvature", math.inf),
         ("history_delta", math.nan),
         ("hv_offset", math.nan),
+        ("hv_offset", 0.0),
+        ("hv_offset", -1.0),
         ("delta", math.inf),
         ("coincident_threshold", -math.inf),
         ("coincident_threshold", 0.0),

@@ -253,6 +253,11 @@ class TestRunExperiment:
         rows = read_summary(report.summary_path)
         assert {r["seed"] for r in rows} == {1, 3}
 
+    def test_no_variants_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="at least one variant"):
+            run_experiment(tiny_experiment(tmp_path / "e", variants=()))
+        assert not (tmp_path / "e" / "summary.csv").exists()
+
 
 def shared_grid(outdir, parallel=1):
     """P3 x seeds {1, 2} x {full, WoOP, WoRR}: full and WoOP share each seed's

@@ -40,11 +40,16 @@ ANY_EPSILON = st.one_of(st.sampled_from([0.0, math.inf]), st.floats(0, 0.5))
 
 @st.composite
 def instances(draw, max_n=300, m=2):
-    """Integer-grid objectives (ties and duplicates are common) with an
-    all-feasible, all-infeasible or mixed violation vector on a 0.05 grid."""
+    """Integer-grid objectives (ties and duplicates are common) or real ones
+    (long chains of fronts, as in the runs' unions), with an all-feasible,
+    all-infeasible or mixed violation vector on a 0.05 grid."""
     n = draw(st.integers(1, max_n))
-    grid = draw(st.integers(1, 12))
-    F = draw(hnp.arrays(np.int64, (n, m), elements=st.integers(0, grid))).astype(float)
+    if draw(st.booleans()):
+        F = draw(hnp.arrays(float, (n, m), elements=st.floats(0, 1, allow_subnormal=False),
+                            fill=st.nothing()))
+    else:
+        grid = draw(st.integers(1, 12))
+        F = draw(hnp.arrays(np.int64, (n, m), elements=st.integers(0, grid))).astype(float)
     mix = draw(st.sampled_from(["feasible", "infeasible", "mixed"]))
     low = {"feasible": 0, "infeasible": 1, "mixed": 0}[mix]
     high = 0 if mix == "feasible" else 8
