@@ -21,10 +21,8 @@ Outputs under the configured directory:
 
 from __future__ import annotations
 
-import difflib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -129,6 +127,8 @@ def load_config(path) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _ALL_KEYS:
+            import difflib  # only a mistyped key pays for it
+
             hint = difflib.get_close_matches(key, _ALL_KEYS, n=1)
             suffix = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ConfigError(f"line {line_no}: unknown key {key!r}{suffix}")
@@ -234,6 +234,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     started = time.time()
     workers = min(config.parallel, len(jobs))  # a pool starts all its workers at once
     if workers > 1:
+        # Imported here: multiprocessing's imports cost a serial run about 10 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_group, group) for group in jobs]
             outcomes = []
@@ -335,20 +338,28 @@ def read_summary(path) -> list[dict]:
     return rows
 
 
-def _read_log(log_path: Path) -> list[tuple]:
-    """(fe, igd) per generation of a run log; an empty log or a line that is
-    not a JSON record with both keys is a ConfigError naming the file and line."""
+def _read_log(log_path: Path) -> np.ndarray:
+    """(fe, igd) per generation of a run log, one float row each. An empty
+    log, a line that is not a JSON record with both keys and a value that is
+    not a number (a string, null, a bool or NaN) are ConfigErrors naming the
+    file and line. An infinite IGD is kept: an empty front's IGD is inf."""
     lines = log_path.read_text().splitlines()
     if not lines:
         raise ConfigError(f"{log_path}: empty log, expected one record per generation")
     points = []
     for line_no, line in enumerate(lines, start=1):
         try:
-            record = json.loads(line)
-            points.append((record["fe"], record["igd"]))
+            # An int past float range reads as inf, as a float literal like 1e400 does.
+            record = json.loads(line, parse_int=float)
+            point = (record["fe"], record["igd"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{log_path}, line {line_no}: not a log record ({exc})") from None
-    return points
+        for key, value in zip(("fe", "igd"), point):
+            if type(value) is not float or value != value:
+                raise ConfigError(f"{log_path}, line {line_no}: {key} is {json.dumps(value)}, "
+                                  "expected a number")
+        points.append(point)
+    return np.array(points)
 
 
 def emit_plot_data(results_dir) -> list[Path]:
@@ -393,12 +404,11 @@ def emit_plot_data(results_dir) -> list[Path]:
     written = []
     for pid, variant, series, fronts in collected:
         depth = min(len(s) for s in series)
+        medians = np.median(np.stack([s[:depth] for s in series]), axis=0).tolist()
         out = plots / f"igd__{pid}__{variant}.csv"
         with out.open("w") as fh:
             fh.write("generation,fe,median_igd\n")
-            for i in range(depth):
-                fe = float(np.median([s[i][0] for s in series]))
-                med = float(np.median([s[i][1] for s in series]))
+            for i, (fe, med) in enumerate(medians):
                 fh.write(f"{i},{fe!r},{med!r}\n")
         written.append(out)
 

@@ -2,6 +2,7 @@ import json
 from concurrent.futures import Future
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dpcmo import engine, harness
@@ -145,6 +146,10 @@ history_gap = 7
     def test_field_names_without_a_key_are_unknown(self, tmp_path, line):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write_config(tmp_path, f"problem = P1-overlap\n{line}\n"))
+
+    def test_unknown_key_suggests_the_closest(self, tmp_path):
+        with pytest.raises(ConfigError, match="line 2: unknown key 'seed'; did you mean 'seeds'"):
+            load_config(write_config(tmp_path, "problem = P1-overlap\nseed = 1\n"))
 
     def test_unknown_ablation_variant(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown variant 'WoXYZ'"):
@@ -340,7 +345,8 @@ class TestSharedStage1:
                 return future
 
         serial = run_experiment(tiny_experiment(tmp_path / "s", variants=("full", "WoOP")))
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        # run_experiment imports the pool class only when it starts a pool.
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         pooled = run_experiment(tiny_experiment(tmp_path / "p", variants=("full", "WoOP"),
                                                 parallel=64))
         assert workers == [3]  # 6 cells, one stage-1 group per seed
@@ -360,22 +366,45 @@ class TestPlotData:
                      for p in (report.outdir / "logs").glob("*.jsonl"))
         assert len(series) - 1 == n_gens
 
-    def test_median_of_constructed_logs(self, tmp_path):
-        outdir = tmp_path / "r"
+    @staticmethod
+    def _constructed_results(outdir, logs):
+        """A results directory with one P/v cell per seed and the given
+        (fe, igd) records as each seed's log."""
         (outdir / "logs").mkdir(parents=True)
         (outdir / "fronts").mkdir()
         (outdir / "summary.csv").write_text(
             "problem,variant,seed,final_hv,final_igd,evaluations,generations\n"
-            "P,v,1,0.5,0.1,10,2\nP,v,2,0.5,0.2,10,2\nP,v,3,0.5,0.3,10,2\n")
+            + "".join(f"P,v,{seed},0.5,0.1,10,{len(log)}\n" for seed, log in logs.items()))
+        for seed, log in logs.items():
+            (outdir / "logs" / f"P__v__s{seed}.jsonl").write_text("".join(
+                json.dumps({"g": g, "fe": fe, "igd": igd}) + "\n" for g, (fe, igd) in enumerate(log)))
+        return outdir
+
+    def test_median_of_constructed_logs(self, tmp_path):
         igds = {1: [0.5, 0.1], 2: [0.6, 0.2], 3: [0.7, 0.9]}
-        for seed, (a, b) in igds.items():
-            (outdir / "logs" / f"P__v__s{seed}.jsonl").write_text(
-                json.dumps({"g": 0, "fe": 10, "igd": a}) + "\n"
-                + json.dumps({"g": 1, "fe": 20, "igd": b}) + "\n")
+        outdir = self._constructed_results(
+            tmp_path / "r", {seed: [(10, a), (20, b)] for seed, (a, b) in igds.items()})
         emit_plot_data(outdir)
         lines = (outdir / "plots" / "igd__P__v.csv").read_text().splitlines()
         assert lines[1].split(",")[2] == "0.6"
         assert lines[2].split(",")[2] == "0.2"
+        # Every field is a per-generation np.median: also for an even seed
+        # count (the middle pair's mean), for logs of unequal length (cut to
+        # the shortest) and with inf, an empty front's IGD.
+        rng = np.random.default_rng(1)
+        for n_seeds in (3, 4):
+            logs = {seed: [(int(fe), float(igd)) for fe, igd in zip(
+                        rng.integers(0, 10**6, size=9 + seed), rng.random(9 + seed) ** 3)]
+                    for seed in range(1, n_seeds + 1)}
+            logs[1][2] = (logs[1][2][0], float("inf"))
+            logs[2][4] = (logs[2][4][0], float("inf"))
+            outdir = self._constructed_results(tmp_path / f"n{n_seeds}", logs)
+            emit_plot_data(outdir)
+            lines = (outdir / "plots" / "igd__P__v.csv").read_text().splitlines()
+            assert len(lines) - 1 == 10
+            for g, line in enumerate(lines[1:]):
+                expected = [repr(float(np.median([log[g][k] for log in logs.values()]))) for k in (0, 1)]
+                assert line.split(",") == [str(g), *expected]
 
     def test_missing_log_yields_partial_emission(self, tmp_path, capsys):
         report = run_experiment(tiny_experiment(tmp_path / "r"))
@@ -414,6 +443,28 @@ class TestPlotData:
         assert main(["plotdata", str(outdir)]) == 2
         assert "P__v__s1.jsonl, line 2: not a log record" in capsys.readouterr().err
         assert not (outdir / "plots").exists()
+
+    @pytest.mark.parametrize("key", ["fe", "igd"])
+    @pytest.mark.parametrize("value", ['"x"', "null", "true", "NaN"])
+    def test_non_numeric_log_value_is_a_config_error(self, tmp_path, capsys, key, value):
+        outdir = self._two_seed_results(tmp_path)
+        log = outdir / "logs" / "P__v__s2.jsonl"
+        fields = {"fe": "20", "igd": "0.1", key: value}
+        last_line = f'{{"g": 1, "fe": {fields["fe"]}, "igd": {fields["igd"]}}}'
+        log.write_text(log.read_text().splitlines()[0] + "\n" + last_line + "\n")
+        assert main(["plotdata", str(outdir)]) == 2
+        assert f"P__v__s2.jsonl, line 2: {key} is {value}, expected a number" in capsys.readouterr().err
+        assert not (outdir / "plots").exists()
+
+    def test_infinite_igd_is_kept(self, tmp_path):
+        # An int past float range reads as inf, as json reads 1e400.
+        outdir = self._two_seed_results(tmp_path)
+        for seed, inf in ((1, "Infinity"), (2, "1" + "0" * 400)):
+            log = outdir / "logs" / f"P__v__s{seed}.jsonl"
+            log.write_text(log.read_text().replace('"igd": 0.5', f'"igd": {inf}'))
+        emit_plot_data(outdir)
+        lines = (outdir / "plots" / "igd__P__v.csv").read_text().splitlines()
+        assert lines[1:] == ["0,10.0,inf", "1,20.0,0.1"]
 
     def test_empty_directory_warns(self, tmp_path, capsys):
         assert emit_plot_data(tmp_path) == []

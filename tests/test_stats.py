@@ -320,6 +320,14 @@ def test_import_leaves_scipy_unloaded(entry):
     _run_fresh(f"import sys\n{entry}\n{_SCIPY_NOT_LOADED}")
 
 
+# Only a parallel grid or a mistyped config key needs these; every CLI
+# process would otherwise pay for their imports at start-up.
+def test_cli_import_leaves_the_pool_and_difflib_unloaded():
+    _run_fresh("import sys\nimport dpcmo.cli\n"
+               "loaded = [m for m in ('multiprocessing', 'concurrent.futures', 'difflib') if m in sys.modules]\n"
+               "assert not loaded, f'loaded at start-up: {loaded}'\n")
+
+
 # Samples on an integer grid tie often; unique floats never tie. Sizes
 # straddle both exact-enumeration limits.
 _TIED = st.integers(0, 4).map(float)
