@@ -25,6 +25,7 @@ from .harness import (
     ExperimentConfig,
     RunConfig,
     emit_plot_data,
+    identical_to_full,
     load_config,
     read_summary,
     run_experiment,
@@ -95,6 +96,8 @@ def _cmd_stats(args) -> int:
         print(f"baseline variant {args.baseline!r} not present in summary")
         return 2
 
+    # Runs that made full's every decision are full's runs: no test is needed.
+    identical = identical_to_full(args.summary, rows) if args.baseline == "full" else set()
     metrics = ["final_hv", "final_igd"] if args.metric == "both" else [f"final_{args.metric}"]
     for metric in metrics:
         larger_better = metric == "final_hv"
@@ -102,16 +105,20 @@ def _cmd_stats(args) -> int:
         for variant in variants:
             plus = minus = eq = 0
             deltas = []
+            same = []
             for pid in problems:
                 base = _metric_samples(rows, pid, args.baseline, metric)
                 other = _metric_samples(rows, pid, variant, metric)
                 if len(base) < 2 or len(other) < 2:
                     continue
-                report = ranksum_test(base, other, alpha=args.alpha,
-                                      larger_is_better=larger_better)
-                plus += report.verdict == "better"
-                minus += report.verdict == "worse"
-                eq += report.verdict == "equal"
+                if (pid, variant) in identical:
+                    same.append(pid)
+                else:
+                    report = ranksum_test(base, other, alpha=args.alpha,
+                                          larger_is_better=larger_better)
+                    plus += report.verdict == "better"
+                    minus += report.verdict == "worse"
+                    eq += report.verdict == "equal"
                 diff = float(np.mean(base)) - float(np.mean(other))
                 deltas.append(diff if larger_better else -diff)
             try:
@@ -120,7 +127,8 @@ def _cmd_stats(args) -> int:
                            f"p={sr.p_value:.3g}")
             except ValueError as exc:
                 sr_text = f"signed-rank n/a ({exc})"
-            print(f"  {variant:12s} {plus}/{minus}/{eq}  {sr_text}")
+            same_text = f"  identical to full in every run: {', '.join(same)}" if same else ""
+            print(f"  {variant:12s} {plus}/{minus}/{eq}  {sr_text}{same_text}")
     return 0
 
 

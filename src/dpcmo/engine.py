@@ -162,8 +162,9 @@ _PINNED_PLANS = {"HOps-T1": 1, "HOps-T2": 2, "HOps-T3": 3, "HOps-T4": 4}
 
 class RunState:
     """Everything one run owns: both populations, counters, schedule and
-    trackers. A stage-1 prefix (``run_stage1``) seeds other runs only
-    through forks (``run``); no run advances another's state."""
+    trackers. A prefix (a ``run_stage1`` state, possibly advanced by shared
+    stage-2 generations) seeds other runs only through forks (``run``); no
+    run advances another's state."""
 
     def __init__(self, problem: Problem, config: RunConfig, seed: int):
         self.problem = problem
@@ -183,7 +184,11 @@ class RunState:
         self.history = PointHistory(gap=config.history_gap, delta=config.history_delta)
         self.phase = 0
         self.log: list[dict] = []
-        self.stage1_seconds = 0.0  # wall seconds of run_stage1
+        # The variants whose stage-2 decisions this state followed; None
+        # until its first stage-2 generation, when any run of its stage1_key
+        # may continue it.
+        self.followed: tuple[str, ...] | None = None
+        self.prefix_seconds = 0.0  # wall seconds spent reaching this state
 
         self.ref_points = reference_front(problem, config.igd_points)
         self.metric_cfg = MetricConfig.from_front(self.ref_points, reference_offset=config.hv_offset)
@@ -395,63 +400,81 @@ def hops_generate(state: RunState, eff_type: int, f1: float, f2: float
     return tuple(_evaluate_split(state, *sides))
 
 
-def stage2_step(state: RunState) -> None:
-    """One generation of the second stage.
+def stage2_decide(state: RunState, config: RunConfig) -> tuple:
+    """What ``config``'s variant does in ``state``'s next stage-2 generation.
 
-    Computes the relaxation value for this generation, optionally emits
-    opposition offspring against deceptive constraints, allocates offspring
-    volume, runs the hybrid operator plan, and routes the auxiliary
-    population through the phase logic.
+    Every choice that reads the variant is made here, and nothing is drawn
+    or changed. The record is a plain tuple
+    ``(eps, opposition, plan, dra, phase, sel_eps, n_s)``: the relaxation
+    value, whether opposition offspring are emitted, the HOps plan, the
+    offspring allocation (a ``DraState``), the auxiliary phase, phase 3's
+    truncation epsilon (None in the other phases) and the auxiliary target
+    size. Equal states with equal records give equal next states.
     """
-    cfg = state.config
-    n = cfg.pop_size
     fr_main = state.pop_main.feasible_ratio()
     fr_aux = state.pop_aux.feasible_ratio()
-    n_s = aux_size(fr_aux, n)
+    n_s = aux_size(fr_aux, config.pop_size)
+    variant, tracker = config.variant, state.tracker
 
-    if cfg.variant == "Eps1":
+    if variant == "Eps1":
         eps = epsilon_initial(state.schedule, state.fe)
     else:
-        eps = epsilon_final(state.schedule, state.fe, state.tracker.type)
+        eps = epsilon_final(state.schedule, state.fe, tracker.type)
+    opposition = (variant != "WoOP" and (fr_main == 1.0 or fr_main == 0.0)
+                  and fr_aux == 0.0 and eps > config.opposition_eps)
+
+    plan = _PINNED_PLANS.get(variant) or (4 if tracker.cnt > 3 else tracker.type)
+    if variant == "WoDRA":
+        ops = HOPS_PLANS[plan]
+        dra = DraState(*no_dra_factors(len(ops.main_ops), len(ops.aux_ops)))
+    else:
+        dra = dra_allocate(state.dra, tracker.type, 0.0, fr_main, fr_aux, tracker.cnt)
+
+    if variant == "Wo3P":
+        phase = 2
+    elif eps >= config.phase1_eps:
+        phase = 1
+    elif eps <= config.phase3_eps or tracker.type in (1, 2):
+        phase = 3
+    else:
+        phase = 2
+    sel_eps = (0.0 if tracker.type == 1 else eps) if phase == 3 else None
+    return eps, opposition, plan, dra, phase, sel_eps, n_s
+
+
+def stage2_apply(state: RunState, decision: tuple) -> None:
+    """Run one stage-2 generation as ``decision`` (a ``stage2_decide``
+    record) says; the variant is not read.
+
+    Emits the opposition offspring if they fire, runs the operator plan at
+    the allocated volume, selects the main population, and routes the
+    auxiliary population through its phase: truncation and reclassification
+    in phase 1, angular subregion selection in phase 2, truncation at
+    ``sel_eps`` in phase 3.
+    """
+    eps, opposition, plan, dra, phase, sel_eps, n_s = decision
+    cfg = state.config
+    n = cfg.pop_size
     state.epsilon = eps
 
     off3 = Population.empty()
-    if (cfg.variant != "WoOP" and (fr_main == 1.0 or fr_main == 0.0)
-            and fr_aux == 0.0 and eps > cfg.opposition_eps):
+    if opposition:
         X3 = opposition_offspring(state.pop_aux, state.problem.bounds)
         off3 = evaluate_batch(state.problem, X3, state.counter, cfg.delta)
 
-    eff_type = _PINNED_PLANS.get(cfg.variant) or (
-        4 if state.tracker.cnt > 3 else state.tracker.type)
-    plan = HOPS_PLANS[eff_type]
-    if cfg.variant == "WoDRA":
-        f1, f2 = no_dra_factors(len(plan.main_ops), len(plan.aux_ops))
-        state.dra = DraState(f1=f1, f2=f2)
-    else:
-        state.dra = dra_allocate(state.dra, state.tracker.type, 0.0, fr_main, fr_aux,
-                                 state.tracker.cnt)
-
-    off1, off2 = hops_generate(state, eff_type, state.dra.f1, state.dra.f2)
+    state.dra = dra
+    off1, off2 = hops_generate(state, plan, dra.f1, dra.f2)
     off = Population.concat(off1, off2, off3)
 
     state.pop_main = _survivors(Population.concat(state.pop_main, off), n, 0.0)
 
-    if cfg.variant == "Wo3P":
-        state.phase = 2
-    elif eps >= cfg.phase1_eps:
-        state.phase = 1
-    elif eps <= cfg.phase3_eps or state.tracker.type in (1, 2):
-        state.phase = 3
-    else:
-        state.phase = 2
-
+    state.phase = phase
     aux_union = Population.concat(state.pop_aux, off)
-    if state.phase == 1:
+    if phase == 1:
         state.pop_aux = _survivors(aux_union, n_s, math.inf)
         ntype = classify_relationship(state.pop_aux, cfg.coincident_threshold)
         state.tracker = track_type(state.tracker, ntype)
-    elif state.phase == 3:
-        sel_eps = 0.0 if state.tracker.type == 1 else eps
+    elif phase == 3:
         state.pop_aux = _survivors(aux_union, n_s, sel_eps)
     else:
         picks = angle_subregion_select(aux_union, len(state.pop_aux), n_s, eps)
@@ -459,6 +482,12 @@ def stage2_step(state: RunState) -> None:
 
     _append_log(state, generation=state.g, stage=1)
     state.g += 1
+
+
+def stage2_step(state: RunState) -> None:
+    """One generation of the second stage under the state's own variant."""
+    stage2_apply(state, stage2_decide(state, state.config))
+    state.followed = (state.config.variant,)
 
 
 def stage1_key(problem: Problem, config: RunConfig, seed: int) -> tuple:
@@ -476,7 +505,7 @@ def run_stage1(problem: Problem, config: RunConfig, seed: int) -> RunState:
     while state.schedule is None and state.fe < config.max_fe:
         try_switch(state)
         stage1_step(state)
-    state.stage1_seconds = time.perf_counter() - started
+    state.prefix_seconds = time.perf_counter() - started
     return state
 
 
@@ -499,15 +528,20 @@ def run(problem: Problem, config: RunConfig | None = None, seed: int = 0,
     """Execute a full run and return its log and final front.
 
     ``prefix``, a ``run_stage1`` state with this run's ``stage1_key``, skips
-    stage 1: the run continues a fork of it, never the prefix in place, so
-    one prefix can seed any number of runs. The result equals a run without
-    it, bar the wall time, which includes the prefix's stage-1 seconds.
+    stage 1; if it also ran stage-2 generations, this run's variant must be
+    among those whose decisions they followed. The run continues a fork of
+    it, never the prefix in place, so one prefix can seed any number of
+    runs. The result equals a run without it, bar the wall time, which
+    includes the seconds spent reaching the prefix.
     """
     config = config or RunConfig()
     if prefix is None:
         state = run_stage1(problem, config, seed)
     elif stage1_key(prefix.problem, prefix.config, prefix.seed) != stage1_key(problem, config, seed):
         raise ValueError("prefix ran stage 1 for another problem, seed or config")
+    elif prefix.followed is not None and config.variant not in prefix.followed:
+        raise ValueError(f"prefix followed the stage-2 decisions of {', '.join(prefix.followed)}, "
+                         f"not {config.variant}")
     else:
         state = _fork(prefix, problem, config)
     started = time.perf_counter()
@@ -531,6 +565,6 @@ def run(problem: Problem, config: RunConfig | None = None, seed: int = 0,
         switch_generation=state.switch_generation,
         type_at_switch=state.type_at_switch,
         evaluations=state.fe,
-        wall_time=state.stage1_seconds + time.perf_counter() - started,
+        wall_time=state.prefix_seconds + time.perf_counter() - started,
         fingerprint=_fingerprint(problem, config, seed),
     )

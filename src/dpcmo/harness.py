@@ -15,8 +15,9 @@ Outputs under the configured directory:
 * ``summary.csv``        one row per completed run (deterministic bytes)
 * ``logs/*.jsonl``       per-run convergence logs, one record per generation
 * ``fronts/*.csv``       final feasible fronts, one file per run
-* ``metadata.json``      config echo, version, timing (excluded from
-                         byte-for-byte reproducibility)
+* ``metadata.json``      config echo, version, timing and where each
+                         ablated cell's decisions left full's (excluded
+                         from byte-for-byte reproducibility)
 """
 
 from __future__ import annotations
@@ -29,7 +30,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import ABLATIONS, RunConfig, RunResult, apply_ablation, run, run_stage1, stage1_key
+from .engine import (
+    ABLATIONS,
+    RunConfig,
+    RunResult,
+    RunState,
+    _fork,
+    apply_ablation,
+    run,
+    run_stage1,
+    stage1_key,
+    stage2_apply,
+    stage2_decide,
+)
 from .problems import DEFAULT_DIMENSION, PROBLEM_IDS, make_problem
 
 DEFAULT_SEED_COUNT = 30
@@ -175,21 +188,69 @@ def _run_cell(args) -> RunResult:
     return run(problem, apply_ablation(run_config, variant), seed, prefix=prefix)
 
 
-def _run_group(jobs) -> list[RunResult | Exception]:
-    """Run cells that share one stage-1 key: stage 1 once, then each cell
-    from that prefix. A failed stage 1 fails every cell of the group."""
-    pid, dim, variant, seed, run_config = jobs[0]
+def _lockstep(state: RunState, configs: dict[str, RunConfig], members: list[str]) -> dict:
+    """Advance ``state`` one stage-2 generation at a time while the member
+    variants' decisions agree, adding the seconds to its prefix seconds.
+    Returns the members grouped by decision at the first disagreement, or
+    ``{None: members}`` once the budget is spent or if only one is left."""
+    while len(members) > 1 and state.fe < state.config.max_fe:
+        started = time.perf_counter()
+        parts: dict = {}
+        for variant in members:
+            parts.setdefault(stage2_decide(state, configs[variant]), []).append(variant)
+        if len(parts) == 1:
+            stage2_apply(state, *parts)
+            state.followed = tuple(members)
+        state.prefix_seconds += time.perf_counter() - started
+        if len(parts) > 1:
+            return parts
+    return {None: members}
+
+
+def _run_group(jobs) -> tuple[list[RunResult | Exception], dict[str, int | None]]:
+    """Run cells that share one stage-1 key: stage 1 once, then stage 2 in
+    lockstep. Cells whose decisions agree share each generation on one
+    state. At a disagreement, every two or more cells that still agree go on
+    together on a fork, and a cell left alone continues through ``run`` from
+    the last state it shared. A failed stage 1 or shared generation fails
+    every cell that shared it.
+
+    Also returns, by cell name, for each cell of a group that holds full
+    (full aside), the stage-2 generation at which its decision first
+    differed from full's, or None if it never did.
+    """
+    pid, dim, _, seed, run_config = jobs[0]
+    configs = {job[2]: apply_ablation(run_config, job[2]) for job in jobs}
+    results: dict = {}
+    diverged: dict = {}
+    # Depth first, so a shared state is dropped once its cells have left it.
     try:
-        prefix = run_stage1(make_problem(pid, dim), apply_ablation(run_config, variant), seed)
+        clusters = [(run_stage1(make_problem(pid, dim), configs[jobs[0][2]], seed), list(configs))]
     except Exception as exc:  # recorded, not fatal
-        return [exc] * len(jobs)
-    results: list[RunResult | Exception] = []
-    for job in jobs:
+        return [exc] * len(jobs), diverged
+    for variant in configs:
+        if variant != "full" and "full" in configs:
+            diverged[_cell_name(pid, variant, seed)] = None
+    while clusters:
+        state, members = clusters.pop()
         try:
-            results.append(_run_cell((*job, prefix)))
+            parts = _lockstep(state, configs, members)
         except Exception as exc:
-            results.append(exc)
-    return results
+            results.update(dict.fromkeys(members, exc))
+            continue
+        for decision, part in parts.items():
+            if decision is not None and "full" in members and "full" not in part:
+                for variant in part:
+                    diverged[_cell_name(pid, variant, seed)] = state.g
+            if decision is not None and len(part) > 1:
+                clusters.append((_fork(state, state.problem, state.config), part))
+                continue
+            for variant in part:
+                try:
+                    results[variant] = _run_cell((pid, dim, variant, seed, run_config, state))
+                except Exception as exc:
+                    results[variant] = exc
+    return [results[job[2]] for job in jobs], diverged
 
 
 @dataclass
@@ -208,11 +269,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute the (problem x variant x seed) grid and persist artifacts.
 
     Cells with one ``stage1_key`` form a group that runs stage 1 once and
-    continues each cell from a fork of it; ``parallel`` runs one group per
-    job, in at most as many processes as there are groups. Cell failures are
-    recorded in the metadata and do not abort the grid. Summary and log
-    bytes are reproducible for identical configs; wall times (each including
-    its group's stage-1 seconds) and timestamps live only in the metadata file.
+    shares every stage-2 generation whose decisions agree (``_run_group``);
+    ``parallel`` runs one group per job, in at most as many processes as
+    there are groups. Cell failures are recorded in the metadata and do not
+    abort the grid. Summary and log bytes are reproducible for identical
+    configs; wall times (each including the shared seconds it took part in),
+    timestamps and ``diverged_from_full`` live only in the metadata file.
     """
     config.validate()
     outdir = Path(config.outdir)
@@ -244,17 +306,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 try:
                     outcomes.append(fut.result())
                 except Exception as exc:  # a worker that died fails its group
-                    outcomes.append([exc] * len(group))
+                    outcomes.append(([exc] * len(group), {}))
     else:
         outcomes = [_run_group(group) for group in jobs]
     by_cell: dict[int, RunResult | Exception] = {}
-    for members, group_results in zip(groups.values(), outcomes):
+    diverged_at: dict[str, int | None] = {}
+    for members, (group_results, group_diverged) in zip(groups.values(), outcomes):
         by_cell.update(zip(members, group_results))
+        diverged_at.update(group_diverged)
     results = [by_cell[i] for i in range(len(cells))]
 
     rows = []
     failed: list[tuple[str, str]] = []
     wall_times = {}
+    diverged_from_full = {}
     for (pid, dim, variant, seed), outcome in zip(cells, results):
         name = _cell_name(pid, variant, seed)
         if isinstance(outcome, Exception):
@@ -269,6 +334,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         rows.append((pid, variant, seed, outcome.final_hv, outcome.final_igd,
                      outcome.evaluations, len(outcome.log)))
         wall_times[name] = outcome.wall_time
+        if name in diverged_at:
+            diverged_from_full[name] = diverged_at[name]
 
     summary_path = outdir / "summary.csv"
     with summary_path.open("w") as fh:
@@ -284,6 +351,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "started_unix": started,
         "elapsed_seconds": time.time() - started,
         "wall_times": wall_times,
+        "diverged_from_full": diverged_from_full,
         "failures": failed,
     }
     (outdir / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True, default=str) + "\n")
@@ -336,6 +404,23 @@ def read_summary(path) -> list[dict]:
             raise ConfigError(f"{path}, line {line_no}: same problem, variant and seed as line {first_no}")
         rows.append(row)
     return rows
+
+
+def identical_to_full(summary_path, rows) -> set[tuple[str, str]]:
+    """The (problem, variant) pairs of ``rows`` whose every run made full's
+    every decision: the metadata.json beside the summary gives each of them
+    ``diverged_from_full`` null. Empty without that file; a file that is
+    not a metadata object is a ConfigError naming it."""
+    path = Path(summary_path).parent / "metadata.json"
+    if not path.exists():
+        return set()
+    try:
+        diverged = dict(json.loads(path.read_text()).get("diverged_from_full", {}))
+    except (OSError, ValueError, AttributeError, TypeError) as exc:
+        raise ConfigError(f"{path}: not a dpcmo metadata file ({exc})") from None
+    pairs = {(r["problem"], r["variant"]) for r in rows}
+    return pairs - {(r["problem"], r["variant"]) for r in rows
+                    if diverged.get(_cell_name(r["problem"], r["variant"], r["seed"]), 0) is not None}
 
 
 def _read_log(log_path: Path) -> np.ndarray:

@@ -16,6 +16,7 @@ from dpcmo.engine import (
     RunConfig,
     _evaluate_split,
     _fingerprint,
+    _fork,
     _run_operator,
     apply_ablation,
     feasible_front,
@@ -26,6 +27,7 @@ from dpcmo.engine import (
     run_stage1,
     stage1_key,
     stage1_step,
+    stage2_decide,
     stage2_step,
     try_switch,
 )
@@ -644,11 +646,35 @@ class TestSharedStage1:
         continued = run(problem, apply_ablation(config, "WoOP"), 1, prefix=prefix)
         assert result_view(continued) == result_view(run(problem, apply_ablation(config, "WoOP"), 1))
 
+    def test_stage2_prefix_continues_only_under_the_variants_it_followed(self, stage1_prefixes):
+        problem = make_problem("P3-separated", 10)
+        state = _fork(stage1_prefixes["P3-separated", "full"], problem, SHARED)
+        stage2_step(state)
+        assert state.followed == ("full",)
+        with pytest.raises(ValueError, match="prefix followed the stage-2 decisions of full"):
+            run(problem, apply_ablation(SHARED, "Wo3P"), 1, prefix=state)
+        assert result_view(run(problem, SHARED, 1, prefix=state)) == result_view(run(problem, SHARED, 1))
+
     def test_continued_wall_time_adds_the_prefix_seconds(self):
         problem = make_problem("P1-overlap", 10)
         config = RunConfig(pop_size=30, max_fe=3000)
         prefix = run_stage1(problem, config, 1)
-        prefix.stage1_seconds = 1000.0
+        prefix.prefix_seconds = 1000.0
         started = time.perf_counter()
         result = run(problem, config, 1, prefix=prefix)
         assert 1000.0 < result.wall_time < 1000.0 + time.perf_counter() - started
+
+
+class TestDecideApply:
+    def test_decide_draws_and_changes_nothing(self, stage1_prefixes):
+        state = stage1_prefixes["P3-separated", "full"]
+
+        def view():
+            return (state.rng.bit_generator.state, state.counter.count, log_bytes(state.log),
+                    state.pop_main, state.pop_aux, state.dra, state.tracker, state.epsilon, state.phase)
+
+        before = view()
+        for variant in FULL_CLASS:
+            config = apply_ablation(SHARED, variant)
+            assert stage2_decide(state, config) == stage2_decide(state, config), variant
+        assert view() == before

@@ -1,3 +1,4 @@
+import itertools
 import json
 from concurrent.futures import Future
 from pathlib import Path
@@ -353,6 +354,107 @@ class TestSharedStage1:
         assert pooled.summary_path.read_bytes() == serial.summary_path.read_bytes()
 
 
+def stage2_grid(outdir, problem, variants, parallel=1):
+    return ExperimentConfig(problems=[(problem, 10)], seeds=[1], variants=list(variants),
+                            outdir=Path(outdir), parallel=parallel,
+                            run=RunConfig(pop_size=30, max_fe=15_200))
+
+
+def solo_artifacts(cfg) -> dict:
+    """The log and front bytes of each cell of ``cfg`` as a solo ``run``."""
+    out = {}
+    for (pid, dim), variant, seed in itertools.product(cfg.problems, cfg.variants, cfg.seeds):
+        result = engine.run(harness.make_problem(pid, dim),
+                            engine.apply_ablation(cfg.run, variant), seed)
+        name = f"{pid}__{variant}__s{seed}"
+        out[Path("logs", f"{name}.jsonl")] = "".join(
+            json.dumps(r, sort_keys=True) + "\n" for r in result.log).encode()
+        out[Path("fronts", f"{name}.csv")] = ("\n".join(["f1,f2"] + [
+            ",".join(repr(float(v)) for v in row) for row in result.front_objectives]) + "\n").encode()
+    return out
+
+
+def first_stage2_generation(outdir, name) -> int:
+    return next(r["g"] for r in map(json.loads, (outdir / "logs" / f"{name}.jsonl").open())
+                if r["stage"] == 1)
+
+
+def diverged_from_full(outdir) -> dict:
+    return json.loads((outdir / "metadata.json").read_text())["diverged_from_full"]
+
+
+class TestSharedStage2:
+    # P3: Wo3P makes full's decisions through phase 2, then forks, and WoOP
+    # leaves at the first stage-2 generation. P1: Wo3P leaves at once, and
+    # full, WoOP and HOps-T1 go on together on a fork to the budget.
+    @pytest.mark.parametrize("problem,variants,never,late", [
+        ("P3-separated", ("full", "Wo3P", "WoOP"), (), ("Wo3P",)),
+        ("P1-overlap", ("full", "WoOP", "HOps-T1", "Wo3P"), ("WoOP", "HOps-T1"), ()),
+    ])
+    def test_shared_cells_write_their_solo_bytes(self, tmp_path, problem, variants, never, late):
+        serial = stage2_grid(tmp_path / "s", problem, variants)
+        solo = solo_artifacts(serial)
+        run_experiment(serial)
+        run_experiment(stage2_grid(tmp_path / "p", problem, variants, parallel=2))
+        for outdir in (tmp_path / "s", tmp_path / "p"):
+            written = artifact_bytes(outdir)
+            assert {k: v for k, v in written.items() if k.name != "summary.csv"} == solo
+        diverged = diverged_from_full(tmp_path / "s")
+        assert len(diverged) == len(variants) - 1
+        for variant in variants[1:]:
+            name = f"{problem}__{variant}__s1"
+            g, first = diverged[name], first_stage2_generation(tmp_path / "s", name)
+            assert g is None if variant in never else (g > first if variant in late else g == first)
+
+    def test_shared_generations_run_once(self, tmp_path, monkeypatch):
+        applied = []
+        inner = engine.stage2_apply
+
+        def counted(state, decision):
+            applied.append(state.g)
+            inner(state, decision)
+
+        monkeypatch.setattr(engine, "stage2_apply", counted)
+        monkeypatch.setattr(harness, "stage2_apply", counted)
+        variants = ("full", "WoOP", "HOps-T1", "Wo3P")
+        run_experiment(stage2_grid(tmp_path, "P1-overlap", variants))
+        per_cell = {v: sum(json.loads(line)["stage"] == 1
+                           for line in (tmp_path / "logs" / f"P1-overlap__{v}__s1.jsonl").open())
+                    for v in variants}
+        assert per_cell["full"] == per_cell["WoOP"] == per_cell["HOps-T1"] > 0
+        assert len(applied) == per_cell["full"] + per_cell["Wo3P"] < sum(per_cell.values())
+
+    def test_shared_state_continues_only_under_its_cells_variants(self):
+        problem = harness.make_problem("P3-separated", 10)
+        configs = {v: engine.apply_ablation(RunConfig(pop_size=30, max_fe=15_200), v)
+                   for v in ("full", "Wo3P", "WoOP")}
+        state = engine.run_stage1(problem, configs["full"], 1)
+        parts = harness._lockstep(state, configs, ["full", "Wo3P"])
+        assert len(parts) == 2 and state.followed == ("full", "Wo3P")
+        with pytest.raises(ValueError, match="prefix followed"):
+            engine.run(problem, configs["WoOP"], 1, prefix=state)
+        for variant in ("full", "Wo3P"):
+            shared = engine.run(problem, configs[variant], 1, prefix=state)
+            assert shared.log == engine.run(problem, configs[variant], 1).log
+
+    def test_divergence_is_recorded_only_against_full(self, tmp_path):
+        run_experiment(shared_grid(tmp_path))
+        assert diverged_from_full(tmp_path) == {
+            f"P3-separated__WoOP__s{s}": first_stage2_generation(tmp_path, f"P3-separated__WoOP__s{s}")
+            for s in (1, 2)}
+
+    def test_golden_grid_reports_where_wo3p_left_full(self, tmp_path):
+        from test_golden import GRIDS
+
+        run_experiment(ExperimentConfig(outdir=tmp_path, **GRIDS["grid"]))
+        diverged = diverged_from_full(tmp_path)
+        assert sorted(diverged) == sorted(f"{pid}__Wo3P__s{s}" for pid, _ in GRIDS["grid"]["problems"]
+                                          for s in (1, 2))
+        for name, g in diverged.items():
+            first = first_stage2_generation(tmp_path, name)
+            assert g == first if not name.startswith("P3") else g > first
+
+
 class TestPlotData:
     def test_series_and_fronts(self, tmp_path):
         report = run_experiment(tiny_experiment(tmp_path / "r"))
@@ -516,6 +618,29 @@ class TestCli:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
         assert not outdir.exists()
+
+    def test_stats_names_the_problems_where_a_variant_never_left_full(self, tmp_path, capsys):
+        outdir = tmp_path / "r"
+        run_experiment(ExperimentConfig(problems=[("P1-overlap", 10)], seeds=[1, 2],
+                                        variants=["full", "WoOP"], outdir=outdir,
+                                        run=RunConfig(pop_size=30, max_fe=15_200)))
+        assert diverged_from_full(outdir) == dict.fromkeys(
+            ["P1-overlap__WoOP__s1", "P1-overlap__WoOP__s2"])
+
+        def woop_lines():
+            assert main(["stats", str(outdir / "summary.csv")]) == 0
+            return [line for line in capsys.readouterr().out.splitlines() if "WoOP" in line]
+
+        counted = woop_lines()
+        assert len(counted) == 2
+        assert all(line.startswith("  WoOP         0/0/0  ")
+                   and line.endswith("  identical to full in every run: P1-overlap") for line in counted)
+        (outdir / "metadata.json").unlink()  # without metadata, a rank-sum verdict as before
+        assert woop_lines() == [line.replace(" 0/0/0 ", " 0/0/1 ").split("  identical")[0]
+                                for line in counted]
+        (outdir / "metadata.json").write_text("[]")
+        assert main(["stats", str(outdir / "summary.csv")]) == 2
+        assert str(outdir / "metadata.json") in capsys.readouterr().err
 
     def test_stats_missing_summary(self, tmp_path, capsys):
         path = tmp_path / "absent.csv"
