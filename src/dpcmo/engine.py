@@ -131,6 +131,8 @@ class RunConfig:
             raise ValueError(f"history_gap must be at least 1, got {self.history_gap}")
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        if not self.history_delta > 0:  # the floor of rs_metric's denominator
+            raise ValueError(f"history_delta must be positive, got {self.history_delta}")
         if self.variant != "full" and self.variant not in ABLATIONS:
             raise ValueError(f"unknown variant {self.variant!r}; expected 'full' or one of {ABLATION_VARIANTS}")
 

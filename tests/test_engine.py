@@ -123,6 +123,8 @@ class TestRunConfigBounds:
         ("eps0", math.inf),
         ("curvature", math.inf),
         ("history_delta", math.nan),
+        ("history_delta", 0.0),
+        ("history_delta", -1.0),
         ("hv_offset", math.nan),
         ("hv_offset", 0.0),
         ("hv_offset", -1.0),

@@ -119,7 +119,8 @@ history_gap = 7
     @pytest.mark.parametrize("line", [
         "eps0 = 0", "curvature = 0", "pbest_fraction = 0",
         "igd_points = 1", "phase3_eps = 0.3", "history_gap = 0",
-        "eps0 = inf", "curvature = inf", "history_delta = nan", "hv_offset = nan",
+        "eps0 = inf", "curvature = inf", "history_delta = nan", "history_delta = 0",
+        "hv_offset = nan",
         "coincident_threshold = 0.0", "coincident_threshold = -0.1", "coincident_threshold = 5.0",
         "seeds = 3, -1",
     ])

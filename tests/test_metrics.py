@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpcmo import metrics
 from dpcmo.metrics import IGD_EMPTY, MetricConfig, hypervolume, igd
 
 from oracles import mc_hypervolume
@@ -103,6 +104,23 @@ class TestIgd:
         base = igd(front, ref)
         grown = igd(np.vstack([front, random_front(rng, 5)]), ref)
         assert grown <= base + 1e-15
+
+    @pytest.mark.parametrize("front, staircase", [
+        ([[0.0, 1.0], [0.5, 0.5], [0.5, 0.5], [1.0, 0.0]], True),
+        ([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], True),
+        ([[0.3, 0.3]], True),
+        ([[0.0, 1.0], [0.5, 0.5], [0.6, 0.6]], False),
+        ([[0.5, 0.4], [0.5, 0.6]], False),
+        ([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]], False),
+    ])
+    def test_staircase_search_taken_only_where_f2_never_rises(self, monkeypatch, front, staircase):
+        calls = []
+        search = metrics._staircase_squared_distances
+        monkeypatch.setattr(metrics, "_staircase_squared_distances",
+                            lambda ref, pts: calls.append(1) or search(ref, pts))
+        ref = np.full((3, len(front[0])), 0.25)
+        igd(front, ref)
+        assert len(calls) == staircase
 
     def test_empty_front_sentinel(self):
         assert igd(np.empty((0, 2)), [[0.0, 1.0]]) == IGD_EMPTY

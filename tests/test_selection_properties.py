@@ -1,6 +1,6 @@
-"""Property tests: the fast two-objective selection paths, the windowed IGD
-and the vectorised hypervolume against their dense and loop forms, element
-for element."""
+"""Property tests: the fast two-objective selection paths, the windowed and
+staircase IGD searches and the vectorised hypervolume against their dense
+and loop forms, element for element."""
 
 import math
 
@@ -248,6 +248,68 @@ def test_igd_equals_dense_formula_on_tied_and_repeated_rows(m, data):
     on_f1 = data.draw(hnp.arrays(bool, len(ref)))
     ref[on_f1, 0] = f1[0]
     assert igd(front, ref) == igd_dense(front, ref)
+
+
+def _is_staircase(front) -> bool:
+    """Sorted stably by f1, f2 never rises: the order ``igd`` bounds its
+    nearest-row search by."""
+    front = np.asarray(front, dtype=float)
+    return bool((np.diff(front[np.argsort(front[:, 0], kind="stable"), 1]) <= 0).all())
+
+
+def _staircase_example(front, ref):
+    """Replays the front and reference as given, with no reference
+    coordinate moved onto the front."""
+    front, ref = np.array(front), np.array(ref)
+    unmoved = (np.zeros(len(ref), bool), np.empty(0, np.int64))
+    return example(_Replay(front, len(ref), ref, *unmoved, *unmoved))
+
+
+@st.composite
+def staircase_fronts(draw):
+    """Distinct f1 values paired with non-increasing f2 values, whole rows
+    repeated and shuffled (so f1 ties only ever repeat a row), optionally
+    shifted beyond every reference point in both objectives."""
+    shift = draw(st.sampled_from([0.0, 0.0, 5.0, -5.0]))
+    # Shifted before np.unique, since the shift may merge nearby f1 values.
+    f1 = np.unique(np.array(draw(st.lists(_COORD, min_size=1, max_size=30))) + shift)
+    f2 = np.sort(draw(hnp.arrays(float, len(f1), elements=_COORD, fill=st.nothing())) + shift)
+    rows = np.column_stack([f1, f2[::-1]])
+    return rows[draw(hnp.arrays(np.int64, draw(st.integers(1, 60)),
+                                elements=st.integers(0, len(rows) - 1)))]
+
+
+# The underflow pairs above, recast as multi-row staircases around the same
+# coordinates.
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+@_staircase_example([[0.0, 2.2e-308], [2.2e-308, 0.0]], [[2.2e-308, 2.2e-308]])
+@_staircase_example([[8.78e-285, 1.42e-281], [8.78e-285, 1.42e-281], [1.42e-281, 8.78e-285]],
+                    [[1.42e-281, 1.42e-281]])
+@_staircase_example([[-2.49254922e-284, 0.0], [-1.05777292e-296, 0.0],
+                     [0.0, -2.49254922e-284]], [[-2.49254922e-284, -2.49254922e-284]])
+def test_igd_equals_dense_formula_on_staircase_fronts(data):
+    """Two-objective fronts whose f2 never rises in f1 order, which ``igd``
+    searches within each reference point's range in both orders; reference
+    points may sit on the front's coordinates."""
+    front = data.draw(staircase_fronts())
+    ref = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 100)), 2), elements=_COORD,
+                               fill=st.nothing()))
+    for j in range(2):
+        on_front = data.draw(hnp.arrays(bool, len(ref)))
+        ref[on_front, j] = front[data.draw(hnp.arrays(
+            np.int64, int(on_front.sum()), elements=st.integers(0, len(front) - 1))), j]
+    assert _is_staircase(front)
+    assert igd(front, ref) == igd_dense(front, ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_feasible_front_is_a_staircase(inst):
+    """Every front the run log measures takes ``igd``'s staircase search."""
+    F, cv = inst
+    front = feasible_front(Population(F, F, cv)).F
+    assert len(front) == 0 or _is_staircase(front)
 
 
 # Coordinates on a 0.1 grid against the unit reference: duplicates, points
