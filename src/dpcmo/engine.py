@@ -80,8 +80,6 @@ ABLATIONS = {
     "WoDRA": "static offspring allocation",
 }
 ABLATION_VARIANTS = tuple(ABLATIONS)
-# The variants that stage 1 reads; every other variant runs full's stage 1.
-STAGE1_VARIANTS = ("WoRR", "WoS1C")
 
 
 @dataclass(frozen=True)
@@ -164,9 +162,9 @@ _PINNED_PLANS = {"HOps-T1": 1, "HOps-T2": 2, "HOps-T3": 3, "HOps-T4": 4}
 
 class RunState:
     """Everything one run owns: both populations, counters, schedule and
-    trackers. A prefix (a ``run_stage1`` state, possibly advanced by shared
-    stage-2 generations) seeds other runs only through forks (``run``); no
-    run advances another's state."""
+    trackers. A prefix (an ``initialize`` state, possibly advanced by shared
+    generations) seeds other runs only through forks (``run``); no run
+    advances another's state."""
 
     def __init__(self, problem: Problem, config: RunConfig, seed: int):
         self.problem = problem
@@ -186,9 +184,8 @@ class RunState:
         self.history = PointHistory(gap=config.history_gap, delta=config.history_delta)
         self.phase = 0
         self.log: list[dict] = []
-        # The variants whose stage-2 decisions this state followed; None
-        # until its first stage-2 generation, when any run of its stage1_key
-        # may continue it.
+        # The variants whose decisions this state followed; None until its
+        # first generation, when a run of any variant may continue it.
         self.followed: tuple[str, ...] | None = None
         self.prefix_seconds = 0.0  # wall seconds spent reaching this state
 
@@ -270,34 +267,42 @@ def _append_log(state: RunState, generation: int, stage: int) -> None:
     })
 
 
-def try_switch(state: RunState) -> None:
-    """Check the stage-transition condition; on trigger, classify the front
-    relationship and freeze the relaxation schedule."""
-    if state.schedule is not None:
-        raise RuntimeError("switch already happened")
-    if should_switch(rs_metric(state.history), state.g, strict_only=state.config.variant == "WoRR"):
+def stage1_decide(state: RunState, config: RunConfig) -> tuple[bool, bool]:
+    """What ``config``'s variant does in ``state``'s next stage-1 generation.
+
+    Every choice that reads the variant is made here, and nothing is drawn
+    or changed. The record is ``(switch, shared)``: whether the stage
+    transition triggers at this generation, and whether the auxiliary
+    offspring join the main population's selection pool. Equal states with
+    equal records give equal next states.
+    """
+    switch = should_switch(rs_metric(state.history), state.g, strict_only=config.variant == "WoRR")
+    return switch, config.variant != "WoS1C"
+
+
+def stage1_apply(state: RunState, decision: tuple[bool, bool]) -> None:
+    """Run one co-evolution generation as ``decision`` (a ``stage1_decide``
+    record) says; the variant is not read.
+
+    A switch first classifies the front relationship and freezes the
+    relaxation schedule. Both populations breed by crossover and mutation;
+    shared auxiliary offspring also join the main population's selection.
+    """
+    switch, shared = decision
+    cfg = state.config
+    n = cfg.pop_size
+    rng = state.rng
+    if switch:
         state.switch_generation = state.g
-        seed_type = classify_relationship(state.pop_aux, state.config.coincident_threshold)
+        seed_type = classify_relationship(state.pop_aux, cfg.coincident_threshold)
         state.type_at_switch = seed_type
         state.tracker = TypeTracker(type=seed_type)
         state.schedule = EpsilonSchedule(
             switch_fe=state.fe,
-            max_fe=state.config.max_fe,
-            eps0=state.config.eps0,
-            curvature=state.config.curvature,
+            max_fe=cfg.max_fe,
+            eps0=cfg.eps0,
+            curvature=cfg.curvature,
         )
-
-
-def stage1_step(state: RunState) -> None:
-    """One co-evolution generation before the switch.
-
-    Both populations breed by crossover and mutation; the auxiliary
-    offspring also join the main population's selection pool unless the
-    isolated-main ablation is active.
-    """
-    cfg = state.config
-    n = cfg.pop_size
-    rng = state.rng
 
     pool_main = random_pool(state.pop_main, n, rng)
     X1 = ga_offspring(state.pop_main.X[pool_main], 1, state.problem.bounds, rng)
@@ -305,16 +310,22 @@ def stage1_step(state: RunState) -> None:
     X2 = ga_offspring(state.pop_aux.X[pool_aux], 1, state.problem.bounds, rng)
     off1, off2 = _evaluate_split(state, X1, X2)
 
-    if cfg.variant == "WoS1C":
-        main_union = Population.concat(state.pop_main, off1)
-    else:
+    if shared:
         main_union = Population.concat(state.pop_main, off1, off2)
+    else:
+        main_union = Population.concat(state.pop_main, off1)
     state.pop_main = _survivors(main_union, n, 0.0)
     state.pop_aux = _survivors(Population.concat(state.pop_aux, off2), n, math.inf)
 
     state.history.record(state.pop_aux)
     _append_log(state, generation=state.g, stage=0)
     state.g += 1
+
+
+def stage1_step(state: RunState) -> None:
+    """One generation of the first stage under the state's own variant."""
+    stage1_apply(state, stage1_decide(state, state.config))
+    state.followed = (state.config.variant,)
 
 
 def opposition_offspring(pop_aux: Population, bounds: Bounds) -> np.ndarray:
@@ -492,25 +503,6 @@ def stage2_step(state: RunState) -> None:
     state.followed = (state.config.variant,)
 
 
-def stage1_key(problem: Problem, config: RunConfig, seed: int) -> tuple:
-    """What stage 1 depends on: runs with equal keys reach the switch in the
-    same state, so they can continue one ``run_stage1`` prefix."""
-    variant = config.variant if config.variant in STAGE1_VARIANTS else "full"
-    return problem.id, problem.dimension, int(seed), apply_ablation(config, variant)
-
-
-def run_stage1(problem: Problem, config: RunConfig, seed: int) -> RunState:
-    """Initialize and run stage 1 through the switch generation, or until
-    the budget runs out: the prefix that ``run`` continues."""
-    started = time.perf_counter()
-    state = initialize(problem, config, seed)
-    while state.schedule is None and state.fe < config.max_fe:
-        try_switch(state)
-        stage1_step(state)
-    state.prefix_seconds = time.perf_counter() - started
-    return state
-
-
 def _fork(prefix: RunState, problem: Problem, config: RunConfig) -> RunState:
     """A copy of ``prefix`` for one run: what the loop changes in place (the
     generator, the counter, the log list and the point history) is copied;
@@ -529,27 +521,28 @@ def run(problem: Problem, config: RunConfig | None = None, seed: int = 0,
         prefix: RunState | None = None) -> RunResult:
     """Execute a full run and return its log and final front.
 
-    ``prefix``, a ``run_stage1`` state with this run's ``stage1_key``, skips
-    stage 1; if it also ran stage-2 generations, this run's variant must be
-    among those whose decisions they followed. The run continues a fork of
-    it, never the prefix in place, so one prefix can seed any number of
-    runs. The result equals a run without it, bar the wall time, which
-    includes the seconds spent reaching the prefix.
+    ``prefix``, a state of this problem, dimension and seed whose config
+    equals this run's but for the variant, skips the generations it ran;
+    this run's variant must be among those whose decisions they followed.
+    The run continues a fork of it, never the prefix in place, so one prefix
+    can seed any number of runs. The result equals a run without it, bar the
+    wall time, which includes the seconds spent reaching the prefix.
     """
     config = config or RunConfig()
+    started = time.perf_counter()
     if prefix is None:
-        state = run_stage1(problem, config, seed)
-    elif stage1_key(prefix.problem, prefix.config, prefix.seed) != stage1_key(problem, config, seed):
-        raise ValueError("prefix ran stage 1 for another problem, seed or config")
+        state = initialize(problem, config, seed)
+    elif ((prefix.problem.id, prefix.problem.dimension, prefix.seed) != (problem.id, problem.dimension, seed)
+          or apply_ablation(prefix.config, config.variant) != config):
+        raise ValueError("prefix belongs to another problem, seed or config")
     elif prefix.followed is not None and config.variant not in prefix.followed:
-        raise ValueError(f"prefix followed the stage-2 decisions of {', '.join(prefix.followed)}, "
+        raise ValueError(f"prefix followed the decisions of {', '.join(prefix.followed)}, "
                          f"not {config.variant}")
     else:
         state = _fork(prefix, problem, config)
-    started = time.perf_counter()
 
     while state.fe < config.max_fe:
-        stage2_step(state)
+        (stage1_step if state.schedule is None else stage2_step)(state)
     assert state.fe <= config.max_fe
 
     front = feasible_front(state.pop_main)

@@ -37,9 +37,10 @@ from .engine import (
     RunState,
     _fork,
     apply_ablation,
+    initialize,
     run,
-    run_stage1,
-    stage1_key,
+    stage1_apply,
+    stage1_decide,
     stage2_apply,
     stage2_decide,
 )
@@ -182,24 +183,21 @@ def _cell_name(pid: str, variant: str, seed: int) -> str:
     return f"{pid}__{variant}__s{seed}"
 
 
-def _run_cell(args) -> RunResult:
-    pid, dim, variant, seed, run_config, prefix = args
-    problem = make_problem(pid, dim)
-    return run(problem, apply_ablation(run_config, variant), seed, prefix=prefix)
-
-
 def _lockstep(state: RunState, configs: dict[str, RunConfig], members: list[str]) -> dict:
-    """Advance ``state`` one stage-2 generation at a time while the member
-    variants' decisions agree, adding the seconds to its prefix seconds.
-    Returns the members grouped by decision at the first disagreement, or
-    ``{None: members}`` once the budget is spent or if only one is left."""
+    """Advance ``state`` one generation at a time, in either stage, while the
+    member variants' decisions agree, adding the seconds to its prefix
+    seconds. Returns the members grouped by decision at the first
+    disagreement, or ``{None: members}`` once the budget is spent or if only
+    one is left."""
     while len(members) > 1 and state.fe < state.config.max_fe:
         started = time.perf_counter()
+        decide, apply = ((stage1_decide, stage1_apply) if state.schedule is None
+                         else (stage2_decide, stage2_apply))
         parts: dict = {}
         for variant in members:
-            parts.setdefault(stage2_decide(state, configs[variant]), []).append(variant)
+            parts.setdefault(decide(state, configs[variant]), []).append(variant)
         if len(parts) == 1:
-            stage2_apply(state, *parts)
+            apply(state, *parts)
             state.followed = tuple(members)
         state.prefix_seconds += time.perf_counter() - started
         if len(parts) > 1:
@@ -208,29 +206,33 @@ def _lockstep(state: RunState, configs: dict[str, RunConfig], members: list[str]
 
 
 def _run_group(jobs) -> tuple[list[RunResult | Exception], dict[str, int | None]]:
-    """Run cells that share one stage-1 key: stage 1 once, then stage 2 in
-    lockstep. Cells whose decisions agree share each generation on one
-    state. At a disagreement, every two or more cells that still agree go on
-    together on a fork, and a cell left alone continues through ``run`` from
-    the last state it shared. A failed stage 1 or shared generation fails
-    every cell that shared it.
+    """Run the cells of one problem, dimension and seed in lockstep from one
+    initial state. Cells whose decisions agree share each generation, in
+    either stage, on one state. At a disagreement, every two or more cells
+    that still agree go on together on a fork, and a cell left alone
+    continues through ``run`` from the last state it shared. A failed
+    initialisation fails the group, and a failed shared generation every
+    cell that shared it.
 
     Also returns, by cell name, for each cell of a group that holds full
-    (full aside), the stage-2 generation at which its decision first
-    differed from full's, or None if it never did.
+    (full aside), the generation, in stage 1 or stage 2, at which its
+    decision first differed from full's, or None if it never did.
     """
     pid, dim, _, seed, run_config = jobs[0]
     configs = {job[2]: apply_ablation(run_config, job[2]) for job in jobs}
     results: dict = {}
     diverged: dict = {}
-    # Depth first, so a shared state is dropped once its cells have left it.
     try:
-        clusters = [(run_stage1(make_problem(pid, dim), configs[jobs[0][2]], seed), list(configs))]
+        started = time.perf_counter()
+        state = initialize(make_problem(pid, dim), configs[jobs[0][2]], seed)
+        state.prefix_seconds = time.perf_counter() - started
     except Exception as exc:  # recorded, not fatal
         return [exc] * len(jobs), diverged
     for variant in configs:
         if variant != "full" and "full" in configs:
             diverged[_cell_name(pid, variant, seed)] = None
+    # Depth first, so a shared state is dropped once its cells have left it.
+    clusters = [(state, list(configs))]
     while clusters:
         state, members = clusters.pop()
         try:
@@ -247,7 +249,7 @@ def _run_group(jobs) -> tuple[list[RunResult | Exception], dict[str, int | None]
                 continue
             for variant in part:
                 try:
-                    results[variant] = _run_cell((pid, dim, variant, seed, run_config, state))
+                    results[variant] = run(state.problem, configs[variant], seed, prefix=state)
                 except Exception as exc:
                     results[variant] = exc
     return [results[job[2]] for job in jobs], diverged
@@ -268,8 +270,8 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute the (problem x variant x seed) grid and persist artifacts.
 
-    Cells with one ``stage1_key`` form a group that runs stage 1 once and
-    shares every stage-2 generation whose decisions agree (``_run_group``);
+    Cells of one problem, dimension and seed form a group that shares every
+    generation whose decisions agree (``_run_group``);
     ``parallel`` runs one group per job, in at most as many processes as
     there are groups. Cell failures are recorded in the metadata and do not
     abort the grid. Summary and log bytes are reproducible for identical
@@ -288,9 +290,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         for seed in config.seeds
     ]
     groups: dict[tuple, list[int]] = {}
-    for i, (pid, dim, variant, seed) in enumerate(cells):
-        key = stage1_key(make_problem(pid, dim), apply_ablation(config.run, variant), seed)
-        groups.setdefault(key, []).append(i)
+    for i, (pid, dim, _, seed) in enumerate(cells):
+        groups.setdefault((pid, dim, seed), []).append(i)
     jobs = [[(*cells[i], config.run) for i in members] for members in groups.values()]
 
     started = time.time()

@@ -12,7 +12,6 @@ from dpcmo.core import Bounds, EvalCounter, Population, evaluate_batch
 from dpcmo.engine import (
     ABLATION_VARIANTS,
     HOPS_PLANS,
-    STAGE1_VARIANTS,
     RunConfig,
     _evaluate_split,
     _fingerprint,
@@ -24,12 +23,11 @@ from dpcmo.engine import (
     initialize,
     opposition_offspring,
     run,
-    run_stage1,
-    stage1_key,
+    stage1_apply,
+    stage1_decide,
     stage1_step,
     stage2_decide,
     stage2_step,
-    try_switch,
 )
 from dpcmo.problems import PROBLEM_IDS, Problem, make_problem
 from dpcmo.schedule import EpsilonSchedule
@@ -224,16 +222,21 @@ class TestSwitch:
     def test_generation_cap(self):
         state = initialize(make_problem("P1-overlap", 10), RunConfig(pop_size=20), 1)
         state.g = 251
-        try_switch(state)
+        fe = state.fe
+        for variant in ("full", "WoRR"):
+            assert stage1_decide(state, apply_ablation(state.config, variant)) == (True, True)
+        stage1_apply(state, (True, True))
         assert state.schedule is not None
-        assert state.schedule.switch_fe == state.fe
+        assert state.schedule.switch_fe == fe
+        assert state.switch_generation == 251 and state.g == 252
         assert state.type_at_switch in (1, 2, 3)
 
     def test_no_switch_early(self):
         state = initialize(make_problem("P1-overlap", 10), RunConfig(pop_size=20), 1)
         stage1_step(state)
-        try_switch(state)
-        assert state.schedule is None
+        assert stage1_decide(state, state.config) == (False, True)
+        stage1_apply(state, (False, True))
+        assert state.schedule is None and state.switch_generation is None
 
     def test_stationary_population_switches_quickly(self):
         result = run(constant_problem(), RunConfig(pop_size=20, max_fe=2000), seed=4)
@@ -576,7 +579,9 @@ class TestRun:
 
 # maxFE >= 2 * N * 252, so the g > 250 switch cap ends stage 1 in every run.
 SHARED = RunConfig(pop_size=30, max_fe=15_200)
-FULL_CLASS = tuple(v for v in ("full",) + ABLATION_VARIANTS if v not in STAGE1_VARIANTS)
+ALL_VARIANTS = ("full",) + ABLATION_VARIANTS
+# full and the eight variants that change only stage 2.
+FULL_CLASS = tuple(v for v in ALL_VARIANTS if v not in ("WoRR", "WoS1C"))
 
 
 def log_bytes(log) -> bytes:
@@ -593,40 +598,35 @@ def result_view(result) -> tuple:
 
 
 @pytest.fixture(scope="module")
-def stage1_prefixes():
-    """run_stage1 of every variant on every problem, seed 1."""
-    return {(pid, variant): run_stage1(make_problem(pid, 10), apply_ablation(SHARED, variant), 1)
-            for pid in PROBLEM_IDS for variant in ("full",) + ABLATION_VARIANTS}
+def full_stage1():
+    """Per problem, full's seed-1 stage 1: every variant's ``stage1_decide``
+    at each of its states, and the state after its switch generation, which
+    followed the variants that decided as full at every one of them."""
+    out = {}
+    for pid in PROBLEM_IDS:
+        state = initialize(make_problem(pid, 10), SHARED, 1)
+        decisions = []
+        while state.schedule is None:
+            decisions.append({v: stage1_decide(state, apply_ablation(SHARED, v)) for v in ALL_VARIANTS})
+            stage1_apply(state, decisions[-1]["full"])
+        state.followed = tuple(v for v in ALL_VARIANTS if all(d[v] == d["full"] for d in decisions))
+        out[pid] = decisions, state
+    return out
 
 
 class TestSharedStage1:
-    def test_stage1_variants_are_exactly_those_that_move_stage1(self, stage1_prefixes):
-        def view(state):
-            return log_bytes(state.log), state.switch_generation, state.type_at_switch
+    def test_stage1_variants_are_exactly_those_that_move_stage1(self, full_stage1):
+        for pid in PROBLEM_IDS:
+            assert full_stage1[pid][1].followed == FULL_CLASS, pid
+        for variant in ("WoRR", "WoS1C"):
+            assert any(d[variant] != d["full"] for decisions, _ in full_stage1.values()
+                       for d in decisions), variant
+        assert all(state.switch_generation is not None for _, state in full_stage1.values())
 
-        for variant in ABLATION_VARIANTS:
-            same = [view(stage1_prefixes[pid, variant]) == view(stage1_prefixes[pid, "full"])
-                    for pid in PROBLEM_IDS]
-            if variant in STAGE1_VARIANTS:
-                assert not all(same), variant
-            else:
-                assert all(same), variant
-        assert all(state.switch_generation is not None for state in stage1_prefixes.values())
-
-    def test_key_maps_only_stage2_variants_to_full(self):
-        problem = make_problem("P3-separated", 10)
-        full_key = stage1_key(problem, SHARED, 1)
-        for variant in ABLATION_VARIANTS:
-            key = stage1_key(problem, apply_ablation(SHARED, variant), 1)
-            assert (key == full_key) == (variant not in STAGE1_VARIANTS), variant
-        assert stage1_key(problem, SHARED, 2) != full_key
-        assert stage1_key(make_problem("P3-separated", 12), SHARED, 1) != full_key
-        assert stage1_key(problem, replace(SHARED, eps0=0.3), 1) != full_key
-
-    def test_continued_runs_equal_fresh_runs(self, stage1_prefixes):
+    def test_continued_runs_equal_fresh_runs(self, full_stage1):
         # The golden "variants" grid pins the other problems' continued runs.
         problem = make_problem("P3-separated", 10)
-        prefix = stage1_prefixes["P3-separated", "full"]
+        prefix = full_stage1["P3-separated"][1]
         fe, generations = prefix.fe, len(prefix.log)
         fresh = {v: result_view(run(problem, apply_ablation(SHARED, v), 1)) for v in FULL_CLASS}
         for order in (FULL_CLASS, FULL_CLASS[::-1]):
@@ -635,32 +635,38 @@ class TestSharedStage1:
                 assert result_view(continued) == fresh[variant], variant
         assert (prefix.fe, len(prefix.log)) == (fe, generations)
 
-    def test_prefix_from_another_key_is_refused(self, stage1_prefixes):
-        prefix = stage1_prefixes["P1-overlap", "WoRR"]
-        with pytest.raises(ValueError, match="prefix"):
-            run(make_problem("P1-overlap", 10), SHARED, 1, prefix=prefix)
+    def test_prefix_from_another_key_is_refused(self, full_stage1):
+        problem = make_problem("P1-overlap", 10)
+        prefix = full_stage1["P1-overlap"][1]
+        for other in ((problem, SHARED, 2), (make_problem("P1-overlap", 12), SHARED, 1),
+                      (problem, replace(SHARED, eps0=0.3), 1)):
+            with pytest.raises(ValueError, match="prefix belongs to another problem, seed or config"):
+                run(*other, prefix=prefix)
+        with pytest.raises(ValueError, match="prefix followed the decisions of full, .*not WoS1C"):
+            run(problem, apply_ablation(SHARED, "WoS1C"), 1, prefix=prefix)
 
     def test_prefix_that_spent_the_budget_continues_to_the_fresh_result(self):
         problem = make_problem("P2-partial", 10)
         config = RunConfig(pop_size=30, max_fe=1500)
-        prefix = run_stage1(problem, config, 1)
-        assert prefix.schedule is None and prefix.fe == config.max_fe
-        continued = run(problem, apply_ablation(config, "WoOP"), 1, prefix=prefix)
-        assert result_view(continued) == result_view(run(problem, apply_ablation(config, "WoOP"), 1))
+        prefix = initialize(problem, config, 1)
+        while prefix.fe < config.max_fe:
+            stage1_step(prefix)
+        assert prefix.schedule is None and prefix.followed == ("full",)
+        assert result_view(run(problem, config, 1, prefix=prefix)) == result_view(run(problem, config, 1))
 
-    def test_stage2_prefix_continues_only_under_the_variants_it_followed(self, stage1_prefixes):
+    def test_stage2_prefix_continues_only_under_the_variants_it_followed(self, full_stage1):
         problem = make_problem("P3-separated", 10)
-        state = _fork(stage1_prefixes["P3-separated", "full"], problem, SHARED)
+        state = _fork(full_stage1["P3-separated"][1], problem, SHARED)
         stage2_step(state)
         assert state.followed == ("full",)
-        with pytest.raises(ValueError, match="prefix followed the stage-2 decisions of full"):
+        with pytest.raises(ValueError, match="prefix followed the decisions of full, not Wo3P"):
             run(problem, apply_ablation(SHARED, "Wo3P"), 1, prefix=state)
         assert result_view(run(problem, SHARED, 1, prefix=state)) == result_view(run(problem, SHARED, 1))
 
     def test_continued_wall_time_adds_the_prefix_seconds(self):
         problem = make_problem("P1-overlap", 10)
         config = RunConfig(pop_size=30, max_fe=3000)
-        prefix = run_stage1(problem, config, 1)
+        prefix = initialize(problem, config, 1)
         prefix.prefix_seconds = 1000.0
         started = time.perf_counter()
         result = run(problem, config, 1, prefix=prefix)
@@ -668,15 +674,20 @@ class TestSharedStage1:
 
 
 class TestDecideApply:
-    def test_decide_draws_and_changes_nothing(self, stage1_prefixes):
-        state = stage1_prefixes["P3-separated", "full"]
+    def test_decide_draws_and_changes_nothing(self, full_stage1):
+        stage1_state = initialize(make_problem("P3-separated", 10), SHARED, 1)
+        for _ in range(12):  # past the history gap, so the switch metric reads the history
+            stage1_step(stage1_state)
 
-        def view():
+        def view(state):
             return (state.rng.bit_generator.state, state.counter.count, log_bytes(state.log),
-                    state.pop_main, state.pop_aux, state.dra, state.tracker, state.epsilon, state.phase)
+                    state.pop_main, state.pop_aux, state.dra, state.tracker, state.epsilon,
+                    state.phase, state.g, state.schedule, id(state.history.entries[-1]))
 
-        before = view()
-        for variant in FULL_CLASS:
-            config = apply_ablation(SHARED, variant)
-            assert stage2_decide(state, config) == stage2_decide(state, config), variant
-        assert view() == before
+        for state, decide in ((stage1_state, stage1_decide),
+                              (full_stage1["P3-separated"][1], stage2_decide)):
+            before = view(state)
+            for variant in ALL_VARIANTS:
+                config = apply_ablation(SHARED, variant)
+                assert decide(state, config) == decide(state, config), variant
+            assert view(state) == before

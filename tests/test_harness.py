@@ -244,14 +244,14 @@ class TestRunExperiment:
             assert math.isfinite(row["final_igd"]) or row["final_igd"] == math.inf
 
     def test_partial_failure_recorded(self, tmp_path, monkeypatch):
-        original = harness._run_cell
+        original = harness.run
 
-        def flaky(args):
-            if args[3] == 2:  # seed 2 fails
+        def flaky(problem, config, seed, prefix=None):
+            if seed == 2:
                 raise RuntimeError("boom")
-            return original(args)
+            return original(problem, config, seed, prefix=prefix)
 
-        monkeypatch.setattr(harness, "_run_cell", flaky)
+        monkeypatch.setattr(harness, "run", flaky)
         report = run_experiment(tiny_experiment(tmp_path / "f"))
         assert report.exit_code == 2
         assert report.completed == 2
@@ -267,8 +267,9 @@ class TestRunExperiment:
 
 
 def shared_grid(outdir, parallel=1):
-    """P3 x seeds {1, 2} x {full, WoOP, WoRR}: full and WoOP share each seed's
-    stage 1, WoRR runs its own, so 6 cells need 4 prefixes."""
+    """P3 x seeds {1, 2} x {full, WoOP, WoRR}: each seed's cells share stage 1
+    until full switches where WoRR does not (generations 160 and 111), and
+    full and WoOP share it to the switch."""
     cfg = tiny_experiment(outdir, seeds=(1, 2), variants=("full", "WoOP", "WoRR"),
                           parallel=parallel)
     cfg.run = RunConfig(pop_size=30, max_fe=15_200)
@@ -287,23 +288,28 @@ def artifact_bytes(outdir) -> dict:
 
 class TestSharedStage1:
     def test_each_group_runs_stage1_once(self, tmp_path, monkeypatch):
-        steps = []
-        inner = engine.stage1_step
+        applied = []
+        inner = engine.stage1_apply
 
-        def counted(state):
-            steps.append(state.config.variant)
-            inner(state)
+        def counted(state, decision):
+            applied.append(state.g)
+            inner(state, decision)
 
-        monkeypatch.setattr(engine, "stage1_step", counted)
+        # Shared generations run in harness._lockstep, a cell's own in engine.run.
+        monkeypatch.setattr(engine, "stage1_apply", counted)
+        monkeypatch.setattr(harness, "stage1_apply", counted)
         outdir = tmp_path / "g"
         report = run_experiment(shared_grid(outdir))
         assert report.exit_code == 0 and report.completed == 6
         per_cell = {(v, s): stage1_generations(outdir, f"P3-separated__{v}__s{s}")
                     for v in ("full", "WoOP", "WoRR") for s in (1, 2)}
-        assert per_cell["full", 1] == per_cell["WoOP", 1]
-        assert per_cell["full", 2] == per_cell["WoOP", 2]
-        prefixes = sum(per_cell[v, s] for v in ("full", "WoRR") for s in (1, 2))
-        assert len(steps) == prefixes < sum(per_cell.values())
+        diverged = diverged_from_full(outdir)
+        for s, switch in ((1, 160), (2, 111)):
+            assert per_cell["full", s] == per_cell["WoOP", s] == switch < per_cell["WoRR", s]
+            assert diverged[f"P3-separated__WoRR__s{s}"] == switch
+        # WoRR shares full's generations before the one it does not switch at.
+        shared = sum(per_cell[v, s] for v in ("full", "WoRR") for s in (1, 2)) - (159 + 110)
+        assert len(applied) == shared < sum(per_cell.values())
 
     def test_parallel_grid_writes_the_serial_bytes(self, tmp_path):
         run_experiment(shared_grid(tmp_path / "s"))
@@ -313,20 +319,35 @@ class TestSharedStage1:
         assert artifact_bytes(tmp_path / "p") == serial
 
     def test_failed_stage1_fails_its_groups_cells(self, tmp_path, monkeypatch):
-        inner = harness.run_stage1
+        inner = harness.initialize
 
         def flaky(problem, config, seed):
             if seed == 2:
-                raise RuntimeError("stage 1 boom")
+                raise RuntimeError("initialize boom")
             return inner(problem, config, seed)
 
-        monkeypatch.setattr(harness, "run_stage1", flaky)
+        monkeypatch.setattr(harness, "initialize", flaky)
         report = run_experiment(shared_grid(tmp_path / "f"))
         assert report.completed == 3
         assert sorted(name for name, _ in report.failed) == [
             f"P3-separated__{v}__s2" for v in ("WoOP", "WoRR", "full")]
-        assert all(msg == "RuntimeError: stage 1 boom" for _, msg in report.failed)
+        assert all(msg == "RuntimeError: initialize boom" for _, msg in report.failed)
         assert {r["seed"] for r in read_summary(report.summary_path)} == {1}
+
+    def test_failed_shared_generation_fails_only_the_cells_that_shared_it(self, tmp_path, monkeypatch):
+        inner = harness.stage1_apply
+
+        def flaky(state, decision):
+            switch, _ = decision
+            if state.seed == 2 and switch:  # full and WoOP's shared switch, not WoRR's own
+                raise RuntimeError("switch boom")
+            inner(state, decision)
+
+        monkeypatch.setattr(harness, "stage1_apply", flaky)
+        report = run_experiment(shared_grid(tmp_path / "f"))
+        assert report.completed == 4
+        assert sorted(report.failed) == [
+            (f"P3-separated__{v}__s2", "RuntimeError: switch boom") for v in ("WoOP", "full")]
 
     def test_pool_never_outnumbers_the_groups(self, tmp_path, monkeypatch):
         workers = []
@@ -351,7 +372,7 @@ class TestSharedStage1:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         pooled = run_experiment(tiny_experiment(tmp_path / "p", variants=("full", "WoOP"),
                                                 parallel=64))
-        assert workers == [3]  # 6 cells, one stage-1 group per seed
+        assert workers == [3]  # 6 cells, one group per seed
         assert pooled.summary_path.read_bytes() == serial.summary_path.read_bytes()
 
 
@@ -387,10 +408,13 @@ def diverged_from_full(outdir) -> dict:
 class TestSharedStage2:
     # P3: Wo3P makes full's decisions through phase 2, then forks, and WoOP
     # leaves at the first stage-2 generation. P1: Wo3P leaves at once, and
-    # full, WoOP and HOps-T1 go on together on a fork to the budget.
+    # full, WoOP and HOps-T1 go on together on a fork to the budget. The
+    # stage-1 variants leave in stage 1: WoS1C at once, WoRR where full
+    # switches and it does not.
     @pytest.mark.parametrize("problem,variants,never,late", [
         ("P3-separated", ("full", "Wo3P", "WoOP"), (), ("Wo3P",)),
         ("P1-overlap", ("full", "WoOP", "HOps-T1", "Wo3P"), ("WoOP", "HOps-T1"), ()),
+        ("P3-separated", ("full", "WoRR", "WoS1C", "Wo3P"), (), ("Wo3P",)),
     ])
     def test_shared_cells_write_their_solo_bytes(self, tmp_path, problem, variants, never, late):
         serial = stage2_grid(tmp_path / "s", problem, variants)
@@ -405,7 +429,12 @@ class TestSharedStage2:
         for variant in variants[1:]:
             name = f"{problem}__{variant}__s1"
             g, first = diverged[name], first_stage2_generation(tmp_path / "s", name)
-            assert g is None if variant in never else (g > first if variant in late else g == first)
+            if variant == "WoS1C":
+                assert g == 1
+            elif variant == "WoRR":
+                assert 1 < g < first
+            else:
+                assert g is None if variant in never else (g > first if variant in late else g == first)
 
     def test_shared_generations_run_once(self, tmp_path, monkeypatch):
         applied = []
@@ -429,9 +458,10 @@ class TestSharedStage2:
         problem = harness.make_problem("P3-separated", 10)
         configs = {v: engine.apply_ablation(RunConfig(pop_size=30, max_fe=15_200), v)
                    for v in ("full", "Wo3P", "WoOP")}
-        state = engine.run_stage1(problem, configs["full"], 1)
+        state = engine.initialize(problem, configs["full"], 1)
         parts = harness._lockstep(state, configs, ["full", "Wo3P"])
         assert len(parts) == 2 and state.followed == ("full", "Wo3P")
+        assert state.switch_generation is not None and state.g > state.switch_generation + 1
         with pytest.raises(ValueError, match="prefix followed"):
             engine.run(problem, configs["WoOP"], 1, prefix=state)
         for variant in ("full", "Wo3P"):
@@ -440,9 +470,12 @@ class TestSharedStage2:
 
     def test_divergence_is_recorded_only_against_full(self, tmp_path):
         run_experiment(shared_grid(tmp_path))
-        assert diverged_from_full(tmp_path) == {
-            f"P3-separated__WoOP__s{s}": first_stage2_generation(tmp_path, f"P3-separated__WoOP__s{s}")
-            for s in (1, 2)}
+        expected = {f"P3-separated__WoOP__s{s}": first_stage2_generation(tmp_path, f"P3-separated__WoOP__s{s}")
+                    for s in (1, 2)}
+        expected.update({"P3-separated__WoRR__s1": 160, "P3-separated__WoRR__s2": 111})
+        assert diverged_from_full(tmp_path) == expected
+        run_experiment(tiny_experiment(tmp_path / "nofull", variants=("WoOP", "WoRR")))
+        assert diverged_from_full(tmp_path / "nofull") == {}
 
     def test_golden_grid_reports_where_wo3p_left_full(self, tmp_path):
         from test_golden import GRIDS
