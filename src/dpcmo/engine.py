@@ -182,6 +182,7 @@ class RunState:
         self.tracker = TypeTracker(type=0)
         self.dra = DraState()
         self.history = PointHistory(gap=config.history_gap, delta=config.history_delta)
+        self.rs = 1.0  # rs_metric(history), taken once per record for every variant
         self.phase = 0
         self.log: list[dict] = []
         # The variants whose decisions this state followed; None until its
@@ -228,14 +229,14 @@ def _fingerprint(problem: Problem, config: RunConfig, seed: int) -> str:
 
 
 def initialize(problem: Problem, config: RunConfig, seed: int) -> RunState:
-    """Two independent uniform populations, evaluated; 2N budget units."""
+    """Two independent uniform populations, evaluated in one batch: 2N units."""
     state = RunState(problem, config, seed)
     n = config.pop_size
     X_main = problem.bounds.sample(n, state.rng)
     X_aux = problem.bounds.sample(n, state.rng)
-    state.pop_main = evaluate_batch(problem, X_main, state.counter, config.delta)
-    state.pop_aux = evaluate_batch(problem, X_aux, state.counter, config.delta)
+    state.pop_main, state.pop_aux = _evaluate_split(state, X_main, X_aux)
     state.history.record(state.pop_aux)
+    state.rs = rs_metric(state.history)
     _append_log(state, generation=0, stage=0)
     return state
 
@@ -276,7 +277,7 @@ def stage1_decide(state: RunState, config: RunConfig) -> tuple[bool, bool]:
     offspring join the main population's selection pool. Equal states with
     equal records give equal next states.
     """
-    switch = should_switch(rs_metric(state.history), state.g, strict_only=config.variant == "WoRR")
+    switch = should_switch(state.rs, state.g, strict_only=config.variant == "WoRR")
     return switch, config.variant != "WoS1C"
 
 
@@ -318,6 +319,7 @@ def stage1_apply(state: RunState, decision: tuple[bool, bool]) -> None:
     state.pop_aux = _survivors(Population.concat(state.pop_aux, off2), n, math.inf)
 
     state.history.record(state.pop_aux)
+    state.rs = rs_metric(state.history)
     _append_log(state, generation=state.g, stage=0)
     state.g += 1
 
@@ -390,14 +392,13 @@ def _run_operator(state: RunState, op: str, kind: str, k: int, source: str) -> n
 
 
 def hops_generate(state: RunState, eff_type: int, f1: float, f2: float
-                  ) -> tuple[Population, Population]:
-    """Generate evaluated offspring batches per the type's operator plan.
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the main and auxiliary offspring rows of the type's operator
+    plan, unevaluated; each block holds its operators' rows in plan order.
 
     Pool sizes are round(f * N) per operator; a pool that rounds to zero
     makes its operator emit nothing. Main-population tournaments use the
-    strict ordering, auxiliary ones the unconstrained ordering. Every
-    operator's rows are drawn first, in plan order, and then evaluated in
-    one batch.
+    strict ordering, auxiliary ones the unconstrained ordering.
     """
     plan = HOPS_PLANS[eff_type]
     n = state.config.pop_size
@@ -410,7 +411,7 @@ def hops_generate(state: RunState, eff_type: int, f1: float, f2: float
         rows = [_run_operator(state, op, kind, k, source)
                 for op, kind in zip(ops, kinds)] if k > 0 else []
         sides.append(np.concatenate(rows) if rows else np.empty((0, state.problem.dimension)))
-    return tuple(_evaluate_split(state, *sides))
+    return tuple(sides)
 
 
 def stage2_decide(state: RunState, config: RunConfig) -> tuple:
@@ -460,23 +461,23 @@ def stage2_apply(state: RunState, decision: tuple) -> None:
     record) says; the variant is not read.
 
     Emits the opposition offspring if they fire, runs the operator plan at
-    the allocated volume, selects the main population, and routes the
-    auxiliary population through its phase: truncation and reclassification
-    in phase 1, angular subregion selection in phase 2, truncation at
-    ``sel_eps`` in phase 3.
+    the allocated volume, evaluates the opposition, main and auxiliary rows
+    in one batch (the budget grants them in that order), selects the main
+    population, and routes the auxiliary population through its phase:
+    truncation and reclassification in phase 1, angular subregion selection
+    in phase 2, truncation at ``sel_eps`` in phase 3.
     """
     eps, opposition, plan, dra, phase, sel_eps, n_s = decision
     cfg = state.config
     n = cfg.pop_size
     state.epsilon = eps
 
-    off3 = Population.empty()
-    if opposition:
-        X3 = opposition_offspring(state.pop_aux, state.problem.bounds)
-        off3 = evaluate_batch(state.problem, X3, state.counter, cfg.delta)
+    X3 = (opposition_offspring(state.pop_aux, state.problem.bounds) if opposition
+          else np.empty((0, state.problem.dimension)))
 
     state.dra = dra
-    off1, off2 = hops_generate(state, plan, dra.f1, dra.f2)
+    X1, X2 = hops_generate(state, plan, dra.f1, dra.f2)
+    off3, off1, off2 = _evaluate_split(state, X3, X1, X2)
     off = Population.concat(off1, off2, off3)
 
     state.pop_main = _survivors(Population.concat(state.pop_main, off), n, 0.0)

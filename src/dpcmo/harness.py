@@ -31,7 +31,6 @@ import numpy as np
 
 from . import __version__
 from .engine import (
-    ABLATIONS,
     RunConfig,
     RunResult,
     RunState,
@@ -67,11 +66,6 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.problems:
             raise ConfigError("at least one problem is required")
-        for pid, dim in self.problems:
-            if pid not in PROBLEM_IDS:
-                raise ConfigError(f"unknown problem id {pid!r}; expected one of {PROBLEM_IDS}")
-            if dim < 2:
-                raise ConfigError(f"problem dimension must be >= 2, got {dim}")
         # Cells are named problem__variant__seed, so a repeat would share
         # (and overwrite) another cell's log and front.
         for kind, values in (("problems", [pid for pid, _ in self.problems]),
@@ -84,9 +78,14 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         if not self.variants:
             raise ConfigError("at least one variant is required")
-        for v in self.variants:
-            if v != "full" and v not in ABLATIONS:
-                raise ConfigError(f"unknown variant {v!r}")
+        # The problem factory and the run config know the valid names.
+        try:
+            for pid, dim in self.problems:
+                make_problem(pid, dim)
+            for v in self.variants:
+                apply_ablation(self.run, v)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.parallel < 1:
             raise ConfigError("parallel must be >= 1")
 

@@ -104,13 +104,10 @@ def hypervolume(front, ref) -> float:
     return float(_hv_3d(pts, ref))
 
 
-def _squared_distances(ref: np.ndarray, pts: np.ndarray, i, k) -> np.ndarray:
-    """Squared distances from reference points ``i`` to front points ``k``,
-    both stored one objective per row, summed objective by objective."""
-    d2 = (ref[0][i] - pts[0][k]) ** 2
-    for j in range(1, len(ref)):
-        d2 += (ref[j][i] - pts[j][k]) ** 2
-    return d2
+def _squared_distances(ref: np.ndarray, pts: np.ndarray, k) -> np.ndarray:
+    """Squared distance from each reference point i to front point k[i],
+    both stored one objective per row."""
+    return (ref[0] - pts[0][k]) ** 2 + (ref[1] - pts[1][k]) ** 2
 
 
 def _staircase_squared_distances(ref: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -123,50 +120,28 @@ def _staircase_squared_distances(ref: np.ndarray, pts: np.ndarray) -> np.ndarray
     b = (-y).searchsorted(-ref[1])
     k = np.maximum(np.minimum(a, b) - 1, 0)
     hi = np.minimum(np.maximum(a, b), len(x) - 1)
-    d2 = _squared_distances(ref, pts, ..., k)
+    d2 = _squared_distances(ref, pts, k)
     for _ in range((hi - k).max()):
         k = np.minimum(k + 1, hi)
-        np.minimum(d2, _squared_distances(ref, pts, ..., k), out=d2)
+        np.minimum(d2, _squared_distances(ref, pts, k), out=d2)
     return d2
-
-
-def _windowed_squared_distances(ref: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Each reference point's squared distance to its nearest front point,
-    for any front sorted by f1: the windowed search (see ``igd``)."""
-    x, r1 = pts[0], ref[0]
-    near = np.minimum(np.searchsorted(x, r1), len(x) - 1)
-    # |df1| keeps the window nonempty where the squares underflow to 0; the
-    # slack covers the rounding of the distance.
-    w = np.maximum(np.sqrt(_squared_distances(ref, pts, ..., near)),
-                   np.abs(x[near] - r1)) * (1 + 1e-9)
-    lo = np.searchsorted(x, r1 - w, side="left")
-    counts = np.searchsorted(x, r1 + w, side="right") - lo
-    starts = np.cumsum(counts) - counts
-    owner = np.repeat(np.arange(len(r1)), counts)
-    cand = np.arange(counts.sum()) + np.repeat(lo - starts, counts)
-    return np.minimum.reduceat(_squared_distances(ref, pts, owner, cand), starts)
 
 
 def igd(front, ref_points) -> float:
     """Mean distance from each reference point to its nearest front point.
 
     An empty front yields the +inf sentinel; a nonempty one must match the
-    reference's objective count, and both must be finite. The front is
-    sorted (stably) by its first objective.
+    reference's objective count, and both must be finite. The front must be
+    a staircase: two objectives, and f2 never rising once the rows are
+    sorted (stably) by f1, as on every nondominated front. Any other front
+    is refused, as selection refuses any objective count but two.
 
-    A two-objective front whose f2 never rises in that order is a
-    staircase, as every nondominated front is. For a reference point r, let
-    a count the rows with f1 < r1 and b the rows with f2 > r2. Rows from
-    max(a, b) on have f1 >= r1 and f2 <= r2, so both gaps grow with the row;
-    rows up to min(a, b) - 1 have f1 < r1 and f2 > r2, so both gaps grow
-    going back. Rounded subtraction, squaring and addition are monotone, so
-    the floating-point nearest row lies in [min(a, b) - 1, max(a, b)] too,
-    clipped to the front's rows.
-
-    Any other front (three objectives, or dominated rows) takes the windowed
-    search: any front point's distance bounds the nearest one, so each
-    reference point compares only the points whose f1 lies within the
-    distance of its neighbour in f1 order.
+    For a reference point r, let a count the rows with f1 < r1 and b the
+    rows with f2 > r2. Rows from max(a, b) on have f1 >= r1 and f2 <= r2, so
+    both gaps grow with the row; rows up to min(a, b) - 1 have f1 < r1 and
+    f2 > r2, so both gaps grow going back. Rounded subtraction, squaring and
+    addition are monotone, so the floating-point nearest row lies in
+    [min(a, b) - 1, max(a, b)] too, clipped to the front's rows.
     """
     ref = np.atleast_2d(np.asarray(ref_points, dtype=float))
     if ref.size == 0:
@@ -180,8 +155,8 @@ def igd(front, ref_points) -> float:
         raise ValueError("front and reference must be finite")
     ref = np.ascontiguousarray(ref.T)
     pts = pts.T[:, np.argsort(pts[:, 0], kind="stable")]
-    if len(pts) == 2 and (np.diff(pts[1]) <= 0).all():
-        d2 = _staircase_squared_distances(ref, pts)
-    else:
-        d2 = _windowed_squared_distances(ref, pts)
-    return float(np.sqrt(d2).mean())
+    if len(pts) != 2:
+        raise ValueError(f"IGD needs a two-objective front, got {len(pts)} objectives")
+    if (np.diff(pts[1]) > 0).any():
+        raise ValueError("IGD needs a staircase front: f2 rises in f1 order, so a row is dominated")
+    return float(np.sqrt(_staircase_squared_distances(ref, pts)).mean())

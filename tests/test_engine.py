@@ -295,7 +295,7 @@ class TestHops:
     def test_budget_truncation(self):
         state = stage2_state(max_fe=200_000)
         state.counter.count = state.counter.budget - 30
-        off1, off2 = hops_generate(state, 1, 0.5, 0.5)
+        off1, off2 = _evaluate_split(state, *hops_generate(state, 1, 0.5, 0.5))
         assert len(off1) + len(off2) == 30
         assert state.fe == state.counter.budget
 
@@ -307,9 +307,8 @@ class TestHops:
 
 
 class TestBatchedEvaluation:
-    """Offspring are evaluated in one batch per generation (plus one for the
-    opposition rows), with the rows, values and budget grants that a call
-    per operator would give."""
+    """Offspring are evaluated in one batch per generation, with the rows,
+    values and budget grants that a call per operator would give."""
 
     @staticmethod
     def _assert_same_rows(got, want):
@@ -339,7 +338,7 @@ class TestBatchedEvaluation:
         batched, separate = stage2_state(rel_type=rel_type), stage2_state(rel_type=rel_type)
         for state in (batched, separate):
             state.counter.count = state.counter.budget - remaining
-        got = hops_generate(batched, rel_type, 0.5, 0.25)
+        got = _evaluate_split(batched, *hops_generate(batched, rel_type, 0.5, 0.25))
         plan = HOPS_PLANS[rel_type]
         for ops, kinds, factor, source, pop in (
             (plan.main_ops, plan.main_pools, 0.5, "main", got[0]),
@@ -357,21 +356,20 @@ class TestBatchedEvaluation:
     def test_one_call_per_stage1_generation(self, monkeypatch):
         calls = count_evaluate_calls(monkeypatch)
         state = initialize(make_problem("P3-separated", 10), RunConfig(pop_size=30), 1)
-        assert calls == [30, 30]
+        assert calls == [60]
         for _ in range(5):
             del calls[:]
             stage1_step(state)
             assert calls == [60]
 
-    def test_at_most_two_calls_per_stage2_generation(self, monkeypatch):
+    def test_one_call_per_stage2_generation(self, monkeypatch):
         calls = count_evaluate_calls(monkeypatch)
         state = stage2_state(problem_id="P2-partial", n=30)
         for _ in range(20):
             del calls[:]
             fe = state.fe
             stage2_step(state)
-            assert 1 <= len(calls) <= 2
-            assert sum(calls) == state.fe - fe
+            assert calls == [state.fe - fe]
 
 
 class TestStage2Dispatch:
@@ -438,14 +436,27 @@ class TestOppositionTrigger:
                       + len(plan.aux_ops) * round(state.dra.f2 * 30))
         assert state.fe - fe == hops_count + 30  # 30 mirrored offspring
 
-    def test_opposition_rows_take_their_own_call(self, monkeypatch):
-        state = self._infeasible_state()
-        calls = count_evaluate_calls(monkeypatch)
-        stage2_step(state)
+    def test_opposition_rows_lead_the_one_batch(self, monkeypatch):
+        batches = []
+
+        def captured(*args, **kwargs):
+            batches.append(evaluate_batch(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr("dpcmo.engine.evaluate_batch", captured)
         plan = HOPS_PLANS[3]
-        hops_count = (len(plan.main_ops) * round(state.dra.f1 * 30)
-                      + len(plan.aux_ops) * round(state.dra.f2 * 30))
-        assert calls == [30, hops_count]
+        for remaining in (None, 40):  # 40 rows: fewer than the batch holds
+            state = self._infeasible_state()
+            if remaining is not None:
+                state.counter.budget = state.fe + remaining
+            mirrored = opposition_offspring(state.pop_aux, state.problem.bounds)
+            del batches[:]
+            stage2_step(state)
+            hops_count = (len(plan.main_ops) * round(state.dra.f1 * 30)
+                          + len(plan.aux_ops) * round(state.dra.f2 * 30))
+            assert len(batches) == 1
+            assert len(batches[0]) == (remaining or 30 + hops_count)
+            np.testing.assert_array_equal(batches[0].X[:30], mirrored)
 
     def test_opposition_disabled_by_ablation(self):
         state = self._infeasible_state(variant="WoOP")

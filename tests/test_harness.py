@@ -104,6 +104,10 @@ history_gap = 7
         with pytest.raises(ConfigError, match="unknown problem"):
             load_config(write_config(tmp_path, "problem = P7-weird\n"))
 
+    def test_problem_dimension_below_two(self, tmp_path):
+        with pytest.raises(ConfigError, match="dimension must be >= 2, got 1"):
+            load_config(write_config(tmp_path, "problem = P1-overlap:1\n"))
+
     def test_unknown_variant(self, tmp_path):
         with pytest.raises(ConfigError, match="variant"):
             load_config(write_config(tmp_path, "problem = P1-overlap\nvariants = Full\n"))
@@ -288,8 +292,8 @@ def artifact_bytes(outdir) -> dict:
 
 class TestSharedStage1:
     def test_each_group_runs_stage1_once(self, tmp_path, monkeypatch):
-        applied = []
-        inner = engine.stage1_apply
+        applied, switch_metrics = [], []
+        inner, inner_rs = engine.stage1_apply, engine.rs_metric
 
         def counted(state, decision):
             applied.append(state.g)
@@ -298,6 +302,8 @@ class TestSharedStage1:
         # Shared generations run in harness._lockstep, a cell's own in engine.run.
         monkeypatch.setattr(engine, "stage1_apply", counted)
         monkeypatch.setattr(harness, "stage1_apply", counted)
+        monkeypatch.setattr(engine, "rs_metric",
+                            lambda history: switch_metrics.append(1) or inner_rs(history))
         outdir = tmp_path / "g"
         report = run_experiment(shared_grid(outdir))
         assert report.exit_code == 0 and report.completed == 6
@@ -310,6 +316,9 @@ class TestSharedStage1:
         # WoRR shares full's generations before the one it does not switch at.
         shared = sum(per_cell[v, s] for v in ("full", "WoRR") for s in (1, 2)) - (159 + 110)
         assert len(applied) == shared < sum(per_cell.values())
+        # One switch metric per executed stage-1 generation and per initial
+        # state (one per seed), however many cells decide on it.
+        assert len(switch_metrics) == len(applied) + 2
 
     def test_parallel_grid_writes_the_serial_bytes(self, tmp_path):
         run_experiment(shared_grid(tmp_path / "s"))

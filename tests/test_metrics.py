@@ -4,7 +4,7 @@ import pytest
 from dpcmo import metrics
 from dpcmo.metrics import IGD_EMPTY, MetricConfig, hypervolume, igd
 
-from oracles import mc_hypervolume
+from oracles import igd_dense, mc_hypervolume
 
 
 def random_front(rng, k, m=2):
@@ -100,9 +100,10 @@ class TestIgd:
     def test_adding_points_never_increases(self):
         rng = np.random.default_rng(4)
         ref = random_front(rng, 50)
-        front = random_front(rng, 5)
-        base = igd(front, ref)
-        grown = igd(np.vstack([front, random_front(rng, 5)]), ref)
+        x = rng.uniform(0.05, 0.95, 10)
+        curve = np.column_stack([x, (1 - x) ** 2])  # f2 falls as f1 grows: nondominated
+        base = igd(curve[:5], ref)
+        grown = igd(curve, ref)
         assert grown <= base + 1e-15
 
     @pytest.mark.parametrize("front, staircase", [
@@ -114,12 +115,19 @@ class TestIgd:
         ([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]], False),
     ])
     def test_staircase_search_taken_only_where_f2_never_rises(self, monkeypatch, front, staircase):
+        """Any other front (a dominated row, an f1 tie with a rising f2, a
+        third objective) is refused, naming what it lacks."""
         calls = []
         search = metrics._staircase_squared_distances
         monkeypatch.setattr(metrics, "_staircase_squared_distances",
                             lambda ref, pts: calls.append(1) or search(ref, pts))
         ref = np.full((3, len(front[0])), 0.25)
-        igd(front, ref)
+        if staircase:
+            assert igd(front, ref) == igd_dense(front, ref)
+        else:
+            reason = "got 3 objectives" if len(front[0]) == 3 else "f2 rises in f1 order"
+            with pytest.raises(ValueError, match=reason):
+                igd(front, ref)
         assert len(calls) == staircase
 
     def test_empty_front_sentinel(self):

@@ -1,6 +1,6 @@
-"""Property tests: the fast two-objective selection paths, the windowed and
-staircase IGD searches and the vectorised hypervolume against their dense
-and loop forms, element for element."""
+"""Property tests: the fast two-objective selection paths, the staircase IGD
+search and the vectorised hypervolume against their dense and loop forms,
+element for element."""
 
 import math
 
@@ -207,47 +207,7 @@ class _Replay:
         return self.values.pop(0)
 
 
-def _igd_example(front, ref):
-    front, ref = np.array(front), np.array(ref)
-    return example(front.shape[1], _Replay(len(front), front, len(ref), ref))
-
-
-# In the first two pairs the squared distances underflow to 0, so the search
-# window's half-width needs its |df1| term; the third needs its rounding
-# slack. Without either, a window misses the nearer neighbour.
-@settings(max_examples=150, deadline=None)
-@given(st.integers(2, 3), st.data())
-@_igd_example([[0.0, 0.0]], [[2.2e-308, 2.2e-308]])
-@_igd_example([[8.78e-285, 8.78e-285]], [[1.42e-281, 1.42e-281]])
-@_igd_example([[-1.05777292e-296, 0.0]], [[-2.49254922e-284, -2.49254922e-284]])
-def test_igd_equals_dense_formula_exactly(m, data):
-    rows = data.draw(st.integers(1, 150))
-    front = data.draw(hnp.arrays(float, (rows, m), elements=st.floats(-2, 2, allow_subnormal=False),
-                                 fill=st.nothing()))
-    ref = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 300)), m),
-                               elements=st.floats(-2, 2, allow_subnormal=False), fill=st.nothing()))
-    assert igd(front, ref) == igd_dense(front, ref)
-
-
 _COORD = st.floats(-2, 2, allow_subnormal=False)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(2, 3), st.data())
-def test_igd_equals_dense_formula_on_tied_and_repeated_rows(m, data):
-    """Fronts whose rows share first-objective values and repeat whole rows;
-    reference points may sit on those shared values too."""
-    f1 = np.array(data.draw(st.lists(_COORD, min_size=1, max_size=4)))
-    rows = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 20)), m), elements=_COORD,
-                                fill=st.nothing()))
-    rows[:, 0] = f1[data.draw(hnp.arrays(np.int64, len(rows), elements=st.integers(0, len(f1) - 1)))]
-    front = rows[data.draw(hnp.arrays(np.int64, data.draw(st.integers(1, 60)),
-                                      elements=st.integers(0, len(rows) - 1)))]
-    ref = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 100)), m), elements=_COORD,
-                               fill=st.nothing()))
-    on_f1 = data.draw(hnp.arrays(bool, len(ref)))
-    ref[on_f1, 0] = f1[0]
-    assert igd(front, ref) == igd_dense(front, ref)
 
 
 def _is_staircase(front) -> bool:
@@ -279,8 +239,8 @@ def staircase_fronts(draw):
                                 elements=st.integers(0, len(rows) - 1)))]
 
 
-# The underflow pairs above, recast as multi-row staircases around the same
-# coordinates.
+# Multi-row staircases around coordinates so small that their squared
+# distances underflow to 0.
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 @_staircase_example([[0.0, 2.2e-308], [2.2e-308, 0.0]], [[2.2e-308, 2.2e-308]])
