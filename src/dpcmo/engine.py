@@ -57,10 +57,13 @@ from .staging import (
     track_type,
 )
 from .variation import (
+    ETA_MUTATION,
     de_current_to_pbest,
     de_current_to_rand,
     de_rand_1,
     de_transfer,
+    ga_children,
+    ga_draws,
     ga_offspring,
     random_pool,
     tournament_pool,
@@ -286,8 +289,10 @@ def stage1_apply(state: RunState, decision: tuple[bool, bool]) -> None:
     record) says; the variant is not read.
 
     A switch first classifies the front relationship and freezes the
-    relaxation schedule. Both populations breed by crossover and mutation;
-    shared auxiliary offspring also join the main population's selection.
+    relaxation schedule. Both populations breed by crossover and mutation,
+    each from its own pool and GA draws in stream order, in one kernel
+    pass; shared auxiliary offspring also join the main population's
+    selection.
     """
     switch, shared = decision
     cfg = state.config
@@ -305,11 +310,13 @@ def stage1_apply(state: RunState, decision: tuple[bool, bool]) -> None:
             curvature=cfg.curvature,
         )
 
-    pool_main = random_pool(state.pop_main, n, rng)
-    X1 = ga_offspring(state.pop_main.X[pool_main], 1, state.problem.bounds, rng)
-    pool_aux = random_pool(state.pop_aux, n, rng)
-    X2 = ga_offspring(state.pop_aux.X[pool_aux], 1, state.problem.bounds, rng)
-    off1, off2 = _evaluate_split(state, X1, X2)
+    d = state.problem.dimension
+    X1 = state.pop_main.X[random_pool(state.pop_main, n, rng)]
+    draws1 = ga_draws(n, d, rng)
+    X2 = state.pop_aux.X[random_pool(state.pop_aux, n, rng)]
+    draws2 = ga_draws(n, d, rng)
+    children = ga_children([X1, X2], [draws1, draws2], ETA_MUTATION[1], state.problem.bounds)
+    off1, off2 = _evaluate_split(state, *children)
 
     if shared:
         main_union = Population.concat(state.pop_main, off1, off2)

@@ -133,8 +133,9 @@ def igd(front, ref_points) -> float:
     An empty front yields the +inf sentinel; a nonempty one must match the
     reference's objective count, and both must be finite. The front must be
     a staircase: two objectives, and f2 never rising once the rows are
-    sorted (stably) by f1, as on every nondominated front. Any other front
-    is refused, as selection refuses any objective count but two.
+    sorted by (f1, f2), as on every nondominated front. Any other front is
+    refused, as selection refuses any objective count but two; a row that
+    ties another's f1 with a larger f2 is refused whichever comes first.
 
     For a reference point r, let a count the rows with f1 < r1 and b the
     rows with f2 > r2. Rows from max(a, b) on have f1 >= r1 and f2 <= r2, so
@@ -154,9 +155,9 @@ def igd(front, ref_points) -> float:
     if not (np.isfinite(pts).all() and np.isfinite(ref).all()):
         raise ValueError("front and reference must be finite")
     ref = np.ascontiguousarray(ref.T)
-    pts = pts.T[:, np.argsort(pts[:, 0], kind="stable")]
-    if len(pts) != 2:
-        raise ValueError(f"IGD needs a two-objective front, got {len(pts)} objectives")
+    if pts.shape[1] != 2:
+        raise ValueError(f"IGD needs a two-objective front, got {pts.shape[1]} objectives")
+    pts = pts.T[:, np.lexsort(pts.T[::-1])]
     if (np.diff(pts[1]) > 0).any():
         raise ValueError("IGD needs a staircase front: f2 rises in f1 order, so a row is dominated")
     return float(np.sqrt(_staircase_squared_distances(ref, pts)).mean())

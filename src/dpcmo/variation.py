@@ -15,7 +15,10 @@ distribution index ``ETA_MUTATION[stage]``.
 
 Tournament pools and DE index triples take their draws in whole-array calls
 that use the generator's stream exactly as one call per draw would: same
-values, same order, same state afterwards.
+values, same order, same state afterwards. The GA (SBX plus mutation) is
+split the same way: ``ga_draws`` takes one parent block's random numbers in
+stream order, and one ``ga_children`` kernel breeds any number of blocks
+from their draws, so both stage-1 populations breed in a single pass.
 """
 
 from __future__ import annotations
@@ -83,69 +86,71 @@ def random_pool(pop: Population, k: int, rng: np.random.Generator) -> np.ndarray
     return rng.integers(0, len(pop), size=k)
 
 
-def sbx_crossover(X: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndarray:
-    """Simulated binary crossover on consecutive row pairs.
+def ga_draws(n: int, d: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The random numbers SBX and polynomial mutation take for n parent rows
+    of d coordinates, in stream order; an odd n is padded by one row.
 
-    Children are clamped into the per-coordinate interval spanned by their
-    parents, so a pair can only produce points inside its own box.
+    Per pair and coordinate: the spread factor's uniform, its sign and the
+    swap draw that pins it at 1. Then one per-pair draw that, with crossover
+    probability 1, masks no pair but keeps later draws in place. Then, per
+    child and coordinate, the mutation-site draw and mutation's uniform.
     """
-    n, d = X.shape
-    if n % 2:
-        X = np.vstack([X, X[-1]])
-        n += 1
-    P1, P2 = X[0::2], X[1::2]
-    pairs = n // 2
-
+    pairs = (n + 1) // 2
     u = rng.random((pairs, d))
-    beta = np.where(u <= 0.5, (2.0 * u) ** (1.0 / (eta + 1.0)),
-                    (2.0 - 2.0 * u) ** (-1.0 / (eta + 1.0)))
-    beta *= 1.0 - 2.0 * rng.integers(0, 2, size=(pairs, d))
-    beta[rng.random((pairs, d)) < 0.5] = 1.0
-    # The per-pair crossover draw: with crossover probability 1 it masks no
-    # pair, but it stays so that later draws keep their place in the stream.
+    sign = rng.integers(0, 2, size=(pairs, d))
+    swap = rng.random((pairs, d))
     rng.random(pairs)
+    return u, sign, swap, rng.random((2 * pairs, d)), rng.random((2 * pairs, d))
 
+
+def ga_children(blocks: list[np.ndarray], draws: list[tuple[np.ndarray, ...]],
+                eta_m: float, bounds: Bounds) -> list[np.ndarray]:
+    """SBX plus polynomial mutation (index ``eta_m``) of each parent block
+    under its ``ga_draws``, in one pass; one child per parent row.
+
+    Each block is padded to an even row count by repeating its last row, so
+    a pair never straddles two blocks. Children are clamped into the
+    per-coordinate interval spanned by their parents; a mutated coordinate
+    (probability 1/D) is then clamped to the bounds, and every other one is
+    the crossover child's own.
+    """
+    rows = []
+    for X in blocks:
+        rows += (X, X[-1:]) if len(X) % 2 else (X,)
+    X = np.concatenate(rows) if len(rows) > 1 else rows[0]
+    u, sign, swap, site, mu = (np.concatenate(parts) for parts in zip(*draws)) \
+        if len(draws) > 1 else draws[0]
+
+    e = 1.0 / (ETA_CROSSOVER + 1.0)
+    beta = np.where(u <= 0.5, (2.0 * u) ** e, (2.0 - 2.0 * u) ** -e)
+    beta *= 1.0 - 2.0 * sign
+    beta[swap < 0.5] = 1.0
+    P1, P2 = X[0::2], X[1::2]
     mean = (P1 + P2) / 2.0
-    diff = (P1 - P2) / 2.0
-    c1 = mean + beta * diff
-    c2 = mean - beta * diff
+    spread = beta * ((P1 - P2) / 2.0)
     low = np.minimum(P1, P2)
     high = np.maximum(P1, P2)
-    c1 = np.clip(c1, low, high)
-    c2 = np.clip(c2, low, high)
+    children = np.empty(X.shape)
+    np.clip(mean + spread, low, high, out=children[0::2])
+    np.clip(mean - spread, low, high, out=children[1::2])
 
-    children = np.empty((n, d))
-    children[0::2] = c1
-    children[1::2] = c2
-    return children
-
-
-def polynomial_mutation(X: np.ndarray, bounds: Bounds, eta: float,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Bounded polynomial mutation, probability 1/D per coordinate."""
-    X = X.copy()
-    lb, ub = bounds.lower, bounds.upper
+    # Mutation touches its drawn sites only. Adding 0.0 * span and clipping
+    # elsewhere would be the identity: rows lie in bounds and hold no -0.0.
+    flat = np.flatnonzero(site < 1.0 / bounds.dimension)
+    x, m = children.reshape(-1)[flat], mu.reshape(-1)[flat]
+    col = flat % bounds.dimension
+    lb, ub = bounds.lower[col], bounds.upper[col]
     span = ub - lb
-    site = rng.random(X.shape) < 1.0 / bounds.dimension
-    mu = rng.random(X.shape)
-    if not site.any():
-        return X
+    e = eta_m + 1.0
+    lower = (2.0 * m + (1.0 - 2.0 * m) * (1.0 - (x - lb) / span) ** e) ** (1.0 / e) - 1.0
+    upper = 1.0 - (2.0 * (1.0 - m) + 2.0 * (m - 0.5) * (1.0 - (ub - x) / span) ** e) ** (1.0 / e)
+    children.reshape(-1)[flat] = np.clip(x + np.where(m <= 0.5, lower, upper) * span, lb, ub)
 
-    d1 = (X - lb) / span
-    d2 = (ub - X) / span
-    lower_branch = site & (mu <= 0.5)
-    upper_branch = site & (mu > 0.5)
-    delta = np.zeros_like(X)
-    delta[lower_branch] = (
-        2.0 * mu[lower_branch]
-        + (1.0 - 2.0 * mu[lower_branch]) * (1.0 - d1[lower_branch]) ** (eta + 1.0)
-    ) ** (1.0 / (eta + 1.0)) - 1.0
-    delta[upper_branch] = 1.0 - (
-        2.0 * (1.0 - mu[upper_branch])
-        + 2.0 * (mu[upper_branch] - 0.5) * (1.0 - d2[upper_branch]) ** (eta + 1.0)
-    ) ** (1.0 / (eta + 1.0))
-    X = X + delta * span
-    return np.clip(X, lb, ub)
+    out, start = [], 0
+    for B in blocks:
+        out.append(children[start:start + len(B)])
+        start += len(B) + len(B) % 2
+    return out
 
 
 def ga_offspring(X: np.ndarray, stage: int, bounds: Bounds,
@@ -153,10 +158,8 @@ def ga_offspring(X: np.ndarray, stage: int, bounds: Bounds,
     """SBX plus polynomial mutation; one child per parent slot."""
     if stage not in ETA_MUTATION:
         raise ValueError(f"stage must be 1 or 2, got {stage}")
-    n = len(X)
-    children = sbx_crossover(X, ETA_CROSSOVER, rng)
-    children = polynomial_mutation(children, bounds, ETA_MUTATION[stage], rng)
-    return children[:n]
+    draws = ga_draws(len(X), X.shape[1], rng)
+    return ga_children([X], [draws], ETA_MUTATION[stage], bounds)[0]
 
 
 def _distinct_triples(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,14 +168,19 @@ def _distinct_triples(n: int, rng: np.random.Generator) -> np.ndarray:
     drawing as many as are missing never overruns the one-at-a-time stream."""
     if n < 4:
         raise ValueError(f"population of size {n} is too small; need at least 4")
-    picks, row = [], [0]
-    while len(picks) < 3 * n:
-        for r in rng.integers(0, n, size=3 * n - len(picks) - len(row) + 1).tolist():
-            if r not in row:
-                row.append(r)
-                if len(row) == 4:
-                    picks += row[1:]
-                    row = [len(picks) // 3]
+    picks = []
+    append = picks.append
+    i, a, b = 0, -1, -1  # the row being filled and its first two picks (-1: none yet)
+    while i < n:
+        for r in rng.integers(0, n, size=3 * n - len(picks)).tolist():
+            if r != i and r != a and r != b:
+                append(r)
+                if a < 0:
+                    a = r
+                elif b < 0:
+                    b = r
+                else:
+                    i, a, b = i + 1, -1, -1
     return np.array(picks).reshape(n, 3)
 
 

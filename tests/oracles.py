@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written as plain loops over plain floats, on purpose:
-these are the oracles the fast vectorized implementations are compared
-against, so they must not share code with them. The tie-break contract
-(rank ascending, crowding descending, original position last) is the same
-documented contract the package implements.
+Most of it is written as plain loops over plain floats, on purpose: these
+are the oracles the fast vectorized implementations are compared against,
+so they must not share code with them. The rest are simpler whole-array
+forms the package once used, kept as bit-level references. The tie-break
+contract (rank ascending, crowding descending, original position last) is
+the same documented contract the package implements.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations
 import numpy as np
 from scipy.stats import norm
 
-from dpcmo.core import DEFAULT_EQ_TOLERANCE
+from dpcmo.core import DEFAULT_EQ_TOLERANCE, Bounds
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +498,78 @@ def distinct_triples_reference(n: int, rng: np.random.Generator) -> np.ndarray:
                 forbidden.add(r)
         out[i] = picks
     return out
+
+
+# ---------------------------------------------------------------------------
+# Whole-array SBX and polynomial mutation, one call per operator and
+# population. The package takes the same draws with ``ga_draws`` and breeds
+# every block of a generation in one ``ga_children`` pass; its children and
+# generator state must match these bit for bit.
+
+
+def sbx_crossover(X: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndarray:
+    """Simulated binary crossover on consecutive row pairs.
+
+    Children are clamped into the per-coordinate interval spanned by their
+    parents, so a pair can only produce points inside its own box.
+    """
+    n, d = X.shape
+    if n % 2:
+        X = np.vstack([X, X[-1]])
+        n += 1
+    P1, P2 = X[0::2], X[1::2]
+    pairs = n // 2
+
+    u = rng.random((pairs, d))
+    beta = np.where(u <= 0.5, (2.0 * u) ** (1.0 / (eta + 1.0)),
+                    (2.0 - 2.0 * u) ** (-1.0 / (eta + 1.0)))
+    beta *= 1.0 - 2.0 * rng.integers(0, 2, size=(pairs, d))
+    beta[rng.random((pairs, d)) < 0.5] = 1.0
+    # The per-pair crossover draw: with crossover probability 1 it masks no
+    # pair, but it stays so that later draws keep their place in the stream.
+    rng.random(pairs)
+
+    mean = (P1 + P2) / 2.0
+    diff = (P1 - P2) / 2.0
+    c1 = mean + beta * diff
+    c2 = mean - beta * diff
+    low = np.minimum(P1, P2)
+    high = np.maximum(P1, P2)
+    c1 = np.clip(c1, low, high)
+    c2 = np.clip(c2, low, high)
+
+    children = np.empty((n, d))
+    children[0::2] = c1
+    children[1::2] = c2
+    return children
+
+
+def polynomial_mutation(X: np.ndarray, bounds: Bounds, eta: float,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Bounded polynomial mutation, probability 1/D per coordinate."""
+    X = X.copy()
+    lb, ub = bounds.lower, bounds.upper
+    span = ub - lb
+    site = rng.random(X.shape) < 1.0 / bounds.dimension
+    mu = rng.random(X.shape)
+    if not site.any():
+        return X
+
+    d1 = (X - lb) / span
+    d2 = (ub - X) / span
+    lower_branch = site & (mu <= 0.5)
+    upper_branch = site & (mu > 0.5)
+    delta = np.zeros_like(X)
+    delta[lower_branch] = (
+        2.0 * mu[lower_branch]
+        + (1.0 - 2.0 * mu[lower_branch]) * (1.0 - d1[lower_branch]) ** (eta + 1.0)
+    ) ** (1.0 / (eta + 1.0)) - 1.0
+    delta[upper_branch] = 1.0 - (
+        2.0 * (1.0 - mu[upper_branch])
+        + 2.0 * (mu[upper_branch] - 0.5) * (1.0 - d2[upper_branch]) ** (eta + 1.0)
+    ) ** (1.0 / (eta + 1.0))
+    X = X + delta * span
+    return np.clip(X, lb, ub)
 
 
 # ---------------------------------------------------------------------------

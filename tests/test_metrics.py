@@ -112,11 +112,14 @@ class TestIgd:
         ([[0.3, 0.3]], True),
         ([[0.0, 1.0], [0.5, 0.5], [0.6, 0.6]], False),
         ([[0.5, 0.4], [0.5, 0.6]], False),
+        ([[0.5, 0.6], [0.5, 0.4]], False),
+        ([[0.5, 0.4], [0.2, 0.9], [0.5, 0.4]], True),
         ([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]], False),
     ])
     def test_staircase_search_taken_only_where_f2_never_rises(self, monkeypatch, front, staircase):
-        """Any other front (a dominated row, an f1 tie with a rising f2, a
-        third objective) is refused, naming what it lacks."""
+        """Any other front (a dominated row, an f1 tie with unequal f2 in
+        either order, a third objective) is refused, naming what it lacks;
+        exact repeats are measured."""
         calls = []
         search = metrics._staircase_squared_distances
         monkeypatch.setattr(metrics, "_staircase_squared_distances",

@@ -18,14 +18,19 @@ from dpcmo.variation import (
     de_current_to_rand,
     de_rand_1,
     de_transfer,
+    ga_children,
+    ga_draws,
     ga_offspring,
-    polynomial_mutation,
     random_pool,
-    sbx_crossover,
     tournament_pool,
 )
 
-from oracles import distinct_triples_reference, tournament_pool_reference
+from oracles import (
+    distinct_triples_reference,
+    polynomial_mutation,
+    sbx_crossover,
+    tournament_pool_reference,
+)
 
 UNIT = Bounds(np.zeros(10), np.ones(10))
 
@@ -162,23 +167,95 @@ class TestStreamEquivalence:
         assert same_stream_after(a, b)
 
 
+def reference_children(X, eta_m, bounds, rng):
+    """One parent block through the reference operators: SBX, then
+    mutation, cut to one child per parent."""
+    return polynomial_mutation(sbx_crossover(X, ETA_CROSSOVER, rng), bounds, eta_m, rng)[:len(X)]
+
+
+def without_sites(draws):
+    """``ga_draws`` with every mutation-site draw at 1: nothing mutates."""
+    u, sign, swap, site, mu = draws
+    return u, sign, swap, np.ones_like(site), mu
+
+
+def mutated(X, bounds, eta_m, rng):
+    """The kernel on every row paired with itself. Crossover returns such a
+    pair unchanged, so only mutation acts; rows come back doubled."""
+    doubled = np.repeat(X, 2, axis=0)
+    return doubled, ga_children([doubled], [ga_draws(len(doubled), X.shape[1], rng)],
+                                eta_m, bounds)[0]
+
+
+WIDE = Bounds(np.full(6, -2.0), np.full(6, 3.0))
+
+
+class TestGaKernel:
+    """``ga_draws`` plus ``ga_children`` against the reference SBX and
+    mutation: equal children bit for bit, and the generator in the same
+    state after each block's draws."""
+
+    def breed_both(self, pops, n, stage, bounds, seed, warm):
+        """Stage 1's order: a pool and its GA draws per population, then one
+        kernel pass; the reference breeds each population in turn."""
+        a, b = generator_pair(seed, warm)
+        blocks, draws, expected = [], [], []
+        for pop in pops:
+            blocks.append(pop.X[random_pool(pop, n, a)])
+            draws.append(ga_draws(n, pop.X.shape[1], a))
+            expected.append(reference_children(pop.X[random_pool(pop, n, b)],
+                                               ETA_MUTATION[stage], bounds, b))
+            assert a.bit_generator.state == b.bit_generator.state
+        children = ga_children(blocks, draws, ETA_MUTATION[stage], bounds)
+        assert [c.shape for c in children] == [(n, bounds.dimension)] * len(pops)
+        assert [c.tobytes() for c in children] == [e.tobytes() for e in expected]
+        assert same_stream_after(a, b)
+        return draws
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 31])
+    @pytest.mark.parametrize("stage", sorted(ETA_MUTATION))
+    def test_stacked_blocks_equal_a_reference_call_per_block(self, n, stage):
+        pops = [population(WIDE.sample(11, np.random.default_rng(n))),
+                population(WIDE.sample(5, np.random.default_rng(n + 1)))]
+        self.breed_both(pops, n, stage, WIDE, seed=100 * n + stage, warm=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(1, 2),
+           st.sampled_from(sorted(ETA_MUTATION)), SEEDS, WARM)
+    def test_any_blocks_equal_the_reference(self, n, d, blocks, stage, seed, warm):
+        bounds = Bounds(np.linspace(-1.0, 0.0, d), np.linspace(0.5, 4.0, d))
+        pops = [population(bounds.sample(k, np.random.default_rng(seed + k)))
+                for k in (3, 8)[:blocks]]
+        self.breed_both(pops, n, stage, bounds, seed, warm)
+
+    @pytest.mark.parametrize("siteless", [0, 1])
+    def test_block_without_a_mutation_site_beside_one_with_sites(self, siteless):
+        pops = [rand_pop(9, 10, seed=50), rand_pop(9, 10, seed=51)]
+        want = [i != siteless for i in range(2)]
+        for seed in range(200):
+            draws = self.breed_both(pops, 1, 1, UNIT, seed, warm=0)
+            if [bool((dr[3] < 0.1).any()) for dr in draws] == want:
+                return
+        pytest.fail("no seed below 200 leaves just that block without a site")
+
+
 class TestGaOffspring:
     def test_identical_parents_without_mutation(self):
         x = np.full(10, 0.3)
         pool = np.tile(x, (6, 1))
-        children = sbx_crossover(pool, ETA_CROSSOVER, np.random.default_rng(5))
-        assert children == pytest.approx(np.tile(x, (6, 1)))
+        draws = without_sites(ga_draws(6, 10, np.random.default_rng(5)))
+        children = ga_children([pool], [draws], ETA_MUTATION[1], UNIT)[0]
+        assert np.array_equal(children, pool)
 
     def test_children_inside_parent_box_when_unmutated(self):
         X = rand_pop(20, 10, seed=6).X
-        children = sbx_crossover(X, ETA_CROSSOVER, np.random.default_rng(7))
+        draws = without_sites(ga_draws(20, 10, np.random.default_rng(7)))
+        children = ga_children([X], [draws], ETA_MUTATION[1], UNIT)[0]
         for pair in range(10):
             lo = np.minimum(X[2 * pair], X[2 * pair + 1])
             hi = np.maximum(X[2 * pair], X[2 * pair + 1])
-            assert np.all(children[2 * pair] >= lo - 1e-12)
-            assert np.all(children[2 * pair] <= hi + 1e-12)
-            assert np.all(children[2 * pair + 1] >= lo - 1e-12)
-            assert np.all(children[2 * pair + 1] <= hi + 1e-12)
+            assert np.all(children[2 * pair:2 * pair + 2] >= lo)
+            assert np.all(children[2 * pair:2 * pair + 2] <= hi)
 
     def test_odd_pool_padded(self):
         pool = rand_pop(5, 10, seed=8).X
@@ -201,17 +278,16 @@ class TestPolynomialMutation:
         rng = np.random.default_rng(40)
         for bounds in (UNIT, Bounds(np.full(4, -2.0), np.full(4, 3.0))):
             d = bounds.dimension
-            X = bounds.sample(20_000, rng)
-            out = polynomial_mutation(X, bounds, ETA_MUTATION[1], rng)
+            X, out = mutated(bounds.sample(10_000, rng), bounds, ETA_MUTATION[1], rng)
             assert abs(np.mean(out != X) - 1.0 / d) < 0.01
             assert bounds.contains(out)
 
     def test_stage2_index_moves_mutated_coordinates_farther(self):
-        X = np.random.default_rng(41).random((20_000, 10))
+        X = np.random.default_rng(41).random((10_000, 10))
         moves = {}
         for stage, eta in ETA_MUTATION.items():
-            out = polynomial_mutation(X, UNIT, eta, np.random.default_rng(42))
-            moves[stage] = np.abs(out - X)[out != X].mean()
+            doubled, out = mutated(X, UNIT, eta, np.random.default_rng(42))
+            moves[stage] = np.abs(out - doubled)[out != doubled].mean()
         assert moves[2] > 2 * moves[1]
 
 
