@@ -119,7 +119,8 @@ def _cmd_stats(args) -> int:
                     plus += report.verdict == "better"
                     minus += report.verdict == "worse"
                     eq += report.verdict == "equal"
-                diff = float(np.mean(base)) - float(np.mean(other))
+                mean_base, mean_other = float(np.mean(base)), float(np.mean(other))
+                diff = 0.0 if mean_base == mean_other else mean_base - mean_other  # inf - inf is NaN
                 deltas.append(diff if larger_better else -diff)
             try:
                 sr = signed_rank_multiproblem(deltas, alpha=args.alpha)

@@ -165,8 +165,8 @@ _PINNED_PLANS = {"HOps-T1": 1, "HOps-T2": 2, "HOps-T3": 3, "HOps-T4": 4}
 
 class RunState:
     """Everything one run owns: both populations, counters, schedule and
-    trackers. A prefix (an ``initialize`` state, possibly advanced by shared
-    generations) seeds other runs only through forks (``run``); no run
+    trackers. A prefix (an ``initialize`` state, possibly advanced by
+    ``advance``) seeds other runs only through forks (``fork``); no run
     advances another's state."""
 
     def __init__(self, problem: Problem, config: RunConfig, seed: int):
@@ -188,10 +188,10 @@ class RunState:
         self.rs = 1.0  # rs_metric(history), taken once per record for every variant
         self.phase = 0
         self.log: list[dict] = []
-        # The variants whose decisions this state followed; None until its
-        # first generation, when a run of any variant may continue it.
+        # The variants whose decisions ``advance`` followed on this state; None
+        # until its first generation, when a run of any variant may continue it.
         self.followed: tuple[str, ...] | None = None
-        self.prefix_seconds = 0.0  # wall seconds spent reaching this state
+        self.seconds = 0.0  # wall seconds spent reaching this state
 
         self.ref_points = reference_front(problem, config.igd_points)
         self.metric_cfg = MetricConfig.from_front(self.ref_points, reference_offset=config.hv_offset)
@@ -233,6 +233,7 @@ def _fingerprint(problem: Problem, config: RunConfig, seed: int) -> str:
 
 def initialize(problem: Problem, config: RunConfig, seed: int) -> RunState:
     """Two independent uniform populations, evaluated in one batch: 2N units."""
+    started = time.perf_counter()
     state = RunState(problem, config, seed)
     n = config.pop_size
     X_main = problem.bounds.sample(n, state.rng)
@@ -241,6 +242,7 @@ def initialize(problem: Problem, config: RunConfig, seed: int) -> RunState:
     state.history.record(state.pop_aux)
     state.rs = rs_metric(state.history)
     _append_log(state, generation=0, stage=0)
+    state.seconds = time.perf_counter() - started
     return state
 
 
@@ -334,7 +336,6 @@ def stage1_apply(state: RunState, decision: tuple[bool, bool]) -> None:
 def stage1_step(state: RunState) -> None:
     """One generation of the first stage under the state's own variant."""
     stage1_apply(state, stage1_decide(state, state.config))
-    state.followed = (state.config.variant,)
 
 
 def opposition_offspring(pop_aux: Population, bounds: Bounds) -> np.ndarray:
@@ -508,21 +509,48 @@ def stage2_apply(state: RunState, decision: tuple) -> None:
 def stage2_step(state: RunState) -> None:
     """One generation of the second stage under the state's own variant."""
     stage2_apply(state, stage2_decide(state, state.config))
-    state.followed = (state.config.variant,)
 
 
-def _fork(prefix: RunState, problem: Problem, config: RunConfig) -> RunState:
-    """A copy of ``prefix`` for one run: what the loop changes in place (the
-    generator, the counter, the log list and the point history) is copied;
-    populations, reference front and metric config, whose memos hold only
-    values computed from their own rows, are shared."""
+def fork(prefix: RunState, config: RunConfig) -> RunState:
+    """A copy of ``prefix`` under ``config``: what a generation changes in
+    place (the generator, the counter, the log list and the point history)
+    is copied; populations, reference front and metric config, whose memos
+    hold only values computed from their own rows, are shared."""
     state = copy.copy(prefix)
-    state.problem, state.config = problem, config
+    state.config = config
     state.rng = copy.deepcopy(prefix.rng)
     state.counter = copy.copy(prefix.counter)
     state.log = list(prefix.log)
     state.history = copy.deepcopy(prefix.history)
     return state
+
+
+def advance(state: RunState, configs: dict[str, RunConfig]) -> dict:
+    """Run ``state``'s generations, in either stage, while the member
+    variants (the keys of ``configs``) decide alike; return the members
+    grouped by decision at the first disagreement, whose generation is not
+    run, or ``{None: members}`` once the budget is spent. A generation runs
+    as ``stage1_step`` or ``stage2_step``, which decide under
+    ``state.config``, so that must be a member's. Each one sets
+    ``state.followed`` to the members, and ``state.seconds`` grows by the
+    wall seconds spent here."""
+    members = list(configs)
+    started = time.perf_counter()
+    while state.fe < state.config.max_fe:
+        stage1 = state.schedule is None
+        if len(members) > 1:
+            decide = stage1_decide if stage1 else stage2_decide
+            parts: dict = {}
+            for variant in members:
+                parts.setdefault(decide(state, configs[variant]), []).append(variant)
+            if len(parts) > 1:
+                break
+        (stage1_step if stage1 else stage2_step)(state)
+        state.followed = tuple(members)
+    else:
+        parts = {None: members}
+    state.seconds += time.perf_counter() - started
+    return parts
 
 
 def run(problem: Problem, config: RunConfig | None = None, seed: int = 0,
@@ -537,7 +565,6 @@ def run(problem: Problem, config: RunConfig | None = None, seed: int = 0,
     wall time, which includes the seconds spent reaching the prefix.
     """
     config = config or RunConfig()
-    started = time.perf_counter()
     if prefix is None:
         state = initialize(problem, config, seed)
     elif ((prefix.problem.id, prefix.problem.dimension, prefix.seed) != (problem.id, problem.dimension, seed)
@@ -547,10 +574,9 @@ def run(problem: Problem, config: RunConfig | None = None, seed: int = 0,
         raise ValueError(f"prefix followed the decisions of {', '.join(prefix.followed)}, "
                          f"not {config.variant}")
     else:
-        state = _fork(prefix, problem, config)
+        state = fork(prefix, config)
 
-    while state.fe < config.max_fe:
-        (stage1_step if state.schedule is None else stage2_step)(state)
+    advance(state, {config.variant: config})
     assert state.fe <= config.max_fe
 
     front = feasible_front(state.pop_main)
@@ -568,6 +594,6 @@ def run(problem: Problem, config: RunConfig | None = None, seed: int = 0,
         switch_generation=state.switch_generation,
         type_at_switch=state.type_at_switch,
         evaluations=state.fe,
-        wall_time=state.prefix_seconds + time.perf_counter() - started,
+        wall_time=state.seconds,
         fingerprint=_fingerprint(problem, config, seed),
     )

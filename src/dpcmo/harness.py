@@ -30,19 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import (
-    RunConfig,
-    RunResult,
-    RunState,
-    _fork,
-    apply_ablation,
-    initialize,
-    run,
-    stage1_apply,
-    stage1_decide,
-    stage2_apply,
-    stage2_decide,
-)
+from .engine import RunConfig, RunResult, advance, apply_ablation, fork, initialize, run
 from .problems import DEFAULT_DIMENSION, PROBLEM_IDS, make_problem
 
 DEFAULT_SEED_COUNT = 30
@@ -182,36 +170,15 @@ def _cell_name(pid: str, variant: str, seed: int) -> str:
     return f"{pid}__{variant}__s{seed}"
 
 
-def _lockstep(state: RunState, configs: dict[str, RunConfig], members: list[str]) -> dict:
-    """Advance ``state`` one generation at a time, in either stage, while the
-    member variants' decisions agree, adding the seconds to its prefix
-    seconds. Returns the members grouped by decision at the first
-    disagreement, or ``{None: members}`` once the budget is spent or if only
-    one is left."""
-    while len(members) > 1 and state.fe < state.config.max_fe:
-        started = time.perf_counter()
-        decide, apply = ((stage1_decide, stage1_apply) if state.schedule is None
-                         else (stage2_decide, stage2_apply))
-        parts: dict = {}
-        for variant in members:
-            parts.setdefault(decide(state, configs[variant]), []).append(variant)
-        if len(parts) == 1:
-            apply(state, *parts)
-            state.followed = tuple(members)
-        state.prefix_seconds += time.perf_counter() - started
-        if len(parts) > 1:
-            return parts
-    return {None: members}
-
-
 def _run_group(jobs) -> tuple[list[RunResult | Exception], dict[str, int | None]]:
-    """Run the cells of one problem, dimension and seed in lockstep from one
-    initial state. Cells whose decisions agree share each generation, in
-    either stage, on one state. At a disagreement, every two or more cells
-    that still agree go on together on a fork, and a cell left alone
-    continues through ``run`` from the last state it shared. A failed
-    initialisation fails the group, and a failed shared generation every
-    cell that shared it.
+    """Run the cells of one problem, dimension and seed from one initial
+    state. Cells whose decisions agree share each generation, in either
+    stage, on one state (``engine.advance``). At a disagreement, every two
+    or more cells that still agree go on together on a fork, and a cell
+    left alone, or every cell once the budget is spent, finishes through
+    ``run`` from the last state it shared; a group of one cell is one
+    ``run``. A failed initialisation fails the group, and a failed shared
+    generation every cell that shared it.
 
     Also returns, by cell name, for each cell of a group that holds full
     (full aside), the generation, in stage 1 or stage 2, at which its
@@ -222,9 +189,10 @@ def _run_group(jobs) -> tuple[list[RunResult | Exception], dict[str, int | None]
     results: dict = {}
     diverged: dict = {}
     try:
-        started = time.perf_counter()
-        state = initialize(make_problem(pid, dim), configs[jobs[0][2]], seed)
-        state.prefix_seconds = time.perf_counter() - started
+        problem = make_problem(pid, dim)
+        if len(configs) == 1:
+            return [run(problem, configs[jobs[0][2]], seed)], diverged
+        state = initialize(problem, configs[jobs[0][2]], seed)
     except Exception as exc:  # recorded, not fatal
         return [exc] * len(jobs), diverged
     for variant in configs:
@@ -235,7 +203,7 @@ def _run_group(jobs) -> tuple[list[RunResult | Exception], dict[str, int | None]
     while clusters:
         state, members = clusters.pop()
         try:
-            parts = _lockstep(state, configs, members)
+            parts = advance(state, {variant: configs[variant] for variant in members})
         except Exception as exc:
             results.update(dict.fromkeys(members, exc))
             continue
@@ -244,11 +212,12 @@ def _run_group(jobs) -> tuple[list[RunResult | Exception], dict[str, int | None]
                 for variant in part:
                     diverged[_cell_name(pid, variant, seed)] = state.g
             if decision is not None and len(part) > 1:
-                clusters.append((_fork(state, state.problem, state.config), part))
+                # The fork decides under its own config, so it takes a member's.
+                clusters.append((fork(state, configs[part[0]]), part))
                 continue
             for variant in part:
                 try:
-                    results[variant] = run(state.problem, configs[variant], seed, prefix=state)
+                    results[variant] = run(problem, configs[variant], seed, prefix=state)
                 except Exception as exc:
                     results[variant] = exc
     return [results[job[2]] for job in jobs], diverged

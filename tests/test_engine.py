@@ -15,10 +15,11 @@ from dpcmo.engine import (
     RunConfig,
     _evaluate_split,
     _fingerprint,
-    _fork,
     _run_operator,
+    advance,
     apply_ablation,
     feasible_front,
+    fork,
     hops_generate,
     initialize,
     opposition_offspring,
@@ -611,24 +612,23 @@ def result_view(result) -> tuple:
 @pytest.fixture(scope="module")
 def full_stage1():
     """Per problem, full's seed-1 stage 1: every variant's ``stage1_decide``
-    at each of its states, and the state after its switch generation, which
-    followed the variants that decided as full at every one of them."""
+    at each of its states, and the state after its switch generation."""
     out = {}
     for pid in PROBLEM_IDS:
         state = initialize(make_problem(pid, 10), SHARED, 1)
         decisions = []
         while state.schedule is None:
             decisions.append({v: stage1_decide(state, apply_ablation(SHARED, v)) for v in ALL_VARIANTS})
-            stage1_apply(state, decisions[-1]["full"])
-        state.followed = tuple(v for v in ALL_VARIANTS if all(d[v] == d["full"] for d in decisions))
+            stage1_step(state)
         out[pid] = decisions, state
     return out
 
 
 class TestSharedStage1:
     def test_stage1_variants_are_exactly_those_that_move_stage1(self, full_stage1):
-        for pid in PROBLEM_IDS:
-            assert full_stage1[pid][1].followed == FULL_CLASS, pid
+        for pid, (decisions, _) in full_stage1.items():
+            followers = tuple(v for v in ALL_VARIANTS if all(d[v] == d["full"] for d in decisions))
+            assert followers == FULL_CLASS, pid
         for variant in ("WoRR", "WoS1C"):
             assert any(d[variant] != d["full"] for decisions, _ in full_stage1.values()
                        for d in decisions), variant
@@ -637,7 +637,12 @@ class TestSharedStage1:
     def test_continued_runs_equal_fresh_runs(self, full_stage1):
         # The golden "variants" grid pins the other problems' continued runs.
         problem = make_problem("P3-separated", 10)
-        prefix = full_stage1["P3-separated"][1]
+        prefix = initialize(problem, SHARED, 1)
+        parts = advance(prefix, {v: apply_ablation(SHARED, v) for v in FULL_CLASS})
+        # The stage-2 variants share all of stage 1; WoOP leaves at the
+        # first stage-2 generation, which is not run.
+        assert len(parts) > 1 and None not in parts and prefix.followed == FULL_CLASS
+        assert prefix.g == full_stage1["P3-separated"][1].g
         fe, generations = prefix.fe, len(prefix.log)
         fresh = {v: result_view(run(problem, apply_ablation(SHARED, v), 1)) for v in FULL_CLASS}
         for order in (FULL_CLASS, FULL_CLASS[::-1]):
@@ -646,42 +651,53 @@ class TestSharedStage1:
                 assert result_view(continued) == fresh[variant], variant
         assert (prefix.fe, len(prefix.log)) == (fe, generations)
 
-    def test_prefix_from_another_key_is_refused(self, full_stage1):
+    def test_prefix_from_another_key_is_refused(self):
         problem = make_problem("P1-overlap", 10)
-        prefix = full_stage1["P1-overlap"][1]
+        prefix = initialize(problem, SHARED, 1)
+        # WoRR decides as full up to full's switch.
+        advance(prefix, {"full": SHARED, "WoRR": apply_ablation(SHARED, "WoRR")})
+        assert prefix.followed == ("full", "WoRR")
         for other in ((problem, SHARED, 2), (make_problem("P1-overlap", 12), SHARED, 1),
                       (problem, replace(SHARED, eps0=0.3), 1)):
             with pytest.raises(ValueError, match="prefix belongs to another problem, seed or config"):
                 run(*other, prefix=prefix)
-        with pytest.raises(ValueError, match="prefix followed the decisions of full, .*not WoS1C"):
+        with pytest.raises(ValueError, match="prefix followed the decisions of full, WoRR, not WoS1C"):
             run(problem, apply_ablation(SHARED, "WoS1C"), 1, prefix=prefix)
 
     def test_prefix_that_spent_the_budget_continues_to_the_fresh_result(self):
         problem = make_problem("P2-partial", 10)
         config = RunConfig(pop_size=30, max_fe=1500)
         prefix = initialize(problem, config, 1)
-        while prefix.fe < config.max_fe:
-            stage1_step(prefix)
-        assert prefix.schedule is None and prefix.followed == ("full",)
+        assert advance(prefix, {"full": config}) == {None: ["full"]}
+        assert prefix.schedule is None and prefix.fe == config.max_fe and prefix.followed == ("full",)
         assert result_view(run(problem, config, 1, prefix=prefix)) == result_view(run(problem, config, 1))
 
     def test_stage2_prefix_continues_only_under_the_variants_it_followed(self, full_stage1):
+        # The fork runs under Wo3P's config, and its shared generations
+        # decide under it: Wo3P decides as full while full is in phase 2.
         problem = make_problem("P3-separated", 10)
-        state = _fork(full_stage1["P3-separated"][1], problem, SHARED)
-        stage2_step(state)
-        assert state.followed == ("full",)
-        with pytest.raises(ValueError, match="prefix followed the decisions of full, not Wo3P"):
-            run(problem, apply_ablation(SHARED, "Wo3P"), 1, prefix=state)
-        assert result_view(run(problem, SHARED, 1, prefix=state)) == result_view(run(problem, SHARED, 1))
+        configs = {v: apply_ablation(SHARED, v) for v in ("Wo3P", "full")}
+        switched = full_stage1["P3-separated"][1]
+        state = fork(switched, configs["Wo3P"])
+        assert state.config.variant == "Wo3P" and state.problem is switched.problem
+        parts = advance(state, configs)
+        assert [sorted(part) for part in parts.values()] == [["Wo3P"], ["full"]]
+        assert state.followed == ("Wo3P", "full") and state.g > switched.g + 1
+        with pytest.raises(ValueError, match="prefix followed the decisions of Wo3P, full, not WoOP"):
+            run(problem, apply_ablation(SHARED, "WoOP"), 1, prefix=state)
+        for variant, config in configs.items():
+            assert result_view(run(problem, config, 1, prefix=state)) == result_view(run(problem, config, 1))
 
     def test_continued_wall_time_adds_the_prefix_seconds(self):
         problem = make_problem("P1-overlap", 10)
         config = RunConfig(pop_size=30, max_fe=3000)
         prefix = initialize(problem, config, 1)
-        prefix.prefix_seconds = 1000.0
+        assert prefix.seconds > 0.0
+        prefix.seconds = 1000.0
         started = time.perf_counter()
         result = run(problem, config, 1, prefix=prefix)
         assert 1000.0 < result.wall_time < 1000.0 + time.perf_counter() - started
+        assert prefix.seconds == 1000.0
 
 
 class TestDecideApply:

@@ -299,9 +299,8 @@ class TestSharedStage1:
             applied.append(state.g)
             inner(state, decision)
 
-        # Shared generations run in harness._lockstep, a cell's own in engine.run.
+        # Shared generations and a cell's own both run in engine.advance.
         monkeypatch.setattr(engine, "stage1_apply", counted)
-        monkeypatch.setattr(harness, "stage1_apply", counted)
         monkeypatch.setattr(engine, "rs_metric",
                             lambda history: switch_metrics.append(1) or inner_rs(history))
         outdir = tmp_path / "g"
@@ -344,15 +343,16 @@ class TestSharedStage1:
         assert {r["seed"] for r in read_summary(report.summary_path)} == {1}
 
     def test_failed_shared_generation_fails_only_the_cells_that_shared_it(self, tmp_path, monkeypatch):
-        inner = harness.stage1_apply
+        inner = engine.stage1_apply
 
         def flaky(state, decision):
             switch, _ = decision
-            if state.seed == 2 and switch:  # full and WoOP's shared switch, not WoRR's own
+            # full and WoOP's shared switch, not WoRR's own later one
+            if state.seed == 2 and switch and state.config.variant != "WoRR":
                 raise RuntimeError("switch boom")
             inner(state, decision)
 
-        monkeypatch.setattr(harness, "stage1_apply", flaky)
+        monkeypatch.setattr(engine, "stage1_apply", flaky)
         report = run_experiment(shared_grid(tmp_path / "f"))
         assert report.completed == 4
         assert sorted(report.failed) == [
@@ -419,11 +419,14 @@ class TestSharedStage2:
     # leaves at the first stage-2 generation. P1: Wo3P leaves at once, and
     # full, WoOP and HOps-T1 go on together on a fork to the budget. The
     # stage-1 variants leave in stage 1: WoS1C at once, WoRR where full
-    # switches and it does not.
+    # switches and it does not. A group starts under its first variant's
+    # config; when that variant leaves first, as Wo3P does on P1, the fork
+    # that full and WoOP share must run under one of theirs.
     @pytest.mark.parametrize("problem,variants,never,late", [
         ("P3-separated", ("full", "Wo3P", "WoOP"), (), ("Wo3P",)),
         ("P1-overlap", ("full", "WoOP", "HOps-T1", "Wo3P"), ("WoOP", "HOps-T1"), ()),
         ("P3-separated", ("full", "WoRR", "WoS1C", "Wo3P"), (), ("Wo3P",)),
+        ("P1-overlap", ("Wo3P", "full", "WoOP"), ("WoOP",), ()),
     ])
     def test_shared_cells_write_their_solo_bytes(self, tmp_path, problem, variants, never, late):
         serial = stage2_grid(tmp_path / "s", problem, variants)
@@ -435,7 +438,7 @@ class TestSharedStage2:
             assert {k: v for k, v in written.items() if k.name != "summary.csv"} == solo
         diverged = diverged_from_full(tmp_path / "s")
         assert len(diverged) == len(variants) - 1
-        for variant in variants[1:]:
+        for variant in (v for v in variants if v != "full"):
             name = f"{problem}__{variant}__s1"
             g, first = diverged[name], first_stage2_generation(tmp_path / "s", name)
             if variant == "WoS1C":
@@ -454,7 +457,6 @@ class TestSharedStage2:
             inner(state, decision)
 
         monkeypatch.setattr(engine, "stage2_apply", counted)
-        monkeypatch.setattr(harness, "stage2_apply", counted)
         variants = ("full", "WoOP", "HOps-T1", "Wo3P")
         run_experiment(stage2_grid(tmp_path, "P1-overlap", variants))
         per_cell = {v: sum(json.loads(line)["stage"] == 1
@@ -468,7 +470,7 @@ class TestSharedStage2:
         configs = {v: engine.apply_ablation(RunConfig(pop_size=30, max_fe=15_200), v)
                    for v in ("full", "Wo3P", "WoOP")}
         state = engine.initialize(problem, configs["full"], 1)
-        parts = harness._lockstep(state, configs, ["full", "Wo3P"])
+        parts = engine.advance(state, {v: configs[v] for v in ("full", "Wo3P")})
         assert len(parts) == 2 and state.followed == ("full", "Wo3P")
         assert state.switch_generation is not None and state.g > state.switch_generation + 1
         with pytest.raises(ValueError, match="prefix followed"):
@@ -722,15 +724,21 @@ class TestCli:
         assert main(["stats", str(path), "--metric", "igd"]) == 0
         assert "WoOP" in capsys.readouterr().out
 
-    def test_stats_infinite_igd_in_both_arms_has_no_signed_rank(self, tmp_path, capsys):
-        # inf - inf makes that problem's delta of means NaN, which the
-        # signed-rank test refuses; the reason is printed, not a wrong p.
-        path = tmp_path / "summary.csv"
-        path.write_text("problem,variant,seed,final_hv,final_igd\n" + "".join(
-            f"Q{q},{variant},{seed},0.{q}{k}{seed},{'inf' if (q, seed) == (0, 1) else f'0.0{q}{k}{seed}'}\n"
-            for q in range(6) for k, variant in enumerate(("full", "WoOP")) for seed in (1, 2)))
-        assert main(["stats", str(path), "--metric", "igd"]) == 0
-        assert "signed-rank n/a (a per-problem delta is NaN)" in capsys.readouterr().out
+    def test_stats_infinite_igd_in_both_arms_counts_as_a_zero_delta(self, tmp_path, capsys):
+        # Both arms' mean IGD on Q0 is inf: equal means, so a zero delta,
+        # which the signed-rank test drops as it drops any other (inf - inf
+        # would be NaN, and the test would refuse it).
+        def signed_rank_text(problems):
+            path = tmp_path / f"summary{len(problems)}.csv"
+            path.write_text("problem,variant,seed,final_hv,final_igd\n" + "".join(
+                f"Q{q},{variant},{seed},0.{q}{k}{seed},{'inf' if (q, seed) == (0, 1) else f'0.0{q}{k}{seed}'}\n"
+                for q in problems for k, variant in enumerate(("full", "WoOP")) for seed in (1, 2)))
+            assert main(["stats", str(path), "--metric", "igd"]) == 0
+            return capsys.readouterr().out.splitlines()[-1].split(maxsplit=2)[2]
+
+        with_inf = signed_rank_text(range(6))
+        assert with_inf.startswith("R+=") and " p=" in with_inf
+        assert with_inf == signed_rank_text(range(1, 6))
 
     def test_stats_repeated_cell_names_both_lines(self, tmp_path, capsys):
         path = tmp_path / "summary.csv"
