@@ -5,11 +5,11 @@ import pytest
 
 from dpcmo.core import Population
 from dpcmo.selection import (
+    _staircase_crowding,
     angle_subregion_select,
     das_dennis_vectors,
     environmental_select,
     fitness_order,
-    front_crowding,
     nondominated_ranks,
     unconstrained_nondominated,
 )
@@ -129,17 +129,21 @@ class TestEnvironmentalSelect:
 
 
 class TestFrontCrowding:
+    """The crowding kernel, on fronts given in peel order: f1 ascending,
+    f2 descending."""
+
     @pytest.mark.parametrize("rows", [1, 2])
     def test_fronts_of_one_and_two_rows_are_all_boundary(self, rows):
-        F = np.arange(2.0 * rows).reshape(rows, 2)
-        assert front_crowding(F).tolist() == [math.inf] * rows
+        F = np.array([[0.0, 1.0], [1.0, 0.0]])[:rows]
+        assert _staircase_crowding(F).tolist() == [math.inf] * rows
 
     def test_all_duplicate_front_has_zero_interior(self):
-        assert front_crowding(np.ones((4, 2))).tolist() == [math.inf, 0.0, 0.0, math.inf]
+        assert _staircase_crowding(np.ones((4, 2))).tolist() == [math.inf, 0.0, 0.0, math.inf]
 
     def test_interior_sums_normalized_gaps(self):
         F = np.array([[0.0, 4.0], [1.0, 2.0], [3.0, 1.0], [4.0, 0.0]])
-        assert front_crowding(F).tolist() == [math.inf, 3 / 4 + 3 / 4, 3 / 4 + 2 / 4, math.inf]
+        assert _staircase_crowding(F).tolist() == [math.inf, 3 / 4 + 3 / 4, 3 / 4 + 2 / 4,
+                                                   math.inf]
 
 
 class TestReferenceVectors:

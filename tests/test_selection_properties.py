@@ -14,10 +14,11 @@ from dpcmo.core import Population
 from dpcmo.engine import _survivors, feasible_front
 from dpcmo.metrics import hypervolume, igd
 from dpcmo.selection import (
-    _peel_ranks,
+    _adjusted_cv,
+    _peel,
+    _staircase_crowding,
     crowding_distances,
     environmental_select,
-    front_crowding,
     nondominated_ranks,
     rank_and_crowd,
     ranks_of,
@@ -108,38 +109,64 @@ def test_environmental_select_equals_scan(inst, epsilon, data):
     F, cv = inst
     union = Population(F, F, cv)
     n = data.draw(st.integers(1, len(union)))
-    ranks = nondominated_ranks(F, cv, epsilon)
+    ranks = dense_ranks(F, cv, epsilon)
     crowd = crowding_per_front(F, ranks)
     want = truncation_scan(ranks, crowd, n) if n < len(union) else range(n)
-    assert environmental_select(union, n, epsilon).tolist() == list(want)
+    got = environmental_select(union, n, epsilon)
+    assert got.tolist() == list(want)
+    if n < len(union):
+        np.testing.assert_array_equal(union.kept_ranks[(epsilon, n)], ranks[got])
+
+
+# A split front (cv 0.3) behind a lower-violation group (cv 0) that also
+# dominates it, so it is the second front at every epsilon. Its exact repeats
+# sit at both f1 ends and in its interior, and index order is not peel order.
+_SPLIT_FRONT = np.array([[1.0, 5.0], [5.0, 1.0], [2.0, 4.0], [1.0, 5.0], [3.0, 3.0],
+                         [2.0, 4.0], [5.0, 1.0], [4.0, 2.0], [1.0, 5.0], [2.0, 4.0]])
+_AHEAD = np.array([[0.0, 0.5], [0.5, 0.0]])
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.15, math.inf])
+def test_split_front_with_repeats_at_both_ends(epsilon):
+    for parts in ([(_AHEAD, 0.0), (_SPLIT_FRONT, 0.3)], [(_SPLIT_FRONT, 0.3), (_AHEAD, 0.0)]):
+        F = np.concatenate([rows for rows, _ in parts])
+        cv = np.concatenate([np.full(len(rows), c) for rows, c in parts])
+        ranks = dense_ranks(F, cv, epsilon)
+        assert sorted(set(ranks.tolist())) == [0, 1]
+        crowd = crowding_per_front(F, ranks)
+        np.testing.assert_array_equal(crowding_distances(F, ranks), crowd)
+        for n in range(len(_AHEAD) + 1, len(F)):
+            want = truncation_scan(ranks, crowd, n)
+            assert environmental_select(Population(F, F, cv), n, epsilon).tolist() == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(instances(), ANY_EPSILON)
 def test_split_front_crowding_equals_union_crowding(inst, epsilon):
-    """Crowding one front on its own gives the union's distances on it."""
+    """Crowding one front on its own, in the peel's order, gives the union's
+    distances on it."""
     F, cv = inst
-    ranks = nondominated_ranks(F, cv, epsilon)
-    union_crowd = crowding_per_front(F, ranks)
-    for r in np.unique(ranks):
-        front = np.flatnonzero(ranks == r)
-        np.testing.assert_array_equal(front_crowding(F[front]), union_crowd[front])
+    union_crowd = crowding_per_front(F, dense_ranks(F, cv, epsilon))
+    order, fronts = _peel(F, _adjusted_cv(cv, epsilon), len(F))
+    for front in fronts:
+        rows = order[front]
+        np.testing.assert_array_equal(_staircase_crowding(F[rows]), union_crowd[rows])
 
 
 @settings(max_examples=150, deadline=None)
 @given(instances(), ANY_EPSILON, st.data())
 def test_peeled_ranks_are_exact_up_to_the_split_front(inst, epsilon, data):
-    """Truncation to n ranks exactly the fronts that hold the n best rows,
-    and every later row one past the front that holds the n-th."""
+    """Peeling for n gives exactly the fronts that hold the n best rows, in
+    rank order, each as ascending positions in the sort order."""
     F, cv = inst
     n = data.draw(st.integers(1, len(F)))
-    cv_adj = np.zeros(len(F)) if math.isinf(epsilon) else np.maximum(0.0, cv - epsilon)
     want = dense_ranks(F, cv, epsilon)
     split = np.sort(want)[n - 1]
-    got = _peel_ranks(F, cv_adj, n)
-    upto = want <= split
-    np.testing.assert_array_equal(got[upto], want[upto])
-    assert (got[~upto] == split + 1).all()
+    order, fronts = _peel(F, _adjusted_cv(cv, epsilon), n)
+    assert len(fronts) == split + 1
+    for rank, front in enumerate(fronts):
+        assert (np.diff(front) > 0).all()
+        np.testing.assert_array_equal(np.sort(order[front]), np.flatnonzero(want == rank))
 
 
 @settings(max_examples=100, deadline=None)
