@@ -17,6 +17,7 @@ import copy
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -62,7 +63,6 @@ from .variation import (
     de_current_to_rand,
     de_rand_1,
     de_transfer,
-    ga_children,
     ga_draws,
     ga_offspring,
     random_pool,
@@ -83,6 +83,11 @@ ABLATIONS = {
     "WoDRA": "static offspring allocation",
 }
 ABLATION_VARIANTS = tuple(ABLATIONS)
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer of any kind but bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,10 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if type(f.default) is int:
+                if not is_integer(value):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                object.__setattr__(self, f.name, int(value))  # a numpy integer is no JSON number
         if self.pop_size < 5:
             raise ValueError(f"population size must be at least 5, got {self.pop_size}")
         if self.max_fe < 2 * self.pop_size:
@@ -170,6 +179,8 @@ class RunState:
     advances another's state."""
 
     def __init__(self, problem: Problem, config: RunConfig, seed: int):
+        if not is_integer(seed):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         self.problem = problem
         self.config = config
         self.seed = int(seed)
@@ -317,8 +328,8 @@ def stage1_apply(state: RunState, decision: tuple[bool, bool]) -> None:
     draws1 = ga_draws(n, d, rng)
     X2 = state.pop_aux.X[random_pool(state.pop_aux, n, rng)]
     draws2 = ga_draws(n, d, rng)
-    children = ga_children([X1, X2], [draws1, draws2], ETA_MUTATION[1], state.problem.bounds)
-    off1, off2 = _evaluate_split(state, *children)
+    children = ga_offspring([X1, X2], [draws1, draws2], ETA_MUTATION[1], state.problem.bounds)
+    off1, off2 = _evaluate_split(state, children[:n], children[n:])
 
     if shared:
         main_union = Population.concat(state.pop_main, off1, off2)
@@ -387,7 +398,7 @@ def _run_operator(state: RunState, op: str, kind: str, k: int, source: str) -> n
     else:
         pool = pop.X[random_pool(pop, draw, rng)]
     if op == "ga":
-        X = ga_offspring(pool, 2, bounds, rng)
+        X = ga_offspring([pool], [ga_draws(len(pool), pool.shape[1], rng)], ETA_MUTATION[2], bounds)
     elif op == "de":
         X = de_rand_1(pool, bounds, rng)
     elif op == "cur_rand":
@@ -595,5 +606,5 @@ def run(problem: Problem, config: RunConfig | None = None, seed: int = 0,
         type_at_switch=state.type_at_switch,
         evaluations=state.fe,
         wall_time=state.seconds,
-        fingerprint=_fingerprint(problem, config, seed),
+        fingerprint=_fingerprint(problem, config, state.seed),
     )

@@ -22,6 +22,7 @@ Outputs under the configured directory:
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import RunConfig, RunResult, advance, apply_ablation, fork, initialize, run
+from .engine import RunConfig, RunResult, advance, apply_ablation, fork, initialize, is_integer, run
 from .problems import DEFAULT_DIMENSION, PROBLEM_IDS, make_problem
 
 DEFAULT_SEED_COUNT = 30
@@ -62,6 +63,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{kind} must be distinct, got {', '.join(map(str, values))}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if not all(map(is_integer, self.seeds)):
+            raise ConfigError(f"seeds must be integers, got {', '.join(map(str, self.seeds))}")
         if min(self.seeds) < 0:  # PCG64 takes only non-negative seeds
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         if not self.variants:
@@ -74,8 +77,8 @@ class ExperimentConfig:
                 apply_ablation(self.run, v)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.parallel < 1:
-            raise ConfigError("parallel must be >= 1")
+        if not is_integer(self.parallel) or self.parallel < 1:
+            raise ConfigError(f"parallel must be an integer >= 1, got {self.parallel!r}")
 
 
 def _parse_problem_token(token: str, line_no: int) -> tuple[str, int]:
@@ -170,36 +173,31 @@ def _cell_name(pid: str, variant: str, seed: int) -> str:
     return f"{pid}__{variant}__s{seed}"
 
 
-def _run_group(jobs) -> tuple[list[RunResult | Exception], dict[str, int | None]]:
-    """Run the cells of one problem, dimension and seed from one initial
-    state. Cells whose decisions agree share each generation, in either
-    stage, on one state (``engine.advance``). At a disagreement, every two
-    or more cells that still agree go on together on a fork, and a cell
-    left alone, or every cell once the budget is spent, finishes through
-    ``run`` from the last state it shared; a group of one cell is one
-    ``run``. A failed initialisation fails the group, and a failed shared
-    generation every cell that shared it.
+def _run_group(pid: str, dim: int, seed: int, variants: list[str], run_config: RunConfig
+               ) -> tuple[dict[str, RunResult | Exception], dict[str, int | None]]:
+    """Run the cells of one problem, dimension and seed, one per variant,
+    from one initial state; return each variant's result or exception.
+    Cells whose decisions agree share each generation, in either stage, on
+    one state (``engine.advance``). At a disagreement, every two or more
+    cells that still agree go on together on a fork, and a cell left alone,
+    or every cell once the budget is spent, finishes through ``run`` from
+    the last state it shared. A failed initialisation fails the group, and
+    a failed shared generation every cell that shared it.
 
-    Also returns, by cell name, for each cell of a group that holds full
-    (full aside), the generation, in stage 1 or stage 2, at which its
-    decision first differed from full's, or None if it never did.
+    Also returns, by variant, for each cell of a group that holds full (full
+    aside), the generation, in stage 1 or stage 2, at which its decision
+    first differed from full's, or None if it never did.
     """
-    pid, dim, _, seed, run_config = jobs[0]
-    configs = {job[2]: apply_ablation(run_config, job[2]) for job in jobs}
-    results: dict = {}
-    diverged: dict = {}
+    configs = {variant: apply_ablation(run_config, variant) for variant in variants}
+    diverged = {variant: None for variant in variants if variant != "full"} if "full" in configs else {}
     try:
         problem = make_problem(pid, dim)
-        if len(configs) == 1:
-            return [run(problem, configs[jobs[0][2]], seed)], diverged
-        state = initialize(problem, configs[jobs[0][2]], seed)
+        state = initialize(problem, configs[variants[0]], seed)
     except Exception as exc:  # recorded, not fatal
-        return [exc] * len(jobs), diverged
-    for variant in configs:
-        if variant != "full" and "full" in configs:
-            diverged[_cell_name(pid, variant, seed)] = None
+        return dict.fromkeys(variants, exc), diverged
+    results: dict = {}
     # Depth first, so a shared state is dropped once its cells have left it.
-    clusters = [(state, list(configs))]
+    clusters = [(state, list(variants))]
     while clusters:
         state, members = clusters.pop()
         try:
@@ -209,8 +207,7 @@ def _run_group(jobs) -> tuple[list[RunResult | Exception], dict[str, int | None]
             continue
         for decision, part in parts.items():
             if decision is not None and "full" in members and "full" not in part:
-                for variant in part:
-                    diverged[_cell_name(pid, variant, seed)] = state.g
+                diverged.update(dict.fromkeys(part, state.g))
             if decision is not None and len(part) > 1:
                 # The fork decides under its own config, so it takes a member's.
                 clusters.append((fork(state, configs[part[0]]), part))
@@ -220,7 +217,7 @@ def _run_group(jobs) -> tuple[list[RunResult | Exception], dict[str, int | None]
                     results[variant] = run(problem, configs[variant], seed, prefix=state)
                 except Exception as exc:
                     results[variant] = exc
-    return [results[job[2]] for job in jobs], diverged
+    return results, diverged
 
 
 @dataclass
@@ -251,17 +248,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     (outdir / "logs").mkdir(parents=True, exist_ok=True)
     (outdir / "fronts").mkdir(parents=True, exist_ok=True)
 
-    cells = [
-        (pid, dim, variant, seed)
-        for pid, dim in config.problems
-        for variant in config.variants
-        for seed in config.seeds
-    ]
-    groups: dict[tuple, list[int]] = {}
-    for i, (pid, dim, _, seed) in enumerate(cells):
-        groups.setdefault((pid, dim, seed), []).append(i)
-    jobs = [[(*cells[i], config.run) for i in members] for members in groups.values()]
-
+    jobs = [(pid, dim, seed) for pid, dim in config.problems for seed in config.seeds]
     started = time.time()
     workers = min(config.parallel, len(jobs))  # a pool starts all its workers at once
     if workers > 1:
@@ -269,27 +256,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_group, group) for group in jobs]
+            futures = [pool.submit(_run_group, *job, config.variants, config.run) for job in jobs]
             outcomes = []
-            for fut, group in zip(futures, jobs):
+            for fut in futures:
                 try:
                     outcomes.append(fut.result())
                 except Exception as exc:  # a worker that died fails its group
-                    outcomes.append(([exc] * len(group), {}))
+                    outcomes.append((dict.fromkeys(config.variants, exc), {}))
     else:
-        outcomes = [_run_group(group) for group in jobs]
-    by_cell: dict[int, RunResult | Exception] = {}
-    diverged_at: dict[str, int | None] = {}
-    for members, (group_results, group_diverged) in zip(groups.values(), outcomes):
-        by_cell.update(zip(members, group_results))
-        diverged_at.update(group_diverged)
-    results = [by_cell[i] for i in range(len(cells))]
+        outcomes = [_run_group(*job, config.variants, config.run) for job in jobs]
+    by_job = dict(zip(jobs, outcomes))
 
     rows = []
     failed: list[tuple[str, str]] = []
     wall_times = {}
     diverged_from_full = {}
-    for (pid, dim, variant, seed), outcome in zip(cells, results):
+    for (pid, dim), variant, seed in itertools.product(config.problems, config.variants, config.seeds):
+        results, diverged = by_job[pid, dim, seed]
+        outcome = results[variant]
         name = _cell_name(pid, variant, seed)
         if isinstance(outcome, Exception):
             failed.append((name, f"{type(outcome).__name__}: {outcome}"))
@@ -303,8 +287,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         rows.append((pid, variant, seed, outcome.final_hv, outcome.final_igd,
                      outcome.evaluations, len(outcome.log)))
         wall_times[name] = outcome.wall_time
-        if name in diverged_at:
-            diverged_from_full[name] = diverged_at[name]
+        if variant in diverged:
+            diverged_from_full[name] = diverged[variant]
 
     summary_path = outdir / "summary.csv"
     with summary_path.open("w") as fh:

@@ -17,8 +17,8 @@ Tournament pools and DE index triples take their draws in whole-array calls
 that use the generator's stream exactly as one call per draw would: same
 values, same order, same state afterwards. The GA (SBX plus mutation) is
 split the same way: ``ga_draws`` takes one parent block's random numbers in
-stream order, and one ``ga_children`` kernel breeds any number of blocks
-from their draws, so both stage-1 populations breed in a single pass.
+stream order, and ``ga_offspring``, the one GA kernel, breeds any number of
+blocks from their draws, so both stage-1 populations breed in a single pass.
 """
 
 from __future__ import annotations
@@ -103,23 +103,26 @@ def ga_draws(n: int, d: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]
     return u, sign, swap, rng.random((2 * pairs, d)), rng.random((2 * pairs, d))
 
 
-def ga_children(blocks: list[np.ndarray], draws: list[tuple[np.ndarray, ...]],
-                eta_m: float, bounds: Bounds) -> list[np.ndarray]:
+def ga_offspring(blocks: list[np.ndarray], draws: list[tuple[np.ndarray, ...]],
+                 eta_m: float, bounds: Bounds) -> np.ndarray:
     """SBX plus polynomial mutation (index ``eta_m``) of each parent block
-    under its ``ga_draws``, in one pass; one child per parent row.
+    under its ``ga_draws``, in one pass: one child per parent row, the
+    blocks' children stacked in block order.
 
-    Each block is padded to an even row count by repeating its last row, so
-    a pair never straddles two blocks. Children are clamped into the
-    per-coordinate interval spanned by their parents; a mutated coordinate
-    (probability 1/D) is then clamped to the bounds, and every other one is
-    the crossover child's own.
+    Each odd block is padded by repeating its last row, so a pair never
+    straddles two blocks, and the pad row's child is dropped. Children are
+    clamped into the per-coordinate interval spanned by their parents; a
+    mutated coordinate (probability 1/D) is then clamped to the bounds, and
+    every other one is the crossover child's own.
     """
-    rows = []
-    for X in blocks:
-        rows += (X, X[-1:]) if len(X) % 2 else (X,)
-    X = np.concatenate(rows) if len(rows) > 1 else rows[0]
-    u, sign, swap, site, mu = (np.concatenate(parts) for parts in zip(*draws)) \
-        if len(draws) > 1 else draws[0]
+    rows, pads = [], []
+    for B in blocks:
+        rows.append(B)
+        if len(B) % 2:
+            pads.append(sum(map(len, rows)))
+            rows.append(B[-1:])
+    X = np.concatenate(rows)
+    u, sign, swap, site, mu = (np.concatenate(parts) for parts in zip(*draws))
 
     e = 1.0 / (ETA_CROSSOVER + 1.0)
     beta = np.where(u <= 0.5, (2.0 * u) ** e, (2.0 - 2.0 * u) ** -e)
@@ -145,21 +148,7 @@ def ga_children(blocks: list[np.ndarray], draws: list[tuple[np.ndarray, ...]],
     lower = (2.0 * m + (1.0 - 2.0 * m) * (1.0 - (x - lb) / span) ** e) ** (1.0 / e) - 1.0
     upper = 1.0 - (2.0 * (1.0 - m) + 2.0 * (m - 0.5) * (1.0 - (ub - x) / span) ** e) ** (1.0 / e)
     children.reshape(-1)[flat] = np.clip(x + np.where(m <= 0.5, lower, upper) * span, lb, ub)
-
-    out, start = [], 0
-    for B in blocks:
-        out.append(children[start:start + len(B)])
-        start += len(B) + len(B) % 2
-    return out
-
-
-def ga_offspring(X: np.ndarray, stage: int, bounds: Bounds,
-                 rng: np.random.Generator) -> np.ndarray:
-    """SBX plus polynomial mutation; one child per parent slot."""
-    if stage not in ETA_MUTATION:
-        raise ValueError(f"stage must be 1 or 2, got {stage}")
-    draws = ga_draws(len(X), X.shape[1], rng)
-    return ga_children([X], [draws], ETA_MUTATION[stage], bounds)[0]
+    return np.delete(children, pads, axis=0) if pads else children
 
 
 def _distinct_triples(n: int, rng: np.random.Generator) -> np.ndarray:

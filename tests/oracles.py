@@ -503,7 +503,7 @@ def distinct_triples_reference(n: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Whole-array SBX and polynomial mutation, one call per operator and
 # population. The package takes the same draws with ``ga_draws`` and breeds
-# every block of a generation in one ``ga_children`` pass; its children and
+# every block of a generation in one ``ga_offspring`` pass; its children and
 # generator state must match these bit for bit.
 
 

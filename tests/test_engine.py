@@ -133,6 +133,11 @@ class TestRunConfigBounds:
         ("coincident_threshold", -0.1),
         ("coincident_threshold", 5.0),
         ("variant", "WoXYZ"),
+        ("max_fe", 1000.5),
+        ("pop_size", 30.5),
+        ("history_gap", 2.5),
+        ("igd_points", 100.5),
+        ("history_gap", True),
     ])
     def test_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -141,6 +146,11 @@ class TestRunConfigBounds:
     def test_edge_values_accepted(self):
         RunConfig(pbest_fraction=1.0, igd_points=2, phase3_eps=0.0,
                   history_gap=1, coincident_threshold=1.0)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        config = RunConfig(pop_size=np.int64(30), max_fe=np.int64(1000))
+        assert type(config.pop_size) is int and type(config.max_fe) is int
+        assert config == RunConfig(pop_size=30, max_fe=1000)
 
     def test_default_fingerprint_is_pinned(self):
         assert _fingerprint(make_problem("P1-overlap", 10), RunConfig(), 1) == "a449e8107365c515"
@@ -538,6 +548,15 @@ class TestRun:
         fes = [r["fe"] for r in result.log]
         assert fes == sorted(fes)
         assert fes[-1] == 1997
+
+    def test_fractional_seed_rejected_before_any_generation(self, monkeypatch):
+        monkeypatch.setattr("dpcmo.engine.stage1_step", lambda state: pytest.fail("a generation ran"))
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            run(make_problem("P1-overlap", 10), RunConfig(pop_size=30, max_fe=1000), seed=1.5)
+
+    def test_numpy_integer_seed_runs_as_its_int(self):
+        problem, config = make_problem("P1-overlap", 10), RunConfig(pop_size=10, max_fe=100)
+        assert run(problem, config, seed=np.int64(3)).fingerprint == run(problem, config, seed=3).fingerprint
 
     def test_degenerate_budget_returns_initial_front(self):
         result = run(make_problem("P3-separated", 10), RunConfig(pop_size=50, max_fe=100), 1)

@@ -221,9 +221,10 @@ class TestRunExperiment:
             assert a.read_bytes() == b.read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path):
-        serial = run_experiment(tiny_experiment(tmp_path / "s", parallel=1))
-        par = run_experiment(tiny_experiment(tmp_path / "p", parallel=3))
-        assert serial.summary_path.read_bytes() == par.summary_path.read_bytes()
+        # Groups of one cell, each on the shared path, in a pool of three.
+        run_experiment(tiny_experiment(tmp_path / "s", parallel=1))
+        run_experiment(tiny_experiment(tmp_path / "p", parallel=3))
+        assert artifact_bytes(tmp_path / "p") == artifact_bytes(tmp_path / "s")
 
     def test_grid_shape(self, tmp_path):
         cfg = tiny_experiment(tmp_path / "g", seeds=(1, 2), variants=("full", "WoOP"))
@@ -263,6 +264,16 @@ class TestRunExperiment:
         assert "boom" in report.failed[0][1]
         rows = read_summary(report.summary_path)
         assert {r["seed"] for r in rows} == {1, 3}
+
+    @pytest.mark.parametrize("seeds,parallel,message", [
+        ((1.5,), 1, "seeds must be integers, got 1.5"),
+        ((2, True), 1, "seeds must be integers, got 2, True"),
+        ((1,), 1.5, "parallel must be an integer >= 1, got 1.5"),
+    ])
+    def test_fractional_seed_or_parallel_is_config_error(self, tmp_path, seeds, parallel, message):
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(tiny_experiment(tmp_path / "e", seeds=seeds, parallel=parallel))
+        assert not (tmp_path / "e").exists()
 
     def test_no_variants_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="at least one variant"):
@@ -427,6 +438,7 @@ class TestSharedStage2:
         ("P1-overlap", ("full", "WoOP", "HOps-T1", "Wo3P"), ("WoOP", "HOps-T1"), ()),
         ("P3-separated", ("full", "WoRR", "WoS1C", "Wo3P"), (), ("Wo3P",)),
         ("P1-overlap", ("Wo3P", "full", "WoOP"), ("WoOP",), ()),
+        ("P3-separated", ("full",), (), ()),  # a group of one cell
     ])
     def test_shared_cells_write_their_solo_bytes(self, tmp_path, problem, variants, never, late):
         serial = stage2_grid(tmp_path / "s", problem, variants)

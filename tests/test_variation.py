@@ -18,7 +18,6 @@ from dpcmo.variation import (
     de_current_to_rand,
     de_rand_1,
     de_transfer,
-    ga_children,
     ga_draws,
     ga_offspring,
     random_pool,
@@ -183,17 +182,17 @@ def mutated(X, bounds, eta_m, rng):
     """The kernel on every row paired with itself. Crossover returns such a
     pair unchanged, so only mutation acts; rows come back doubled."""
     doubled = np.repeat(X, 2, axis=0)
-    return doubled, ga_children([doubled], [ga_draws(len(doubled), X.shape[1], rng)],
-                                eta_m, bounds)[0]
+    return doubled, ga_offspring([doubled], [ga_draws(len(doubled), X.shape[1], rng)],
+                                 eta_m, bounds)
 
 
 WIDE = Bounds(np.full(6, -2.0), np.full(6, 3.0))
 
 
 class TestGaKernel:
-    """``ga_draws`` plus ``ga_children`` against the reference SBX and
-    mutation: equal children bit for bit, and the generator in the same
-    state after each block's draws."""
+    """``ga_draws`` plus ``ga_offspring`` against the reference SBX and
+    mutation: equal children bit for bit, block by block, and the generator
+    in the same state after each block's draws."""
 
     def breed_both(self, pops, n, stage, bounds, seed, warm):
         """Stage 1's order: a pool and its GA draws per population, then one
@@ -206,9 +205,9 @@ class TestGaKernel:
             expected.append(reference_children(pop.X[random_pool(pop, n, b)],
                                                ETA_MUTATION[stage], bounds, b))
             assert a.bit_generator.state == b.bit_generator.state
-        children = ga_children(blocks, draws, ETA_MUTATION[stage], bounds)
-        assert [c.shape for c in children] == [(n, bounds.dimension)] * len(pops)
-        assert [c.tobytes() for c in children] == [e.tobytes() for e in expected]
+        children = ga_offspring(blocks, draws, ETA_MUTATION[stage], bounds)
+        assert children.shape == (n * len(pops), bounds.dimension)
+        assert [c.tobytes() for c in np.split(children, len(pops))] == [e.tobytes() for e in expected]
         assert same_stream_after(a, b)
         return draws
 
@@ -244,13 +243,13 @@ class TestGaOffspring:
         x = np.full(10, 0.3)
         pool = np.tile(x, (6, 1))
         draws = without_sites(ga_draws(6, 10, np.random.default_rng(5)))
-        children = ga_children([pool], [draws], ETA_MUTATION[1], UNIT)[0]
+        children = ga_offspring([pool], [draws], ETA_MUTATION[1], UNIT)
         assert np.array_equal(children, pool)
 
     def test_children_inside_parent_box_when_unmutated(self):
         X = rand_pop(20, 10, seed=6).X
         draws = without_sites(ga_draws(20, 10, np.random.default_rng(7)))
-        children = ga_children([X], [draws], ETA_MUTATION[1], UNIT)[0]
+        children = ga_offspring([X], [draws], ETA_MUTATION[1], UNIT)
         for pair in range(10):
             lo = np.minimum(X[2 * pair], X[2 * pair + 1])
             hi = np.maximum(X[2 * pair], X[2 * pair + 1])
@@ -258,19 +257,21 @@ class TestGaOffspring:
             assert np.all(children[2 * pair:2 * pair + 2] <= hi)
 
     def test_odd_pool_padded(self):
-        pool = rand_pop(5, 10, seed=8).X
-        children = ga_offspring(pool, 2, UNIT, np.random.default_rng(9))
-        assert children.shape == (5, 10)
+        pools = [rand_pop(k, 10, seed=8 + k).X for k in (5, 4, 3)]
+        rng = np.random.default_rng(9)
+        draws = [ga_draws(len(pool), 10, rng) for pool in pools]
+        children = ga_offspring(pools, draws, ETA_MUTATION[2], UNIT)
+        assert children.shape == (12, 10)
+        # Each odd block's pad row pairs within its block, and its child is dropped.
+        alone = [ga_offspring([pool], [dr], ETA_MUTATION[2], UNIT) for pool, dr in zip(pools, draws)]
+        assert np.array_equal(children, np.concatenate(alone))
 
     def test_bounds_fuzz(self):
         pool = rand_pop(100_000, 10, seed=10).X
-        children = ga_offspring(pool, 2, UNIT, np.random.default_rng(11))
+        children = ga_offspring([pool], [ga_draws(100_000, 10, np.random.default_rng(11))],
+                                ETA_MUTATION[2], UNIT)
         assert children.shape == (100_000, 10)
         assert np.all(children >= 0.0) and np.all(children <= 1.0)
-
-    def test_bad_stage(self):
-        with pytest.raises(ValueError):
-            ga_offspring(rand_pop(4, 10, seed=1).X, 3, UNIT, np.random.default_rng(0))
 
 
 class TestPolynomialMutation:
