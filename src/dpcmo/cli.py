@@ -68,8 +68,7 @@ def _execute(config: ExperimentConfig) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    return _execute(config)
+    return _execute(load_config(args.config))
 
 
 def _cmd_bench(args) -> int:
@@ -134,8 +133,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    written = emit_plot_data(args.results_dir)
-    for path in written:
+    for path in emit_plot_data(args.results_dir):
         print(path)
     return 0
 

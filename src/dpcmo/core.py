@@ -10,11 +10,17 @@ is feasible when its violation is zero.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_EQ_TOLERANCE = 1e-4
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer of any kind but bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _readonly(values) -> np.ndarray:
@@ -59,9 +65,9 @@ class Bounds:
     def dimension(self) -> int:
         return self.lower.size
 
-    def contains(self, X: np.ndarray, atol: float = 0.0) -> bool:
+    def contains(self, X: np.ndarray) -> bool:
         X = np.asarray(X, dtype=float)
-        return bool(np.all(X >= self.lower - atol) and np.all(X <= self.upper + atol))
+        return bool(np.all(X >= self.lower) and np.all(X <= self.upper))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n uniform points inside the box, one per row."""

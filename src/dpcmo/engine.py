@@ -29,6 +29,7 @@ from .core import (
     EvalCounter,
     Population,
     evaluate_batch,
+    is_integer,
 )
 from .metrics import MetricConfig, igd
 from .problems import Problem, reference_front
@@ -85,11 +86,6 @@ ABLATIONS = {
 ABLATION_VARIANTS = tuple(ABLATIONS)
 
 
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer of any kind but bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     pop_size: int = 100
@@ -110,28 +106,30 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-            if type(f.default) is int:
-                if not is_integer(value):
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
-                object.__setattr__(self, f.name, int(value))  # a numpy integer is no JSON number
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind is int and not is_integer(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if kind is float and not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                                      and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if kind is str and not isinstance(value, str):
+                raise ValueError(f"{f.name} must be a string, got {value!r}")
+            if type(value) not in (int, float, str):  # numpy numbers become plain ones for JSON
+                object.__setattr__(self, f.name, kind(value))
         if self.pop_size < 5:
             raise ValueError(f"population size must be at least 5, got {self.pop_size}")
         if self.max_fe < 2 * self.pop_size:
             raise ValueError("maxFE must be at least twice the population size, got "
                              f"max_fe={self.max_fe}, pop_size={self.pop_size}")
-        if not self.eps0 > 0:
-            raise ValueError(f"eps0 must be positive, got {self.eps0}")
-        if not self.curvature > 0:
-            raise ValueError(f"curvature must be positive, got {self.curvature}")
+        # hv_offset must put the reference point past the normalised ideal,
+        # and history_delta is the floor of rs_metric's denominator.
+        for name in ("eps0", "curvature", "hv_offset", "delta", "history_delta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 < self.pbest_fraction <= 1:
             raise ValueError(f"pbest_fraction must lie in (0, 1], got {self.pbest_fraction}")
         if not 0 < self.coincident_threshold <= 1:  # compared with a feasible fraction
             raise ValueError(f"coincident_threshold must lie in (0, 1], got {self.coincident_threshold}")
-        if not self.hv_offset > 0:  # the reference point must lie past the normalised ideal
-            raise ValueError(f"hv_offset must be positive, got {self.hv_offset}")
         if self.igd_points < 2:
             raise ValueError(f"igd_points must be at least 2, got {self.igd_points}")
         if not 0 <= self.phase3_eps < self.phase1_eps:
@@ -139,10 +137,6 @@ class RunConfig:
                              f"phase3_eps={self.phase3_eps}, phase1_eps={self.phase1_eps}")
         if self.history_gap < 1:
             raise ValueError(f"history_gap must be at least 1, got {self.history_gap}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not self.history_delta > 0:  # the floor of rs_metric's denominator
-            raise ValueError(f"history_delta must be positive, got {self.history_delta}")
         if self.variant != "full" and self.variant not in ABLATIONS:
             raise ValueError(f"unknown variant {self.variant!r}; expected 'full' or one of {ABLATION_VARIANTS}")
 
@@ -199,9 +193,6 @@ class RunState:
         self.rs = 1.0  # rs_metric(history), taken once per record for every variant
         self.phase = 0
         self.log: list[dict] = []
-        # The variants whose decisions ``advance`` followed on this state; None
-        # until its first generation, when a run of any variant may continue it.
-        self.followed: tuple[str, ...] | None = None
         self.seconds = 0.0  # wall seconds spent reaching this state
 
         self.ref_points = reference_front(problem, config.igd_points)
@@ -542,9 +533,10 @@ def advance(state: RunState, configs: dict[str, RunConfig]) -> dict:
     grouped by decision at the first disagreement, whose generation is not
     run, or ``{None: members}`` once the budget is spent. A generation runs
     as ``stage1_step`` or ``stage2_step``, which decide under
-    ``state.config``, so that must be a member's. Each one sets
-    ``state.followed`` to the members, and ``state.seconds`` grows by the
-    wall seconds spent here."""
+    ``state.config``, so that must be a member's: ``configs[variant]`` for
+    its variant. ``state.seconds`` grows by the wall seconds spent here."""
+    if configs.get(state.config.variant) != state.config:
+        raise ValueError(f"the state decides as {state.config.variant}, not as one of {', '.join(configs)}")
     members = list(configs)
     started = time.perf_counter()
     while state.fe < state.config.max_fe:
@@ -557,33 +549,59 @@ def advance(state: RunState, configs: dict[str, RunConfig]) -> dict:
             if len(parts) > 1:
                 break
         (stage1_step if stage1 else stage2_step)(state)
-        state.followed = tuple(members)
     else:
         parts = {None: members}
     state.seconds += time.perf_counter() - started
     return parts
 
 
+def share(problem: Problem, seed: int, configs: dict[str, RunConfig]
+          ) -> tuple[dict[str, RunState | Exception], dict[str, int | None]]:
+    """Run once (``advance``) each generation on which the variants of
+    ``configs`` decide alike, from a state initialised under the first one's
+    config; at a disagreement, two or more that still agree go on together
+    on a fork under a member's config. Return, by variant, a fork of the
+    last state it shared under its own config, for ``run(..., prefix=)``,
+    or what its shared generation raised; and, if full is a variant, the
+    generation at which each other one first decided otherwise, or None."""
+    variants = list(configs)
+    diverged = dict.fromkeys(v for v in variants if v != "full") if "full" in configs else {}
+    states: dict = {}
+    # Depth first, so a shared state is dropped once its variants have left it.
+    clusters = [(initialize(problem, configs[variants[0]], seed), variants)]
+    while clusters:
+        state, members = clusters.pop()
+        try:
+            parts = advance(state, {variant: configs[variant] for variant in members})
+        except Exception as exc:  # recorded, not fatal
+            states.update(dict.fromkeys(members, exc))
+            continue
+        for decision, part in parts.items():
+            if decision is not None and "full" in members and "full" not in part:
+                diverged.update(dict.fromkeys(part, state.g))
+            if decision is not None and len(part) > 1:
+                clusters.append((fork(state, configs[part[0]]), part))
+            else:
+                states.update((variant, fork(state, configs[variant])) for variant in part)
+    return states, diverged
+
+
 def run(problem: Problem, config: RunConfig | None = None, seed: int = 0,
         prefix: RunState | None = None) -> RunResult:
     """Execute a full run and return its log and final front.
 
-    ``prefix``, a state of this problem, dimension and seed whose config
-    equals this run's but for the variant, skips the generations it ran;
-    this run's variant must be among those whose decisions they followed.
-    The run continues a fork of it, never the prefix in place, so one prefix
-    can seed any number of runs. The result equals a run without it, bar the
+    ``prefix``, a state of this problem, dimension, seed and config (as
+    ``fork`` and ``share`` make), skips the generations it ran. The run
+    continues a fork of it, never the prefix in place, so one prefix can
+    seed any number of runs. The result equals a run without it, bar the
     wall time, which includes the seconds spent reaching the prefix.
     """
     config = config or RunConfig()
     if prefix is None:
         state = initialize(problem, config, seed)
-    elif ((prefix.problem.id, prefix.problem.dimension, prefix.seed) != (problem.id, problem.dimension, seed)
-          or apply_ablation(prefix.config, config.variant) != config):
+    elif ((prefix.problem.id, prefix.problem.dimension, prefix.seed, prefix.config)
+          != (problem.id, problem.dimension, seed, config)):
         raise ValueError("prefix belongs to another problem, seed or config")
-    elif prefix.followed is not None and config.variant not in prefix.followed:
-        raise ValueError(f"prefix followed the decisions of {', '.join(prefix.followed)}, "
-                         f"not {config.variant}")
     else:
         state = fork(prefix, config)
 

@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import RunConfig, RunResult, advance, apply_ablation, fork, initialize, is_integer, run
+from .core import is_integer
+from .engine import RunConfig, RunResult, apply_ablation, run, share
 from .problems import DEFAULT_DIMENSION, PROBLEM_IDS, make_problem
 
 DEFAULT_SEED_COUNT = 30
@@ -176,48 +177,22 @@ def _cell_name(pid: str, variant: str, seed: int) -> str:
 def _run_group(pid: str, dim: int, seed: int, variants: list[str], run_config: RunConfig
                ) -> tuple[dict[str, RunResult | Exception], dict[str, int | None]]:
     """Run the cells of one problem, dimension and seed, one per variant,
-    from one initial state; return each variant's result or exception.
-    Cells whose decisions agree share each generation, in either stage, on
-    one state (``engine.advance``). At a disagreement, every two or more
-    cells that still agree go on together on a fork, and a cell left alone,
-    or every cell once the budget is spent, finishes through ``run`` from
-    the last state it shared. A failed initialisation fails the group, and
-    a failed shared generation every cell that shared it.
-
-    Also returns, by variant, for each cell of a group that holds full (full
-    aside), the generation, in stage 1 or stage 2, at which its decision
-    first differed from full's, or None if it never did.
-    """
+    through ``run`` from the states ``engine.share`` leaves them; return
+    each variant's result or exception, and ``diverged_from_full``. A failed
+    initialisation fails the group, a failed shared generation its cells."""
     configs = {variant: apply_ablation(run_config, variant) for variant in variants}
-    diverged = {variant: None for variant in variants if variant != "full"} if "full" in configs else {}
     try:
         problem = make_problem(pid, dim)
-        state = initialize(problem, configs[variants[0]], seed)
+        outcomes, diverged = share(problem, seed, configs)
     except Exception as exc:  # recorded, not fatal
-        return dict.fromkeys(variants, exc), diverged
-    results: dict = {}
-    # Depth first, so a shared state is dropped once its cells have left it.
-    clusters = [(state, list(variants))]
-    while clusters:
-        state, members = clusters.pop()
-        try:
-            parts = advance(state, {variant: configs[variant] for variant in members})
-        except Exception as exc:
-            results.update(dict.fromkeys(members, exc))
-            continue
-        for decision, part in parts.items():
-            if decision is not None and "full" in members and "full" not in part:
-                diverged.update(dict.fromkeys(part, state.g))
-            if decision is not None and len(part) > 1:
-                # The fork decides under its own config, so it takes a member's.
-                clusters.append((fork(state, configs[part[0]]), part))
-                continue
-            for variant in part:
-                try:
-                    results[variant] = run(problem, configs[variant], seed, prefix=state)
-                except Exception as exc:
-                    results[variant] = exc
-    return results, diverged
+        return dict.fromkeys(variants, exc), {}
+    for variant, state in outcomes.items():  # a state becomes its cell's result or exception
+        if not isinstance(state, Exception):
+            try:
+                outcomes[variant] = run(problem, configs[variant], seed, prefix=state)
+            except Exception as exc:
+                outcomes[variant] = exc
+    return outcomes, diverged
 
 
 @dataclass

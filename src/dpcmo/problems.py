@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Bounds
+from .core import Bounds, is_integer
 
 PROBLEM_IDS = ("P1-overlap", "P2-partial", "P3-separated")
 DEFAULT_DIMENSION = 10
@@ -115,13 +115,15 @@ def make_problem(problem_id: str, dimension: int = DEFAULT_DIMENSION) -> Problem
     variables on [0, 1]^D."""
     if problem_id not in _DEFINITIONS:
         raise ValueError(f"unknown problem id {problem_id!r}; expected one of {PROBLEM_IDS}")
+    if not is_integer(dimension):
+        raise ValueError(f"dimension must be an integer, got {dimension!r}")
     if dimension < 2:
         raise ValueError(f"dimension must be >= 2, got {dimension}")
     evaluator, sampler = _DEFINITIONS[problem_id]
     bounds = Bounds(np.zeros(dimension), np.ones(dimension))
     return Problem(
         id=problem_id,
-        dimension=dimension,
+        dimension=int(dimension),  # a numpy integer is no JSON number
         bounds=bounds,
         evaluate_matrix=evaluator,
         front_sampler=sampler,

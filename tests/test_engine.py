@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcmo import engine
 from dpcmo.core import Bounds, EvalCounter, Population, evaluate_batch
 from dpcmo.engine import (
     ABLATION_VARIANTS,
@@ -24,6 +25,7 @@ from dpcmo.engine import (
     initialize,
     opposition_offspring,
     run,
+    share,
     stage1_apply,
     stage1_decide,
     stage1_step,
@@ -138,6 +140,10 @@ class TestRunConfigBounds:
         ("history_gap", 2.5),
         ("igd_points", 100.5),
         ("history_gap", True),
+        ("eps0", True),
+        ("eps0", "0.2"),
+        ("curvature", None),
+        ("variant", ["full"]),
     ])
     def test_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -151,6 +157,15 @@ class TestRunConfigBounds:
         config = RunConfig(pop_size=np.int64(30), max_fe=np.int64(1000))
         assert type(config.pop_size) is int and type(config.max_fe) is int
         assert config == RunConfig(pop_size=30, max_fe=1000)
+
+    def test_numpy_reals_are_stored_as_floats(self):
+        config = RunConfig(eps0=np.float32(0.25), curvature=np.int64(12), delta=np.float64(1e-3))
+        assert type(config.eps0) is type(config.curvature) is type(config.delta) is float
+        plain = RunConfig(eps0=0.25, curvature=12.0, delta=1e-3)
+        problem = make_problem("P1-overlap", 10)
+        assert config == plain and _fingerprint(problem, config, 1) == _fingerprint(problem, plain, 1)
+        # A Python int stays an int, so its fingerprint does not move.
+        assert type(RunConfig(curvature=12).curvature) is int
 
     def test_default_fingerprint_is_pinned(self):
         assert _fingerprint(make_problem("P1-overlap", 10), RunConfig(), 1) == "a449e8107365c515"
@@ -558,6 +573,11 @@ class TestRun:
         problem, config = make_problem("P1-overlap", 10), RunConfig(pop_size=10, max_fe=100)
         assert run(problem, config, seed=np.int64(3)).fingerprint == run(problem, config, seed=3).fingerprint
 
+    def test_numpy_integer_dimension_runs_as_its_int(self):
+        config = RunConfig(pop_size=10, max_fe=100)
+        plain = run(make_problem("P1-overlap", 10), config, 3)
+        assert run(make_problem("P1-overlap", np.int64(10)), config, 3).fingerprint == plain.fingerprint
+
     def test_degenerate_budget_returns_initial_front(self):
         result = run(make_problem("P3-separated", 10), RunConfig(pop_size=50, max_fe=100), 1)
         assert result.evaluations == 100
@@ -660,36 +680,62 @@ class TestSharedStage1:
         parts = advance(prefix, {v: apply_ablation(SHARED, v) for v in FULL_CLASS})
         # The stage-2 variants share all of stage 1; WoOP leaves at the
         # first stage-2 generation, which is not run.
-        assert len(parts) > 1 and None not in parts and prefix.followed == FULL_CLASS
+        assert len(parts) > 1 and None not in parts and prefix.config == SHARED
         assert prefix.g == full_stage1["P3-separated"][1].g
         fe, generations = prefix.fe, len(prefix.log)
         fresh = {v: result_view(run(problem, apply_ablation(SHARED, v), 1)) for v in FULL_CLASS}
         for order in (FULL_CLASS, FULL_CLASS[::-1]):
             for variant in order:
-                continued = run(problem, apply_ablation(SHARED, variant), 1, prefix=prefix)
+                config = apply_ablation(SHARED, variant)
+                continued = run(problem, config, 1, prefix=fork(prefix, config))
                 assert result_view(continued) == fresh[variant], variant
         assert (prefix.fe, len(prefix.log)) == (fe, generations)
 
     def test_prefix_from_another_key_is_refused(self):
         problem = make_problem("P1-overlap", 10)
         prefix = initialize(problem, SHARED, 1)
-        # WoRR decides as full up to full's switch.
+        # WoRR decides as full up to full's switch, but the prefix holds
+        # full's config: WoRR continues it through a fork under its own.
         advance(prefix, {"full": SHARED, "WoRR": apply_ablation(SHARED, "WoRR")})
-        assert prefix.followed == ("full", "WoRR")
         for other in ((problem, SHARED, 2), (make_problem("P1-overlap", 12), SHARED, 1),
-                      (problem, replace(SHARED, eps0=0.3), 1)):
+                      (problem, replace(SHARED, eps0=0.3), 1), (problem, apply_ablation(SHARED, "WoRR"), 1),
+                      (problem, apply_ablation(SHARED, "WoS1C"), 1)):
             with pytest.raises(ValueError, match="prefix belongs to another problem, seed or config"):
                 run(*other, prefix=prefix)
-        with pytest.raises(ValueError, match="prefix followed the decisions of full, WoRR, not WoS1C"):
-            run(problem, apply_ablation(SHARED, "WoS1C"), 1, prefix=prefix)
+        worr = apply_ablation(SHARED, "WoRR")
+        continued = run(problem, worr, 1, prefix=fork(prefix, worr))
+        assert result_view(continued) == result_view(run(problem, worr, 1))
+
+    def test_advance_refuses_a_state_under_a_non_members_config(self):
+        problem = make_problem("P1-overlap", 10)
+        config = RunConfig(pop_size=30, max_fe=3000)
+        state = initialize(problem, apply_ablation(config, "WoS1C"), 1)
+        with pytest.raises(ValueError, match="the state decides as WoS1C, not as one of full, WoRR"):
+            advance(state, {"full": config, "WoRR": apply_ablation(config, "WoRR")})
+        # A member's config must be the state's whole config, not only its variant.
+        with pytest.raises(ValueError, match="the state decides as WoS1C"):
+            advance(state, {"WoS1C": replace(state.config, eps0=0.3)})
+        assert state.fe == 2 * config.pop_size and len(state.log) == 1
+
+    def test_prefix_under_another_variants_config_is_refused(self):
+        problem = make_problem("P1-overlap", 10)
+        config = RunConfig(pop_size=30, max_fe=3000)
+        wos1c = apply_ablation(config, "WoS1C")
+        prefix = fork(initialize(problem, wos1c, 1), wos1c)
+        with pytest.raises(ValueError, match="prefix belongs to another problem, seed or config"):
+            run(problem, config, 1, prefix=prefix)
 
     def test_prefix_that_spent_the_budget_continues_to_the_fresh_result(self):
         problem = make_problem("P2-partial", 10)
         config = RunConfig(pop_size=30, max_fe=1500)
         prefix = initialize(problem, config, 1)
         assert advance(prefix, {"full": config}) == {None: ["full"]}
-        assert prefix.schedule is None and prefix.fe == config.max_fe and prefix.followed == ("full",)
-        assert result_view(run(problem, config, 1, prefix=prefix)) == result_view(run(problem, config, 1))
+        assert prefix.schedule is None and prefix.fe == config.max_fe
+        fresh = result_view(run(problem, config, 1))
+        assert result_view(run(problem, config, 1, prefix=prefix)) == fresh
+        states, _ = share(problem, 1, {"full": config})
+        assert states["full"].fe == config.max_fe
+        assert result_view(run(problem, config, 1, prefix=states["full"])) == fresh
 
     def test_stage2_prefix_continues_only_under_the_variants_it_followed(self, full_stage1):
         # The fork runs under Wo3P's config, and its shared generations
@@ -701,11 +747,17 @@ class TestSharedStage1:
         assert state.config.variant == "Wo3P" and state.problem is switched.problem
         parts = advance(state, configs)
         assert [sorted(part) for part in parts.values()] == [["Wo3P"], ["full"]]
-        assert state.followed == ("Wo3P", "full") and state.g > switched.g + 1
-        with pytest.raises(ValueError, match="prefix followed the decisions of Wo3P, full, not WoOP"):
-            run(problem, apply_ablation(SHARED, "WoOP"), 1, prefix=state)
+        assert state.config == configs["Wo3P"] and state.g > switched.g + 1
+        # Only Wo3P continues the state itself; full continues a fork under
+        # its own config, and a non-member's config is refused.
+        for variant in ("full", "WoOP"):
+            with pytest.raises(ValueError, match="prefix belongs to another problem, seed or config"):
+                run(problem, apply_ablation(SHARED, variant), 1, prefix=state)
+        with pytest.raises(ValueError, match="the state decides as Wo3P, not as one of WoOP, full"):
+            advance(state, {v: apply_ablation(SHARED, v) for v in ("WoOP", "full")})
         for variant, config in configs.items():
-            assert result_view(run(problem, config, 1, prefix=state)) == result_view(run(problem, config, 1))
+            continued = run(problem, config, 1, prefix=fork(state, config))
+            assert result_view(continued) == result_view(run(problem, config, 1)), variant
 
     def test_continued_wall_time_adds_the_prefix_seconds(self):
         problem = make_problem("P1-overlap", 10)
@@ -717,6 +769,44 @@ class TestSharedStage1:
         result = run(problem, config, 1, prefix=prefix)
         assert 1000.0 < result.wall_time < 1000.0 + time.perf_counter() - started
         assert prefix.seconds == 1000.0
+
+
+# The CI shared grid: WoS1C leaves at generation 1, WoRR at full's switch,
+# Wo3P at the first stage-2 generation, and full and WoOP share the rest.
+CI_GRID = ("full", "WoRR", "WoS1C", "WoOP", "Wo3P")
+
+
+class TestShare:
+    def test_each_variant_continues_its_own_state_to_its_solo_run(self):
+        problem = make_problem("P1-overlap", 10)
+        configs = {v: apply_ablation(SHARED, v) for v in CI_GRID}
+        states, diverged = share(problem, 1, configs)
+        assert sorted(states) == sorted(CI_GRID)
+        assert len({id(state) for state in states.values()}) == len(CI_GRID)
+        assert all(states[v].config is configs[v] for v in CI_GRID)
+        assert diverged["WoS1C"] == 1 and diverged["WoOP"] is None and sorted(diverged) == sorted(CI_GRID[1:])
+        for variant, config in configs.items():
+            continued = run(problem, config, 1, prefix=states[variant])
+            assert result_view(continued) == result_view(run(problem, config, 1)), variant
+
+    def test_failed_shared_generation_fails_only_the_variants_that_shared_it(self, monkeypatch):
+        problem = make_problem("P1-overlap", 10)
+        configs = {v: apply_ablation(SHARED, v) for v in CI_GRID}
+        solo = {v: result_view(run(problem, configs[v], 1)) for v in ("WoRR", "WoS1C")}
+        inner = engine.stage1_apply
+
+        def flaky(state, decision):
+            # full, WoOP and Wo3P switch together on a fork under full's config.
+            if decision[0] and state.config.variant == "full":
+                raise RuntimeError("switch boom")
+            inner(state, decision)
+
+        monkeypatch.setattr(engine, "stage1_apply", flaky)
+        states, _ = share(problem, 1, configs)
+        for variant in ("full", "WoOP", "Wo3P"):
+            assert isinstance(states[variant], RuntimeError) and str(states[variant]) == "switch boom"
+        for variant, view in solo.items():
+            assert result_view(run(problem, configs[variant], 1, prefix=states[variant])) == view
 
 
 class TestDecideApply:

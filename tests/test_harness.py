@@ -275,6 +275,14 @@ class TestRunExperiment:
             run_experiment(tiny_experiment(tmp_path / "e", seeds=seeds, parallel=parallel))
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("dimension", [10.5, True])
+    def test_fractional_dimension_is_config_error(self, tmp_path, dimension):
+        cfg = tiny_experiment(tmp_path / "e")
+        cfg.problems = [("P1-overlap", dimension)]
+        with pytest.raises(ConfigError, match=f"dimension must be an integer, got {dimension}"):
+            run_experiment(cfg)
+        assert not (tmp_path / "e").exists()
+
     def test_no_variants_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="at least one variant"):
             run_experiment(tiny_experiment(tmp_path / "e", variants=()))
@@ -338,14 +346,14 @@ class TestSharedStage1:
         assert artifact_bytes(tmp_path / "p") == serial
 
     def test_failed_stage1_fails_its_groups_cells(self, tmp_path, monkeypatch):
-        inner = harness.initialize
+        inner = engine.initialize
 
         def flaky(problem, config, seed):
             if seed == 2:
                 raise RuntimeError("initialize boom")
             return inner(problem, config, seed)
 
-        monkeypatch.setattr(harness, "initialize", flaky)
+        monkeypatch.setattr(engine, "initialize", flaky)
         report = run_experiment(shared_grid(tmp_path / "f"))
         assert report.completed == 3
         assert sorted(name for name, _ in report.failed) == [
@@ -481,13 +489,14 @@ class TestSharedStage2:
         problem = harness.make_problem("P3-separated", 10)
         configs = {v: engine.apply_ablation(RunConfig(pop_size=30, max_fe=15_200), v)
                    for v in ("full", "Wo3P", "WoOP")}
-        state = engine.initialize(problem, configs["full"], 1)
-        parts = engine.advance(state, {v: configs[v] for v in ("full", "Wo3P")})
-        assert len(parts) == 2 and state.followed == ("full", "Wo3P")
-        assert state.switch_generation is not None and state.g > state.switch_generation + 1
-        with pytest.raises(ValueError, match="prefix followed"):
-            engine.run(problem, configs["WoOP"], 1, prefix=state)
-        for variant in ("full", "Wo3P"):
+        states, diverged = engine.share(problem, 1, {v: configs[v] for v in ("full", "Wo3P")})
+        assert diverged["Wo3P"] == states["full"].g == states["Wo3P"].g
+        for variant, state in states.items():
+            assert state.config == configs[variant]
+            assert state.switch_generation is not None and state.g > state.switch_generation + 1
+            for other in configs.keys() - {variant}:
+                with pytest.raises(ValueError, match="prefix belongs to another problem, seed or config"):
+                    engine.run(problem, configs[other], 1, prefix=state)
             shared = engine.run(problem, configs[variant], 1, prefix=state)
             assert shared.log == engine.run(problem, configs[variant], 1).log
 

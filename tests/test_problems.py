@@ -37,6 +37,10 @@ class TestDefinitions:
             make_problem("P9-nope", 10)
         with pytest.raises(ValueError, match="dimension"):
             make_problem("P1-overlap", 1)
+        with pytest.raises(ValueError, match="dimension must be an integer, got 10.5"):
+            make_problem("P1-overlap", 10.5)
+        # A numpy integer is accepted and stored as a plain int.
+        assert type(make_problem("P1-overlap", np.int64(10)).dimension) is int
 
     def test_p1_constraint_inactive_on_front(self):
         p = make_problem("P1-overlap", 10)
