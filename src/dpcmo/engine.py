@@ -146,21 +146,14 @@ def apply_ablation(config: RunConfig, variant: str) -> RunConfig:
     return config if config.variant == variant else replace(config, variant=variant)
 
 
-@dataclass(frozen=True)
-class HopsPlan:
-    """Operator lists and mating-pool kinds for one relationship type."""
-
-    main_ops: tuple[str, ...]
-    main_pools: tuple[str, ...]
-    aux_ops: tuple[str, ...]
-    aux_pools: tuple[str, ...]
-
-
+# Each relationship type's HOps plan: the main and the auxiliary population's
+# (operator, mating pool) pairs, in stream order. A pool is "T" (tournament)
+# or "R" (uniform draws); transfer draws no pool.
 HOPS_PLANS = {
-    1: HopsPlan(("de", "ga"), ("T", "T"), ("transfer", "pbest"), ("T", "T")),
-    2: HopsPlan(("ga", "de"), ("T", "R"), ("transfer", "pbest"), ("T", "R")),
-    3: HopsPlan(("cur_rand",), ("T",), ("cur_rand", "pbest", "de"), ("T", "R", "R")),
-    4: HopsPlan(("ga", "de"), ("T", "R"), ("transfer", "cur_rand", "pbest"), ("T", "R", "R")),
+    1: ((("de", "T"), ("ga", "T")), (("transfer", None), ("pbest", "T"))),
+    2: ((("ga", "T"), ("de", "R")), (("transfer", None), ("pbest", "R"))),
+    3: ((("cur_rand", "T"),), (("cur_rand", "T"), ("pbest", "R"), ("de", "R"))),
+    4: ((("ga", "T"), ("de", "R")), (("transfer", None), ("cur_rand", "R"), ("pbest", "R"))),
 }
 # The plan each HOps-Tk variant pins.
 _PINNED_PLANS = {"HOps-T1": 1, "HOps-T2": 2, "HOps-T3": 3, "HOps-T4": 4}
@@ -371,19 +364,16 @@ def _evaluate_split(state: RunState, *parts: np.ndarray) -> list[Population]:
     return [off.take(slice(end - len(X), end)) for X, end in zip(parts, ends)]
 
 
-_DE_FAMILY = {"de", "cur_rand", "pbest"}
-
-
-def _run_operator(state: RunState, op: str, kind: str, k: int, source: str) -> np.ndarray:
-    """Apply one plan operator, returning exactly k offspring rows."""
+def _run_operator(state: RunState, op: str, kind: str | None, k: int, pop: Population,
+                  pool_eps: float) -> np.ndarray:
+    """Apply one plan operator to ``pop``, whose tournaments rank at
+    ``pool_eps``, returning exactly k offspring rows."""
     rng = state.rng
     bounds = state.problem.bounds
     if op == "transfer":
         return de_transfer(state.pop_main.X, state.pop_aux.X, k, rng)
 
-    pop = state.pop_main if source == "main" else state.pop_aux
-    pool_eps = 0.0 if source == "main" else math.inf
-    draw = max(k, 4) if op in _DE_FAMILY else k
+    draw = k if op == "ga" else max(k, 4)  # DE draws distinct triples: 4 rows at least
     if kind == "T":
         pool = pop.X[tournament_pool(pop, draw, pool_eps, rng)]
     else:
@@ -410,16 +400,12 @@ def hops_generate(state: RunState, eff_type: int, f1: float, f2: float
     makes its operator emit nothing. Main-population tournaments use the
     strict ordering, auxiliary ones the unconstrained ordering.
     """
-    plan = HOPS_PLANS[eff_type]
     n = state.config.pop_size
     sides = []
-    for ops, kinds, factor, source in (
-        (plan.main_ops, plan.main_pools, f1, "main"),
-        (plan.aux_ops, plan.aux_pools, f2, "aux"),
-    ):
+    for plan, factor, pop, pool_eps in zip(HOPS_PLANS[eff_type], (f1, f2),
+                                           (state.pop_main, state.pop_aux), (0.0, math.inf)):
         k = round(factor * n)
-        rows = [_run_operator(state, op, kind, k, source)
-                for op, kind in zip(ops, kinds)] if k > 0 else []
+        rows = [_run_operator(state, op, kind, k, pop, pool_eps) for op, kind in plan] if k > 0 else []
         sides.append(np.concatenate(rows) if rows else np.empty((0, state.problem.dimension)))
     return tuple(sides)
 
@@ -429,11 +415,12 @@ def stage2_decide(state: RunState, config: RunConfig) -> tuple:
 
     Every choice that reads the variant is made here, and nothing is drawn
     or changed. The record is a plain tuple
-    ``(eps, opposition, plan, dra, phase, sel_eps, n_s)``: the relaxation
+    ``(eps, opposition, plan, dra, phase, aux_eps, n_s)``: the relaxation
     value, whether opposition offspring are emitted, the HOps plan, the
-    offspring allocation (a ``DraState``), the auxiliary phase, phase 3's
-    truncation epsilon (None in the other phases) and the auxiliary target
-    size. Equal states with equal records give equal next states.
+    offspring allocation (a ``DraState``), the auxiliary phase, the
+    auxiliary truncation epsilon (inf in phase 1, None in phase 2, 0 or
+    ``eps`` in phase 3) and the auxiliary target size. Equal states with
+    equal records give equal next states.
     """
     fr_main = state.pop_main.feasible_ratio()
     fr_aux = state.pop_aux.feasible_ratio()
@@ -449,21 +436,19 @@ def stage2_decide(state: RunState, config: RunConfig) -> tuple:
 
     plan = _PINNED_PLANS.get(variant) or (4 if tracker.cnt > 3 else tracker.type)
     if variant == "WoDRA":
-        ops = HOPS_PLANS[plan]
-        dra = DraState(*no_dra_factors(len(ops.main_ops), len(ops.aux_ops)))
+        dra = DraState(*no_dra_factors(*map(len, HOPS_PLANS[plan])))
     else:
         dra = dra_allocate(state.dra, tracker.type, 0.0, fr_main, fr_aux, tracker.cnt)
 
     if variant == "Wo3P":
-        phase = 2
+        phase, aux_eps = 2, None
     elif eps >= config.phase1_eps:
-        phase = 1
+        phase, aux_eps = 1, math.inf
     elif eps <= config.phase3_eps or tracker.type in (1, 2):
-        phase = 3
+        phase, aux_eps = 3, (0.0 if tracker.type == 1 else eps)
     else:
-        phase = 2
-    sel_eps = (0.0 if tracker.type == 1 else eps) if phase == 3 else None
-    return eps, opposition, plan, dra, phase, sel_eps, n_s
+        phase, aux_eps = 2, None
+    return eps, opposition, plan, dra, phase, aux_eps, n_s
 
 
 def stage2_apply(state: RunState, decision: tuple) -> None:
@@ -473,11 +458,12 @@ def stage2_apply(state: RunState, decision: tuple) -> None:
     Emits the opposition offspring if they fire, runs the operator plan at
     the allocated volume, evaluates the opposition, main and auxiliary rows
     in one batch (the budget grants them in that order), selects the main
-    population, and routes the auxiliary population through its phase:
-    truncation and reclassification in phase 1, angular subregion selection
-    in phase 2, truncation at ``sel_eps`` in phase 3.
+    population, and cuts the auxiliary population to its target size:
+    truncation at ``aux_eps`` in phases 1 and 3, angular subregion
+    selection in phase 2 (``aux_eps`` None). Phase 1 then reclassifies the
+    front relationship.
     """
-    eps, opposition, plan, dra, phase, sel_eps, n_s = decision
+    eps, opposition, plan, dra, phase, aux_eps, n_s = decision
     cfg = state.config
     n = cfg.pop_size
     state.epsilon = eps
@@ -494,15 +480,14 @@ def stage2_apply(state: RunState, decision: tuple) -> None:
 
     state.phase = phase
     aux_union = Population.concat(state.pop_aux, off)
-    if phase == 1:
-        state.pop_aux = _survivors(aux_union, n_s, math.inf)
-        ntype = classify_relationship(state.pop_aux, cfg.coincident_threshold)
-        state.tracker = track_type(state.tracker, ntype)
-    elif phase == 3:
-        state.pop_aux = _survivors(aux_union, n_s, sel_eps)
-    else:
+    if aux_eps is None:
         picks = angle_subregion_select(aux_union, len(state.pop_aux), n_s, eps)
         state.pop_aux = aux_union.take(picks)
+    else:
+        state.pop_aux = _survivors(aux_union, n_s, aux_eps)
+    if phase == 1:
+        ntype = classify_relationship(state.pop_aux, cfg.coincident_threshold)
+        state.tracker = track_type(state.tracker, ntype)
 
     _append_log(state, generation=state.g, stage=1)
     state.g += 1

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -54,6 +55,12 @@ class ExperimentConfig:
     run: RunConfig = field(default_factory=RunConfig)
 
     def validate(self) -> None:
+        """Check the grid's fields, then store its numbers as plain ints."""
+        for kind in ("problems", "seeds", "variants"):
+            if isinstance(getattr(self, kind), (str, numbers.Number)):
+                raise ConfigError(f"{kind} must be a list, got {getattr(self, kind)!r}")
+        if not all(isinstance(p, (tuple, list)) and len(p) == 2 for p in self.problems):
+            raise ConfigError(f"problems must hold (id, dimension) pairs, got {self.problems!r}")
         if not self.problems:
             raise ConfigError("at least one problem is required")
         # Cells are named problem__variant__seed, so a repeat would share
@@ -80,6 +87,10 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if not is_integer(self.parallel) or self.parallel < 1:
             raise ConfigError(f"parallel must be an integer >= 1, got {self.parallel!r}")
+        # numpy numbers become plain ones for the metadata.json echo
+        self.problems = [(pid, int(dim)) for pid, dim in self.problems]
+        self.seeds = [int(seed) for seed in self.seeds]
+        self.parallel = int(self.parallel)
 
 
 def _parse_problem_token(token: str, line_no: int) -> tuple[str, int]:
@@ -137,6 +148,8 @@ def load_config(path) -> ExperimentConfig:
             hint = difflib.get_close_matches(key, _ALL_KEYS, n=1)
             suffix = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ConfigError(f"line {line_no}: unknown key {key!r}{suffix}")
+        if not value:  # Path("") would be the working directory
+            raise ConfigError(f"line {line_no}: key {key!r} has no value")
         first_no, first_key = first_lines.setdefault("seeds" if key == "n_seeds" else key, (line_no, key))
         if first_no != line_no and key != "problem":
             raise ConfigError(f"line {line_no}: key {key!r} repeats {first_key!r} from line {first_no}")

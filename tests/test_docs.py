@@ -13,3 +13,13 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_hops_table_matches_plans():
+    from dpcmo.engine import HOPS_PLANS
+
+    def pairs(cell):
+        return tuple((op, pool or None) for op, pool in re.findall(r"`(\w+)`(?: \((\w)\))?", cell))
+
+    rows = re.findall(r"^\| (\d) [^|]*\|([^|]*)\|([^|]*)\|$", README.read_text(), re.M)
+    assert {int(t): (pairs(main), pairs(aux)) for t, main, aux in rows} == HOPS_PLANS

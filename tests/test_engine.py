@@ -66,6 +66,12 @@ def stage2_state(problem_id="P1-overlap", n=100, max_fe=200_000, seed=3,
     return state
 
 
+def hops_rows(plan_type, f1, f2, n) -> int:
+    """The offspring rows plan ``plan_type`` draws at factors f1 and f2."""
+    main, aux = HOPS_PLANS[plan_type]
+    return len(main) * round(f1 * n) + len(aux) * round(f2 * n)
+
+
 def count_evaluate_calls(monkeypatch) -> list:
     """Record the row count of each engine call to ``evaluate_batch``."""
     calls = []
@@ -327,9 +333,15 @@ class TestHops:
 
     def test_plans_cover_all_types(self):
         assert set(HOPS_PLANS) == {1, 2, 3, 4}
-        for plan in HOPS_PLANS.values():
-            assert len(plan.main_ops) == len(plan.main_pools)
-            assert len(plan.aux_ops) == len(plan.aux_pools)
+
+    def test_plan_table_pairs_handled_operators_with_pools(self):
+        state = stage2_state(n=30)
+        for main, aux in HOPS_PLANS.values():
+            for side, pop, pool_eps in ((main, state.pop_main, 0.0), (aux, state.pop_aux, math.inf)):
+                assert side, "each side holds at least one operator"
+                for op, kind in side:
+                    assert kind is None if op == "transfer" else kind in ("T", "R")
+                    assert len(_run_operator(state, op, kind, 7, pop, pool_eps)) == 7
 
 
 class TestBatchedEvaluation:
@@ -365,17 +377,15 @@ class TestBatchedEvaluation:
         for state in (batched, separate):
             state.counter.count = state.counter.budget - remaining
         got = _evaluate_split(batched, *hops_generate(batched, rel_type, 0.5, 0.25))
-        plan = HOPS_PLANS[rel_type]
-        for ops, kinds, factor, source, pop in (
-            (plan.main_ops, plan.main_pools, 0.5, "main", got[0]),
-            (plan.aux_ops, plan.aux_pools, 0.25, "aux", got[1]),
-        ):
+        for plan, factor, pop, pool_eps, side in zip(
+                HOPS_PLANS[rel_type], (0.5, 0.25), (separate.pop_main, separate.pop_aux),
+                (0.0, math.inf), got):
             want = Population.concat(*[
                 evaluate_batch(separate.problem,
-                               _run_operator(separate, op, kind, round(factor * 100), source),
+                               _run_operator(separate, op, kind, round(factor * 100), pop, pool_eps),
                                separate.counter)
-                for op, kind in zip(ops, kinds)])
-            self._assert_same_rows(pop, want)
+                for op, kind in plan])
+            self._assert_same_rows(side, want)
         assert batched.fe == separate.fe
         assert batched.rng.bit_generator.state == separate.rng.bit_generator.state
 
@@ -457,9 +467,7 @@ class TestOppositionTrigger:
         state = self._infeasible_state()
         fe = state.fe
         stage2_step(state)
-        plan = HOPS_PLANS[3]
-        hops_count = (len(plan.main_ops) * round(state.dra.f1 * 30)
-                      + len(plan.aux_ops) * round(state.dra.f2 * 30))
+        hops_count = hops_rows(3, state.dra.f1, state.dra.f2, 30)
         assert state.fe - fe == hops_count + 30  # 30 mirrored offspring
 
     def test_opposition_rows_lead_the_one_batch(self, monkeypatch):
@@ -470,7 +478,6 @@ class TestOppositionTrigger:
             return batches[-1]
 
         monkeypatch.setattr("dpcmo.engine.evaluate_batch", captured)
-        plan = HOPS_PLANS[3]
         for remaining in (None, 40):  # 40 rows: fewer than the batch holds
             state = self._infeasible_state()
             if remaining is not None:
@@ -478,8 +485,7 @@ class TestOppositionTrigger:
             mirrored = opposition_offspring(state.pop_aux, state.problem.bounds)
             del batches[:]
             stage2_step(state)
-            hops_count = (len(plan.main_ops) * round(state.dra.f1 * 30)
-                          + len(plan.aux_ops) * round(state.dra.f2 * 30))
+            hops_count = hops_rows(3, state.dra.f1, state.dra.f2, 30)
             assert len(batches) == 1
             assert len(batches[0]) == (remaining or 30 + hops_count)
             np.testing.assert_array_equal(batches[0].X[:30], mirrored)
@@ -488,9 +494,7 @@ class TestOppositionTrigger:
         state = self._infeasible_state(variant="WoOP")
         fe = state.fe
         stage2_step(state)
-        plan = HOPS_PLANS[3]
-        hops_count = (len(plan.main_ops) * round(state.dra.f1 * 30)
-                      + len(plan.aux_ops) * round(state.dra.f2 * 30))
+        hops_count = hops_rows(3, state.dra.f1, state.dra.f2, 30)
         assert state.fe - fe == hops_count
 
     def test_opposition_skipped_when_aux_partially_feasible(self):
@@ -498,9 +502,7 @@ class TestOppositionTrigger:
         assert state.pop_aux.feasible_ratio() > 0.0
         fe = state.fe
         stage2_step(state)
-        plan = HOPS_PLANS[3]
-        hops_count = (len(plan.main_ops) * round(state.dra.f1 * 30)
-                      + len(plan.aux_ops) * round(state.dra.f2 * 30))
+        hops_count = hops_rows(3, state.dra.f1, state.dra.f2, 30)
         assert state.fe - fe == hops_count
 
 
@@ -522,18 +524,14 @@ class TestAblations:
         state = stage2_state(rel_type=1, opposition_eps=1.0, variant="HOps-T3")
         fe = state.fe
         stage2_step(state)
-        plan3 = HOPS_PLANS[3]
-        want = (len(plan3.main_ops) * round(state.dra.f1 * 100)
-                + len(plan3.aux_ops) * round(state.dra.f2 * 100))
+        want = hops_rows(3, state.dra.f1, state.dra.f2, 100)
         assert state.fe - fe == want
 
     def test_unstable_counter_selects_fallback_plan(self):
         state = stage2_state(rel_type=1, cnt=4, opposition_eps=1.0)
         fe = state.fe
         stage2_step(state)
-        plan4 = HOPS_PLANS[4]
-        want = (len(plan4.main_ops) * round(state.dra.f1 * 100)
-                + len(plan4.aux_ops) * round(state.dra.f2 * 100))
+        want = hops_rows(4, state.dra.f1, state.dra.f2, 100)
         assert state.fe - fe == want
 
     def test_static_allocation(self):

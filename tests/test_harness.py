@@ -179,6 +179,11 @@ history_gap = 7
         with pytest.raises(ConfigError, match=r"line 4: .* from line 2$"):
             load_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("key", ["outdir", "variants", "problems"])
+    def test_empty_value_names_line_and_key(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=f"line 2: key '{key}' has no value"):
+            load_config(write_config(tmp_path, f"problem = P1-overlap\n{key} =\n"))
+
     def test_problem_key_may_repeat(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "problem = P1-overlap\nproblem = P3-separated\n"))
         assert cfg.problems == [("P1-overlap", 10), ("P3-separated", 10)]
@@ -282,6 +287,29 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=f"dimension must be an integer, got {dimension}"):
             run_experiment(cfg)
         assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("problems", ["P1-overlap"], "problems must hold"),
+        ("seeds", 3, "seeds must be a list, got 3"),
+        ("variants", "full", "variants must be a list, got 'full'"),
+    ])
+    def test_misshapen_grid_field_is_config_error(self, tmp_path, field, value, message):
+        cfg = tiny_experiment(tmp_path / "e")
+        setattr(cfg, field, value)
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg)
+        assert not (tmp_path / "e").exists()
+
+    def test_numpy_numbers_echo_as_plain_ints(self, tmp_path):
+        echoes = []
+        for number in (int, np.int64):
+            cfg = tiny_experiment(tmp_path / "e", seeds=[number(1)], parallel=number(1))
+            cfg.problems = [("P1-overlap", number(10))]
+            cfg.run = RunConfig(pop_size=10, max_fe=100)
+            run_experiment(cfg)
+            echoes.append(json.loads((tmp_path / "e" / "metadata.json").read_text())["config"])
+        assert echoes[0] == echoes[1]
+        assert echoes[0]["seeds"] == [1] and echoes[0]["problems"] == [["P1-overlap", 10]]
 
     def test_no_variants_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="at least one variant"):
