@@ -227,13 +227,12 @@ def _fingerprint(problem: Problem, config: RunConfig, seed: int) -> str:
 
 
 def initialize(problem: Problem, config: RunConfig, seed: int) -> RunState:
-    """Two independent uniform populations, evaluated in one batch: 2N units."""
+    """Two independent uniform populations: one batch of 2N rows, main first."""
     started = time.perf_counter()
     state = RunState(problem, config, seed)
     n = config.pop_size
-    X_main = problem.bounds.sample(n, state.rng)
-    X_aux = problem.bounds.sample(n, state.rng)
-    state.pop_main, state.pop_aux = _evaluate_split(state, X_main, X_aux)
+    pop = _evaluate(state, problem.bounds.sample(2 * n, state.rng))
+    state.pop_main, state.pop_aux = pop.take(slice(None, n)), pop.take(slice(n, None))
     state.history.record(state.pop_aux)
     state.rs = rs_metric(state.history)
     _append_log(state, generation=0, stage=0)
@@ -288,8 +287,9 @@ def stage1_apply(state: RunState, decision: tuple[bool, bool]) -> None:
     A switch first classifies the front relationship and freezes the
     relaxation schedule. Both populations breed by crossover and mutation,
     each from its own pool and GA draws in stream order, in one kernel
-    pass; shared auxiliary offspring also join the main population's
-    selection.
+    pass evaluated as one batch. The main population selects from all the
+    offspring if the auxiliary ones are shared (the first N if not), the
+    auxiliary population from the last N.
     """
     switch, shared = decision
     cfg = state.config
@@ -312,15 +312,12 @@ def stage1_apply(state: RunState, decision: tuple[bool, bool]) -> None:
     draws1 = ga_draws(n, d, rng)
     X2 = state.pop_aux.X[random_pool(state.pop_aux, n, rng)]
     draws2 = ga_draws(n, d, rng)
-    children = ga_offspring([X1, X2], [draws1, draws2], ETA_MUTATION[1], state.problem.bounds)
-    off1, off2 = _evaluate_split(state, children[:n], children[n:])
+    off = _evaluate(state, ga_offspring([X1, X2], [draws1, draws2], ETA_MUTATION[1],
+                                        state.problem.bounds))
 
-    if shared:
-        main_union = Population.concat(state.pop_main, off1, off2)
-    else:
-        main_union = Population.concat(state.pop_main, off1)
+    main_union = Population.concat(state.pop_main, off if shared else off.take(slice(None, n)))
     state.pop_main = _survivors(main_union, n, 0.0)
-    state.pop_aux = _survivors(Population.concat(state.pop_aux, off2), n, math.inf)
+    state.pop_aux = _survivors(Population.concat(state.pop_aux, off.take(slice(n, None))), n, math.inf)
 
     state.history.record(state.pop_aux)
     state.rs = rs_metric(state.history)
@@ -355,13 +352,9 @@ def _survivors(union: Population, n: int, epsilon: float) -> Population:
     return survivors
 
 
-def _evaluate_split(state: RunState, *parts: np.ndarray) -> list[Population]:
-    """Evaluate the rows of all parts in one batch; one population per part.
-    The budget grants the prefix that a call per part, in order, would."""
-    off = evaluate_batch(state.problem, np.concatenate(parts), state.counter,
-                         state.config.delta)
-    ends = np.cumsum([len(X) for X in parts])
-    return [off.take(slice(end - len(X), end)) for X, end in zip(parts, ends)]
+def _evaluate(state: RunState, X: np.ndarray) -> Population:
+    """The prefix of X's rows that the state's budget grants, evaluated."""
+    return evaluate_batch(state.problem, X, state.counter, state.config.delta)
 
 
 def _run_operator(state: RunState, op: str, kind: str | None, k: int, pop: Population,
@@ -457,11 +450,11 @@ def stage2_apply(state: RunState, decision: tuple) -> None:
 
     Emits the opposition offspring if they fire, runs the operator plan at
     the allocated volume, evaluates the opposition, main and auxiliary rows
-    in one batch (the budget grants them in that order), selects the main
-    population, and cuts the auxiliary population to its target size:
-    truncation at ``aux_eps`` in phases 1 and 3, angular subregion
-    selection in phase 2 (``aux_eps`` None). Phase 1 then reclassifies the
-    front relationship.
+    in one batch (the budget grants them in that order) and moves the
+    granted opposition rows to the end, selects the main population, and
+    cuts the auxiliary population to its target size: truncation at
+    ``aux_eps`` in phases 1 and 3, angular subregion selection in phase 2
+    (``aux_eps`` None). Phase 1 then reclassifies the front relationship.
     """
     eps, opposition, plan, dra, phase, aux_eps, n_s = decision
     cfg = state.config
@@ -473,8 +466,8 @@ def stage2_apply(state: RunState, decision: tuple) -> None:
 
     state.dra = dra
     X1, X2 = hops_generate(state, plan, dra.f1, dra.f2)
-    off3, off1, off2 = _evaluate_split(state, X3, X1, X2)
-    off = Population.concat(off1, off2, off3)
+    off = _evaluate(state, np.concatenate([X3, X1, X2]))
+    off = off.take(np.roll(np.arange(len(off)), -min(len(X3), len(off))))
 
     state.pop_main = _survivors(Population.concat(state.pop_main, off), n, 0.0)
 

@@ -153,17 +153,21 @@ def load_config(path) -> ExperimentConfig:
         first_no, first_key = first_lines.setdefault("seeds" if key == "n_seeds" else key, (line_no, key))
         if first_no != line_no and key != "problem":
             raise ConfigError(f"line {line_no}: key {key!r} repeats {first_key!r} from line {first_no}")
+        if key in ("problems", "seeds", "variants"):
+            items = [t.strip() for t in value.split(",")]
+            if not all(items):
+                raise ConfigError(f"line {line_no}: key {key!r} has an empty item")
         if key == "problem":
             problems.append(_parse_problem_token(value, line_no))
         elif key == "problems":
-            problems.extend(_parse_problem_token(t, line_no) for t in value.split(","))
+            problems.extend(_parse_problem_token(t, line_no) for t in items)
         elif key == "seeds":
-            top["seeds"] = [_parse_scalar("seeds", t.strip(), int, line_no) for t in value.split(",")]
+            top["seeds"] = [_parse_scalar(key, t, int, line_no) for t in items]
         elif key == "n_seeds":
             count = _parse_scalar(key, value, int, line_no)
             top["seeds"] = list(range(1, count + 1))
         elif key == "variants":
-            top["variants"] = [t.strip() for t in value.split(",")]
+            top["variants"] = items
         elif key == "outdir":
             top["outdir"] = Path(value)
         elif key == "parallel":

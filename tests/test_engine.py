@@ -14,7 +14,7 @@ from dpcmo.engine import (
     ABLATION_VARIANTS,
     HOPS_PLANS,
     RunConfig,
-    _evaluate_split,
+    _evaluate,
     _fingerprint,
     _run_operator,
     advance,
@@ -34,6 +34,7 @@ from dpcmo.engine import (
 )
 from dpcmo.problems import PROBLEM_IDS, Problem, make_problem
 from dpcmo.schedule import EpsilonSchedule
+from dpcmo.selection import environmental_select
 from dpcmo.staging import TypeTracker
 
 
@@ -327,8 +328,10 @@ class TestHops:
     def test_budget_truncation(self):
         state = stage2_state(max_fe=200_000)
         state.counter.count = state.counter.budget - 30
-        off1, off2 = _evaluate_split(state, *hops_generate(state, 1, 0.5, 0.5))
-        assert len(off1) + len(off2) == 30
+        X = np.concatenate(hops_generate(state, 1, 0.5, 0.5))
+        off = _evaluate(state, X)
+        assert len(X) > 30
+        np.testing.assert_array_equal(off.X, X[:30])
         assert state.fe == state.counter.budget
 
     def test_plans_cover_all_types(self):
@@ -346,7 +349,9 @@ class TestHops:
 
 class TestBatchedEvaluation:
     """Offspring are evaluated in one batch per generation, with the rows,
-    values and budget grants that a call per operator would give."""
+    values and budget grants that a call per operator would give: a batch
+    sliced at its parts' boundaries equals one ``evaluate_batch`` call per
+    part."""
 
     @staticmethod
     def _assert_same_rows(got, want):
@@ -362,13 +367,14 @@ class TestBatchedEvaluation:
         problem = make_problem(pid, 10)
         rng = np.random.default_rng(seed)
         parts = [problem.bounds.sample(k, rng) for k in sizes]
-        state = initialize(problem, RunConfig(pop_size=10, max_fe=20 + remaining), 0)
-        counter = EvalCounter(remaining)
-        got = _evaluate_split(state, *parts)
-        assert len(got) == len(parts)
-        for part, pop in zip(parts, got):
-            self._assert_same_rows(pop, evaluate_batch(problem, part, counter))
-        assert state.counter.remaining == counter.remaining
+        batched, separate = EvalCounter(remaining), EvalCounter(remaining)
+        got = evaluate_batch(problem, np.concatenate(parts), batched)
+        end = 0
+        for part in parts:
+            end += len(part)
+            self._assert_same_rows(got.take(slice(end - len(part), end)),
+                                   evaluate_batch(problem, part, separate))
+        assert batched.remaining == separate.remaining
 
     @pytest.mark.parametrize("rel_type", [1, 2, 3, 4])
     @pytest.mark.parametrize("remaining", [0, 30, 75, 1_000])
@@ -376,7 +382,9 @@ class TestBatchedEvaluation:
         batched, separate = stage2_state(rel_type=rel_type), stage2_state(rel_type=rel_type)
         for state in (batched, separate):
             state.counter.count = state.counter.budget - remaining
-        got = _evaluate_split(batched, *hops_generate(batched, rel_type, 0.5, 0.25))
+        X1, X2 = hops_generate(batched, rel_type, 0.5, 0.25)
+        off = _evaluate(batched, np.concatenate([X1, X2]))
+        got = off.take(slice(None, len(X1))), off.take(slice(len(X1), None))
         for plan, factor, pop, pool_eps, side in zip(
                 HOPS_PLANS[rel_type], (0.5, 0.25), (separate.pop_main, separate.pop_aux),
                 (0.0, math.inf), got):
@@ -489,6 +497,35 @@ class TestOppositionTrigger:
             assert len(batches) == 1
             assert len(batches[0]) == (remaining or 30 + hops_count)
             np.testing.assert_array_equal(batches[0].X[:30], mirrored)
+
+    @pytest.mark.parametrize("block", ["opposition", "main", "aux"])
+    def test_budget_ending_inside_a_block(self, monkeypatch, block):
+        # The batch holds the opposition, main and auxiliary rows in that
+        # order; the main union takes the granted main, auxiliary and
+        # opposition rows, in that order, whichever block the budget ends in.
+        state = self._infeasible_state()
+        _, opposition, plan, dra, *_ = stage2_decide(state, state.config)
+        assert opposition
+        X3 = opposition_offspring(state.pop_aux, state.problem.bounds)
+        X1, X2 = hops_generate(fork(state, state.config), plan, dra.f1, dra.f2)
+        remaining = {"opposition": 10, "main": 35, "aux": 30 + len(X1) + 5}[block]
+        ends = np.cumsum([0, len(X3), len(X1), len(X2)])
+        i = ["opposition", "main", "aux"].index(block)
+        assert ends[i] < remaining < ends[i + 1]
+        state.counter.budget = state.fe + remaining
+        g3 = min(len(X3), remaining)
+        g1 = min(len(X1), remaining - g3)
+        want = np.concatenate([state.pop_main.X, X1[:g1], X2[:remaining - g3 - g1], X3[:g3]])
+        unions = []
+
+        def captured(union, *args):
+            unions.append(union)
+            return environmental_select(union, *args)
+
+        monkeypatch.setattr("dpcmo.engine.environmental_select", captured)
+        stage2_step(state)
+        assert state.fe == state.counter.budget
+        np.testing.assert_array_equal(unions[0].X, want)
 
     def test_opposition_disabled_by_ablation(self):
         state = self._infeasible_state(variant="WoOP")

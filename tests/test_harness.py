@@ -157,6 +157,15 @@ history_gap = 7
         with pytest.raises(ConfigError, match="line 2: unknown key 'seed'; did you mean 'seeds'"):
             load_config(write_config(tmp_path, "problem = P1-overlap\nseed = 1\n"))
 
+    @pytest.mark.parametrize("line", [
+        "problems = P1-overlap, ", "problems = P1-overlap,,P2-partial",
+        "variants = full, ", "variants = full,,Wo3P", "seeds = 1, ",
+    ])
+    def test_empty_list_item_names_line_and_key(self, tmp_path, line):
+        key = line.split(" ")[0]
+        with pytest.raises(ConfigError, match=f"^line 2: key '{key}' has an empty item$"):
+            load_config(write_config(tmp_path, f"problem = P3-separated\n{line}\n"))
+
     def test_unknown_ablation_variant(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown variant 'WoXYZ'"):
             load_config(write_config(tmp_path, "problem = P1-overlap\nvariants = full, WoXYZ\n"))
