@@ -1,5 +1,5 @@
-"""Core domain types: populations, bounds, constraint violation and
-evaluation accounting.
+"""Core domain types: populations, bounds, constraint violation and batch
+evaluation.
 
 A population is a set of row-aligned float64 matrices: decisions X (n x D),
 objectives F (n x M) and the scalar constraint violation cv (n), one row per
@@ -125,44 +125,11 @@ class Population:
         return np.count_nonzero(self.cv == 0.0) / len(self) if len(self) else 0.0
 
 
-class EvalCounter:
-    """Counts objective-function evaluations against a hard budget."""
-
-    __slots__ = ("budget", "count")
-
-    def __init__(self, budget: int):
-        if budget < 0:
-            raise ValueError("budget must be nonnegative")
-        self.budget = int(budget)
-        self.count = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.budget - self.count
-
-    def grant(self, n: int) -> int:
-        """Reserve up to n evaluations, returning how many were granted."""
-        granted = min(n, self.remaining)
-        self.count += granted
-        return granted
-
-
-def evaluate_batch(problem, X: np.ndarray, counter: EvalCounter,
-                   delta: float = DEFAULT_EQ_TOLERANCE) -> Population:
-    """Evaluate rows of X until either all are done or the budget runs out.
-
-    Returns the population of rows actually evaluated (a prefix of X); each
-    row costs one budget unit. Never raises on exhaustion: the truncated
-    prefix is the caller's signal.
-    """
+def evaluate_batch(problem, X: np.ndarray, delta: float = DEFAULT_EQ_TOLERANCE) -> Population:
+    """Evaluate every row of X; an empty X gives an empty population."""
     X = np.asarray(X, dtype=float)
-    if X.size == 0:
+    if not len(X):
         return Population.empty()
-    X = np.atleast_2d(X)
-    granted = counter.grant(len(X))
-    if granted == 0:
-        return Population.empty()
-    X = X[:granted]
     F, G, H = problem.evaluate_matrix(X)
     if not np.isfinite(F).all():
         raise ValueError("non-finite objective in batch evaluation")

@@ -19,14 +19,13 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .core import (
     DEFAULT_EQ_TOLERANCE,
     Bounds,
-    EvalCounter,
     Population,
     evaluate_batch,
     is_integer,
@@ -141,11 +140,6 @@ class RunConfig:
             raise ValueError(f"unknown variant {self.variant!r}; expected 'full' or one of {ABLATION_VARIANTS}")
 
 
-def apply_ablation(config: RunConfig, variant: str) -> RunConfig:
-    """Return a config with one algorithm component removed or pinned."""
-    return config if config.variant == variant else replace(config, variant=variant)
-
-
 # Each relationship type's HOps plan: the main and the auxiliary population's
 # (operator, mating pool) pairs, in stream order. A pool is "T" (tournament)
 # or "R" (uniform draws); transfer draws no pool.
@@ -172,7 +166,7 @@ class RunState:
         self.config = config
         self.seed = int(seed)
         self.rng = np.random.Generator(np.random.PCG64(self.seed))
-        self.counter = EvalCounter(config.max_fe)
+        self.fe = 0  # evaluations granted so far
         self.pop_main = Population.empty()
         self.pop_aux = Population.empty()
         self.g = 1
@@ -190,10 +184,6 @@ class RunState:
 
         self.ref_points = reference_front(problem, config.igd_points)
         self.metric_cfg = MetricConfig.from_front(self.ref_points, reference_offset=config.hv_offset)
-
-    @property
-    def fe(self) -> int:
-        return self.counter.count
 
 
 @dataclass
@@ -231,7 +221,7 @@ def initialize(problem: Problem, config: RunConfig, seed: int) -> RunState:
     started = time.perf_counter()
     state = RunState(problem, config, seed)
     n = config.pop_size
-    pop = _evaluate(state, problem.bounds.sample(2 * n, state.rng))
+    pop = evaluate_batch(problem, _grant(state, problem.bounds.sample(2 * n, state.rng)), config.delta)
     state.pop_main, state.pop_aux = pop.take(slice(None, n)), pop.take(slice(n, None))
     state.history.record(state.pop_aux)
     state.rs = rs_metric(state.history)
@@ -312,8 +302,8 @@ def stage1_apply(state: RunState, decision: tuple[bool, bool]) -> None:
     draws1 = ga_draws(n, d, rng)
     X2 = state.pop_aux.X[random_pool(state.pop_aux, n, rng)]
     draws2 = ga_draws(n, d, rng)
-    off = _evaluate(state, ga_offspring([X1, X2], [draws1, draws2], ETA_MUTATION[1],
-                                        state.problem.bounds))
+    X = ga_offspring([X1, X2], [draws1, draws2], ETA_MUTATION[1], state.problem.bounds)
+    off = evaluate_batch(state.problem, _grant(state, X), cfg.delta)
 
     main_union = Population.concat(state.pop_main, off if shared else off.take(slice(None, n)))
     state.pop_main = _survivors(main_union, n, 0.0)
@@ -352,9 +342,11 @@ def _survivors(union: Population, n: int, epsilon: float) -> Population:
     return survivors
 
 
-def _evaluate(state: RunState, X: np.ndarray) -> Population:
-    """The prefix of X's rows that the state's budget grants, evaluated."""
-    return evaluate_batch(state.problem, X, state.counter, state.config.delta)
+def _grant(state: RunState, X: np.ndarray) -> np.ndarray:
+    """The first rows of X that the budget grants; ``state.fe`` counts them."""
+    X = X[:state.config.max_fe - state.fe]
+    state.fe += len(X)
+    return X
 
 
 def _run_operator(state: RunState, op: str, kind: str | None, k: int, pop: Population,
@@ -448,13 +440,14 @@ def stage2_apply(state: RunState, decision: tuple) -> None:
     """Run one stage-2 generation as ``decision`` (a ``stage2_decide``
     record) says; the variant is not read.
 
-    Emits the opposition offspring if they fire, runs the operator plan at
-    the allocated volume, evaluates the opposition, main and auxiliary rows
-    in one batch (the budget grants them in that order) and moves the
-    granted opposition rows to the end, selects the main population, and
-    cuts the auxiliary population to its target size: truncation at
-    ``aux_eps`` in phases 1 and 3, angular subregion selection in phase 2
-    (``aux_eps`` None). Phase 1 then reclassifies the front relationship.
+    Emits the opposition offspring if they fire and runs the operator plan
+    at the allocated volume. The budget grants the opposition, main and
+    auxiliary rows in that order; the granted opposition rows move to the
+    end, and the rows are evaluated in one batch. Then it selects the main
+    population and cuts the auxiliary population to its target size:
+    truncation at ``aux_eps`` in phases 1 and 3, angular subregion selection
+    in phase 2 (``aux_eps`` None). Phase 1 then reclassifies the front
+    relationship.
     """
     eps, opposition, plan, dra, phase, aux_eps, n_s = decision
     cfg = state.config
@@ -466,8 +459,8 @@ def stage2_apply(state: RunState, decision: tuple) -> None:
 
     state.dra = dra
     X1, X2 = hops_generate(state, plan, dra.f1, dra.f2)
-    off = _evaluate(state, np.concatenate([X3, X1, X2]))
-    off = off.take(np.roll(np.arange(len(off)), -min(len(X3), len(off))))
+    X = _grant(state, np.concatenate([X3, X1, X2]))
+    off = evaluate_batch(state.problem, np.roll(X, -min(len(X3), len(X)), axis=0), cfg.delta)
 
     state.pop_main = _survivors(Population.concat(state.pop_main, off), n, 0.0)
 
@@ -493,13 +486,12 @@ def stage2_step(state: RunState) -> None:
 
 def fork(prefix: RunState, config: RunConfig) -> RunState:
     """A copy of ``prefix`` under ``config``: what a generation changes in
-    place (the generator, the counter, the log list and the point history)
-    is copied; populations, reference front and metric config, whose memos
-    hold only values computed from their own rows, are shared."""
+    place (the generator, the log list and the point history) is copied;
+    populations, reference front and metric config, whose memos hold only
+    values computed from their own rows, are shared."""
     state = copy.copy(prefix)
     state.config = config
     state.rng = copy.deepcopy(prefix.rng)
-    state.counter = copy.copy(prefix.counter)
     state.log = list(prefix.log)
     state.history = copy.deepcopy(prefix.history)
     return state

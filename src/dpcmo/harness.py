@@ -26,22 +26,22 @@ import itertools
 import json
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .core import is_integer
-from .engine import RunConfig, RunResult, apply_ablation, run, share
+from .engine import RunConfig, RunResult, run, share
 from .problems import DEFAULT_DIMENSION, PROBLEM_IDS, make_problem
 
 DEFAULT_SEED_COUNT = 30
 
 
 class ConfigError(ValueError):
-    """Malformed or invalid experiment input: a config file, grid options or
-    a summary.csv."""
+    """Malformed or invalid experiment input: a config file, grid options,
+    an output directory or a summary.csv."""
 
 
 @dataclass
@@ -82,7 +82,7 @@ class ExperimentConfig:
             for pid, dim in self.problems:
                 make_problem(pid, dim)
             for v in self.variants:
-                apply_ablation(self.run, v)
+                replace(self.run, variant=v)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not is_integer(self.parallel) or self.parallel < 1:
@@ -187,6 +187,15 @@ def load_config(path) -> ExperimentConfig:
     return config
 
 
+def _make_dir(path: Path) -> None:
+    """Create the output directory ``path`` and its parents; a path that
+    cannot be a directory is a ConfigError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {path}: {exc.strerror}") from None
+
+
 def _cell_name(pid: str, variant: str, seed: int) -> str:
     return f"{pid}__{variant}__s{seed}"
 
@@ -197,7 +206,7 @@ def _run_group(pid: str, dim: int, seed: int, variants: list[str], run_config: R
     through ``run`` from the states ``engine.share`` leaves them; return
     each variant's result or exception, and ``diverged_from_full``. A failed
     initialisation fails the group, a failed shared generation its cells."""
-    configs = {variant: apply_ablation(run_config, variant) for variant in variants}
+    configs = {variant: replace(run_config, variant=variant) for variant in variants}
     try:
         problem = make_problem(pid, dim)
         outcomes, diverged = share(problem, seed, configs)
@@ -237,8 +246,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     config.validate()
     outdir = Path(config.outdir)
-    (outdir / "logs").mkdir(parents=True, exist_ok=True)
-    (outdir / "fronts").mkdir(parents=True, exist_ok=True)
+    _make_dir(outdir / "logs")
+    _make_dir(outdir / "fronts")
 
     jobs = [(pid, dim, seed) for pid, dim in config.problems for seed in config.seeds]
     started = time.time()
@@ -430,7 +439,7 @@ def emit_plot_data(results_dir) -> list[Path]:
             collected.append((pid, variant, series, fronts))
 
     plots = results_dir / "plots"
-    plots.mkdir(exist_ok=True)
+    _make_dir(plots)
     written = []
     for pid, variant, series, fronts in collected:
         depth = min(len(s) for s in series)

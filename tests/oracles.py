@@ -24,10 +24,6 @@ from dpcmo.core import DEFAULT_EQ_TOLERANCE, Bounds
 # Scalar evaluation: one decision vector at a time
 
 
-class BudgetExhausted(RuntimeError):
-    """Raised when an evaluation is requested past the configured budget."""
-
-
 def _frozen(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
@@ -74,19 +70,13 @@ def evaluate_decisions(problem, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return F[0], G[0] if G.size else np.empty(0), H[0] if H.size else np.empty(0)
 
 
-def evaluate(problem, v, counter, delta: float = DEFAULT_EQ_TOLERANCE) -> Solution:
-    """Evaluate one decision vector, consuming exactly one budget unit.
-
-    Raises BudgetExhausted (without evaluating) when the budget is spent.
-    """
-    if counter.remaining <= 0:
-        raise BudgetExhausted(f"budget {counter.budget} exhausted")
+def evaluate(problem, v, delta: float = DEFAULT_EQ_TOLERANCE) -> Solution:
+    """Evaluate one decision vector."""
     objectives, ineq, eq = evaluate_decisions(problem, v)
     for i, f in enumerate(objectives):
         if not math.isfinite(f):
             raise ValueError(f"non-finite objective at index {i}")
     cv = constraint_violation(ineq, eq, delta)
-    counter.count += 1
     return Solution(v, objectives, ineq, eq, cv)
 
 

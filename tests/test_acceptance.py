@@ -9,13 +9,14 @@ import json
 import math
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dpcmo.cli import main as cli_main
 from dpcmo.core import Population
-from dpcmo.engine import RunConfig, apply_ablation, run
+from dpcmo.engine import RunConfig, run
 from dpcmo.metrics import hypervolume
 from dpcmo.problems import make_problem, reference_front
 from dpcmo.schedule import DRA_FLOOR, DraState, EpsilonSchedule, dra_allocate, \
@@ -47,7 +48,7 @@ def convergence_batches():
     batches = {}
     batches["p1_full"] = [run(make_problem("P1-overlap", 10), config, s) for s in seeds]
     batches["p3_full"] = [run(make_problem("P3-separated", 10), config, s) for s in seeds]
-    wo3p = apply_ablation(config, "Wo3P")
+    wo3p = replace(config, variant="Wo3P")
     batches["p3_wo3p"] = [run(make_problem("P3-separated", 10), wo3p, s) for s in seeds]
     return batches
 

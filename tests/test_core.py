@@ -3,23 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dpcmo.core import (
-    Bounds,
-    EvalCounter,
-    Population,
-    constraint_violation_batch,
-    evaluate_batch,
-)
+from dpcmo.core import Bounds, Population, constraint_violation_batch, evaluate_batch
 from dpcmo.problems import PROBLEM_IDS, make_problem
 from dpcmo.staging import PointHistory
 
-from oracles import (
-    BudgetExhausted,
-    clamp_to_bounds,
-    constraint_violation,
-    evaluate,
-    pareto_dominates,
-)
+from oracles import clamp_to_bounds, constraint_violation, evaluate, pareto_dominates
 
 
 class TestConstraintViolation:
@@ -103,43 +91,24 @@ class TestClamp:
 class TestEvaluate:
     def test_p1_example(self):
         p = make_problem("P1-overlap", 10)
-        counter = EvalCounter(10)
         x = np.array([0.25] + [0.0] * 9)
-        s = evaluate(p, x, counter)
+        s = evaluate(p, x)
         assert s.objectives == pytest.approx([0.25, 0.5])
         assert s.cv == 0.0
-        assert counter.count == 1
 
     def test_p3_example(self):
         p = make_problem("P3-separated", 10)
-        s = evaluate(p, np.zeros(10), EvalCounter(1))
+        s = evaluate(p, np.zeros(10))
         assert s.ineq == pytest.approx([0.5])
         assert s.cv == pytest.approx(0.5)
-
-    def test_budget_exhausted(self):
-        p = make_problem("P1-overlap", 10)
-        counter = EvalCounter(1)
-        evaluate(p, np.zeros(10), counter)
-        with pytest.raises(BudgetExhausted):
-            evaluate(p, np.zeros(10), counter)
-
-    def test_batch_truncates_at_budget(self):
-        p = make_problem("P1-overlap", 10)
-        counter = EvalCounter(5)
-        X = np.zeros((8, 10))
-        out = evaluate_batch(p, X, counter)
-        assert len(out) == 5
-        assert counter.count == 5
-        assert np.array_equal(out.X, X[:5])
-        assert len(evaluate_batch(p, X, counter)) == 0
 
     def test_batch_matches_single(self):
         p = make_problem("P2-partial", 10)
         rng = np.random.default_rng(11)
         X = rng.random((20, 10))
-        batch = evaluate_batch(p, X, EvalCounter(20))
+        batch = evaluate_batch(p, X)
         for i in range(len(batch)):
-            single = evaluate(p, X[i], EvalCounter(1))
+            single = evaluate(p, X[i])
             assert np.array_equal(batch.F[i], single.objectives)
             assert batch.cv[i] == single.cv
 
@@ -147,14 +116,12 @@ class TestEvaluate:
     @given(st.sampled_from(PROBLEM_IDS), st.integers(2, 12), st.data())
     def test_batch_matches_scalar_reference_row_by_row(self, pid, dimension, data):
         p = make_problem(pid, dimension)
-        X = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 30)), dimension),
+        X = data.draw(hnp.arrays(float, (data.draw(st.integers(0, 30)), dimension),
                                  elements=st.floats(0, 1, allow_subnormal=False)))
-        budget = data.draw(st.integers(0, len(X) + 3))
-        batch = evaluate_batch(p, X, EvalCounter(budget))
-        assert len(batch) == min(budget, len(X))
-        counter = EvalCounter(len(X))
+        batch = evaluate_batch(p, X)  # every row, none when X is empty
+        assert len(batch) == len(X)
         for i in range(len(batch)):
-            ref = evaluate(p, X[i], counter)
+            ref = evaluate(p, X[i])
             assert np.array_equal(batch.X[i], ref.decisions)
             assert np.array_equal(batch.F[i], ref.objectives)
             assert batch.cv[i] == pytest.approx(ref.cv, rel=1e-12, abs=1e-15)

@@ -9,16 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcmo import engine
-from dpcmo.core import Bounds, EvalCounter, Population, evaluate_batch
+from dpcmo.core import Bounds, Population, evaluate_batch
 from dpcmo.engine import (
     ABLATION_VARIANTS,
     HOPS_PLANS,
     RunConfig,
-    _evaluate,
+    RunState,
     _fingerprint,
+    _grant,
     _run_operator,
     advance,
-    apply_ablation,
     feasible_front,
     fork,
     hops_generate,
@@ -71,6 +71,14 @@ def hops_rows(plan_type, f1, f2, n) -> int:
     """The offspring rows plan ``plan_type`` draws at factors f1 and f2."""
     main, aux = HOPS_PLANS[plan_type]
     return len(main) * round(f1 * n) + len(aux) * round(f2 * n)
+
+
+def budget_state(problem, remaining, max_fe=200):
+    """A fresh state of ``problem`` with ``remaining`` of ``max_fe``
+    evaluations left."""
+    state = RunState(problem, RunConfig(pop_size=5, max_fe=max_fe, igd_points=2), 0)
+    state.fe = max_fe - remaining
+    return state
 
 
 def count_evaluate_calls(monkeypatch) -> list:
@@ -257,7 +265,7 @@ class TestSwitch:
         state.g = 251
         fe = state.fe
         for variant in ("full", "WoRR"):
-            assert stage1_decide(state, apply_ablation(state.config, variant)) == (True, True)
+            assert stage1_decide(state, replace(state.config, variant=variant)) == (True, True)
         stage1_apply(state, (True, True))
         assert state.schedule is not None
         assert state.schedule.switch_fe == fe
@@ -288,14 +296,14 @@ class TestOpposition:
     def test_mirror_with_symmetric_bounds(self):
         # lb + ub = 0, so the mirror is plain negation before clamping
         p = make_problem("P1-overlap", 10)
-        pop = evaluate_batch(p, np.random.default_rng(0).random((100, 10)), EvalCounter(100))
+        pop = evaluate_batch(p, np.random.default_rng(0).random((100, 10)))
         X = pop.X
         out = opposition_offspring(pop, Bounds(np.full(10, -1.0), np.full(10, 1.0)))
         assert out == pytest.approx(np.clip(-X, -1.0, 1.0))
 
     def test_half_point_coefficient(self):
         p = constant_problem(4)
-        pop = evaluate_batch(p, np.full((100, 4), 0.5), EvalCounter(100))
+        pop = evaluate_batch(p, np.full((100, 4), 0.5))
         out = opposition_offspring(pop, p.bounds)
         tc = math.tanh(math.log(100) * 0.8)
         assert tc == pytest.approx(0.99875, abs=1e-4)
@@ -327,12 +335,12 @@ class TestHops:
 
     def test_budget_truncation(self):
         state = stage2_state(max_fe=200_000)
-        state.counter.count = state.counter.budget - 30
+        state.fe = state.config.max_fe - 30
         X = np.concatenate(hops_generate(state, 1, 0.5, 0.5))
-        off = _evaluate(state, X)
+        off = evaluate_batch(state.problem, _grant(state, X))
         assert len(X) > 30
         np.testing.assert_array_equal(off.X, X[:30])
-        assert state.fe == state.counter.budget
+        assert state.fe == state.config.max_fe
 
     def test_plans_cover_all_types(self):
         assert set(HOPS_PLANS) == {1, 2, 3, 4}
@@ -347,11 +355,40 @@ class TestHops:
                     assert len(_run_operator(state, op, kind, 7, pop, pool_eps)) == 7
 
 
+class TestGrant:
+    """The engine owns the budget: a grant evaluates the rows the budget
+    leaves, in order, and counts them in ``state.fe``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(10, 300), st.data())
+    def test_grant_evaluates_the_first_rows_the_budget_leaves(self, max_fe, data):
+        fe = data.draw(st.integers(0, max_fe), label="fe")
+        rows = data.draw(st.integers(0, 400), label="rows")
+        problem = make_problem("P2-partial", 4)
+        state = budget_state(problem, max_fe - fe, max_fe)
+        X = problem.bounds.sample(rows, np.random.default_rng(rows))
+        off = evaluate_batch(state.problem, _grant(state, X))
+        granted = min(rows, max_fe - fe)
+        assert len(off) == granted and state.fe == fe + granted <= max_fe
+        if granted:
+            np.testing.assert_array_equal(off.X, X[:granted])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(20, 200), st.data())
+    def test_a_generation_on_a_fork_leaves_the_prefix_budget(self, max_fe, data):
+        config = RunConfig(pop_size=5, max_fe=max_fe, igd_points=2)
+        prefix = initialize(make_problem("P1-overlap", 4), config, 1)
+        prefix.fe = fe = data.draw(st.integers(0, max_fe), label="fe")
+        state = fork(prefix, config)
+        stage1_step(state)
+        assert prefix.fe == fe and state.fe == min(fe + 10, max_fe)
+
+
 class TestBatchedEvaluation:
-    """Offspring are evaluated in one batch per generation, with the rows,
-    values and budget grants that a call per operator would give: a batch
-    sliced at its parts' boundaries equals one ``evaluate_batch`` call per
-    part."""
+    """Offspring are granted and evaluated in one batch per generation, with
+    the rows, values and budget grants that a call per operator would give:
+    a batch sliced at its parts' boundaries equals one grant and one
+    evaluation per part."""
 
     @staticmethod
     def _assert_same_rows(got, want):
@@ -367,31 +404,30 @@ class TestBatchedEvaluation:
         problem = make_problem(pid, 10)
         rng = np.random.default_rng(seed)
         parts = [problem.bounds.sample(k, rng) for k in sizes]
-        batched, separate = EvalCounter(remaining), EvalCounter(remaining)
-        got = evaluate_batch(problem, np.concatenate(parts), batched)
+        batched, separate = budget_state(problem, remaining), budget_state(problem, remaining)
+        got = evaluate_batch(batched.problem, _grant(batched, np.concatenate(parts)))
         end = 0
         for part in parts:
             end += len(part)
             self._assert_same_rows(got.take(slice(end - len(part), end)),
-                                   evaluate_batch(problem, part, separate))
-        assert batched.remaining == separate.remaining
+                                   evaluate_batch(separate.problem, _grant(separate, part)))
+        assert batched.fe == separate.fe
 
     @pytest.mark.parametrize("rel_type", [1, 2, 3, 4])
     @pytest.mark.parametrize("remaining", [0, 30, 75, 1_000])
     def test_hops_batch_equals_a_call_per_operator(self, rel_type, remaining):
         batched, separate = stage2_state(rel_type=rel_type), stage2_state(rel_type=rel_type)
         for state in (batched, separate):
-            state.counter.count = state.counter.budget - remaining
+            state.fe = state.config.max_fe - remaining
         X1, X2 = hops_generate(batched, rel_type, 0.5, 0.25)
-        off = _evaluate(batched, np.concatenate([X1, X2]))
+        off = evaluate_batch(batched.problem, _grant(batched, np.concatenate([X1, X2])))
         got = off.take(slice(None, len(X1))), off.take(slice(len(X1), None))
         for plan, factor, pop, pool_eps, side in zip(
                 HOPS_PLANS[rel_type], (0.5, 0.25), (separate.pop_main, separate.pop_aux),
                 (0.0, math.inf), got):
             want = Population.concat(*[
-                evaluate_batch(separate.problem,
-                               _run_operator(separate, op, kind, round(factor * 100), pop, pool_eps),
-                               separate.counter)
+                evaluate_batch(separate.problem, _grant(separate, _run_operator(
+                    separate, op, kind, round(factor * 100), pop, pool_eps)))
                 for op, kind in plan])
             self._assert_same_rows(side, want)
         assert batched.fe == separate.fe
@@ -465,8 +501,8 @@ class TestOppositionTrigger:
         # P3 with tiny decisions: every member has g < 0.5, hence infeasible
         state = stage2_state(problem_id="P3-separated", n=30, rel_type=3, **kwargs)
         X = np.random.default_rng(0).random((30, 10)) * 0.05
-        state.pop_main = evaluate_batch(state.problem, X, state.counter)
-        state.pop_aux = evaluate_batch(state.problem, X + 0.01, state.counter)
+        state.pop_main = evaluate_batch(state.problem, _grant(state, X))
+        state.pop_aux = evaluate_batch(state.problem, _grant(state, X + 0.01))
         assert state.pop_main.feasible_ratio() == 0.0
         assert state.pop_aux.feasible_ratio() == 0.0
         return state
@@ -479,6 +515,9 @@ class TestOppositionTrigger:
         assert state.fe - fe == hops_count + 30  # 30 mirrored offspring
 
     def test_opposition_rows_lead_the_one_batch(self, monkeypatch):
+        # The budget grants the 30 mirrored rows first, then the main and
+        # auxiliary rows; the one evaluated batch holds the granted main and
+        # auxiliary rows, then the mirrored ones.
         batches = []
 
         def captured(*args, **kwargs):
@@ -486,17 +525,22 @@ class TestOppositionTrigger:
             return batches[-1]
 
         monkeypatch.setattr("dpcmo.engine.evaluate_batch", captured)
-        for remaining in (None, 40):  # 40 rows: fewer than the batch holds
+        for remaining in (None, 40):  # 40 rows: the mirrored rows and 10 main rows
             state = self._infeasible_state()
             if remaining is not None:
-                state.counter.budget = state.fe + remaining
+                state.config = replace(state.config, max_fe=state.fe + remaining)
+            _, opposition, plan, dra, *_ = stage2_decide(state, state.config)
+            assert opposition
+            X1, X2 = hops_generate(fork(state, state.config), plan, dra.f1, dra.f2)
+            hops = np.concatenate([X1, X2])
+            if remaining is not None:
+                assert len(X1) >= remaining - 30
+                hops = hops[:remaining - 30]
             mirrored = opposition_offspring(state.pop_aux, state.problem.bounds)
             del batches[:]
             stage2_step(state)
-            hops_count = hops_rows(3, state.dra.f1, state.dra.f2, 30)
             assert len(batches) == 1
-            assert len(batches[0]) == (remaining or 30 + hops_count)
-            np.testing.assert_array_equal(batches[0].X[:30], mirrored)
+            np.testing.assert_array_equal(batches[0].X, np.concatenate([hops, mirrored]))
 
     @pytest.mark.parametrize("block", ["opposition", "main", "aux"])
     def test_budget_ending_inside_a_block(self, monkeypatch, block):
@@ -512,7 +556,7 @@ class TestOppositionTrigger:
         ends = np.cumsum([0, len(X3), len(X1), len(X2)])
         i = ["opposition", "main", "aux"].index(block)
         assert ends[i] < remaining < ends[i + 1]
-        state.counter.budget = state.fe + remaining
+        state.config = replace(state.config, max_fe=state.fe + remaining)
         g3 = min(len(X3), remaining)
         g1 = min(len(X1), remaining - g3)
         want = np.concatenate([state.pop_main.X, X1[:g1], X2[:remaining - g3 - g1], X3[:g3]])
@@ -524,7 +568,7 @@ class TestOppositionTrigger:
 
         monkeypatch.setattr("dpcmo.engine.environmental_select", captured)
         stage2_step(state)
-        assert state.fe == state.counter.budget
+        assert state.fe == state.config.max_fe
         np.testing.assert_array_equal(unions[0].X, want)
 
     def test_opposition_disabled_by_ablation(self):
@@ -546,15 +590,11 @@ class TestOppositionTrigger:
 class TestAblations:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant"):
-            apply_ablation(RunConfig(), "WoXYZ")
-
-    def test_full_passthrough(self):
-        cfg = RunConfig()
-        assert apply_ablation(cfg, "full") is cfg
+            RunConfig(variant="WoXYZ")
 
     @pytest.mark.parametrize("variant", ABLATION_VARIANTS)
     def test_variant_is_the_only_changed_field(self, variant):
-        changed = asdict(apply_ablation(RunConfig(), variant))
+        changed = asdict(replace(RunConfig(), variant=variant))
         assert changed == {**asdict(RunConfig()), "variant": variant}
 
     def test_forced_plan_overrides_tracker(self):
@@ -585,7 +625,7 @@ class TestAblations:
     def test_forced_angle_selection_every_generation(self):
         # the constant problem switches within a dozen generations
         result = run(constant_problem(),
-                     apply_ablation(RunConfig(pop_size=30, max_fe=2400), "Wo3P"), 3)
+                     RunConfig(pop_size=30, max_fe=2400, variant="Wo3P"), 3)
         stage2 = [r for r in result.log if r["stage"] == 1]
         assert stage2
         assert all(r["phase"] == 2 for r in stage2)
@@ -692,7 +732,7 @@ def full_stage1():
         state = initialize(make_problem(pid, 10), SHARED, 1)
         decisions = []
         while state.schedule is None:
-            decisions.append({v: stage1_decide(state, apply_ablation(SHARED, v)) for v in ALL_VARIANTS})
+            decisions.append({v: stage1_decide(state, replace(SHARED, variant=v)) for v in ALL_VARIANTS})
             stage1_step(state)
         out[pid] = decisions, state
     return out
@@ -712,16 +752,16 @@ class TestSharedStage1:
         # The golden "variants" grid pins the other problems' continued runs.
         problem = make_problem("P3-separated", 10)
         prefix = initialize(problem, SHARED, 1)
-        parts = advance(prefix, {v: apply_ablation(SHARED, v) for v in FULL_CLASS})
+        parts = advance(prefix, {v: replace(SHARED, variant=v) for v in FULL_CLASS})
         # The stage-2 variants share all of stage 1; WoOP leaves at the
         # first stage-2 generation, which is not run.
         assert len(parts) > 1 and None not in parts and prefix.config == SHARED
         assert prefix.g == full_stage1["P3-separated"][1].g
         fe, generations = prefix.fe, len(prefix.log)
-        fresh = {v: result_view(run(problem, apply_ablation(SHARED, v), 1)) for v in FULL_CLASS}
+        fresh = {v: result_view(run(problem, replace(SHARED, variant=v), 1)) for v in FULL_CLASS}
         for order in (FULL_CLASS, FULL_CLASS[::-1]):
             for variant in order:
-                config = apply_ablation(SHARED, variant)
+                config = replace(SHARED, variant=variant)
                 continued = run(problem, config, 1, prefix=fork(prefix, config))
                 assert result_view(continued) == fresh[variant], variant
         assert (prefix.fe, len(prefix.log)) == (fe, generations)
@@ -731,22 +771,22 @@ class TestSharedStage1:
         prefix = initialize(problem, SHARED, 1)
         # WoRR decides as full up to full's switch, but the prefix holds
         # full's config: WoRR continues it through a fork under its own.
-        advance(prefix, {"full": SHARED, "WoRR": apply_ablation(SHARED, "WoRR")})
+        advance(prefix, {"full": SHARED, "WoRR": replace(SHARED, variant="WoRR")})
         for other in ((problem, SHARED, 2), (make_problem("P1-overlap", 12), SHARED, 1),
-                      (problem, replace(SHARED, eps0=0.3), 1), (problem, apply_ablation(SHARED, "WoRR"), 1),
-                      (problem, apply_ablation(SHARED, "WoS1C"), 1)):
+                      (problem, replace(SHARED, eps0=0.3), 1), (problem, replace(SHARED, variant="WoRR"), 1),
+                      (problem, replace(SHARED, variant="WoS1C"), 1)):
             with pytest.raises(ValueError, match="prefix belongs to another problem, seed or config"):
                 run(*other, prefix=prefix)
-        worr = apply_ablation(SHARED, "WoRR")
+        worr = replace(SHARED, variant="WoRR")
         continued = run(problem, worr, 1, prefix=fork(prefix, worr))
         assert result_view(continued) == result_view(run(problem, worr, 1))
 
     def test_advance_refuses_a_state_under_a_non_members_config(self):
         problem = make_problem("P1-overlap", 10)
         config = RunConfig(pop_size=30, max_fe=3000)
-        state = initialize(problem, apply_ablation(config, "WoS1C"), 1)
+        state = initialize(problem, replace(config, variant="WoS1C"), 1)
         with pytest.raises(ValueError, match="the state decides as WoS1C, not as one of full, WoRR"):
-            advance(state, {"full": config, "WoRR": apply_ablation(config, "WoRR")})
+            advance(state, {"full": config, "WoRR": replace(config, variant="WoRR")})
         # A member's config must be the state's whole config, not only its variant.
         with pytest.raises(ValueError, match="the state decides as WoS1C"):
             advance(state, {"WoS1C": replace(state.config, eps0=0.3)})
@@ -755,7 +795,7 @@ class TestSharedStage1:
     def test_prefix_under_another_variants_config_is_refused(self):
         problem = make_problem("P1-overlap", 10)
         config = RunConfig(pop_size=30, max_fe=3000)
-        wos1c = apply_ablation(config, "WoS1C")
+        wos1c = replace(config, variant="WoS1C")
         prefix = fork(initialize(problem, wos1c, 1), wos1c)
         with pytest.raises(ValueError, match="prefix belongs to another problem, seed or config"):
             run(problem, config, 1, prefix=prefix)
@@ -776,7 +816,7 @@ class TestSharedStage1:
         # The fork runs under Wo3P's config, and its shared generations
         # decide under it: Wo3P decides as full while full is in phase 2.
         problem = make_problem("P3-separated", 10)
-        configs = {v: apply_ablation(SHARED, v) for v in ("Wo3P", "full")}
+        configs = {v: replace(SHARED, variant=v) for v in ("Wo3P", "full")}
         switched = full_stage1["P3-separated"][1]
         state = fork(switched, configs["Wo3P"])
         assert state.config.variant == "Wo3P" and state.problem is switched.problem
@@ -787,9 +827,9 @@ class TestSharedStage1:
         # its own config, and a non-member's config is refused.
         for variant in ("full", "WoOP"):
             with pytest.raises(ValueError, match="prefix belongs to another problem, seed or config"):
-                run(problem, apply_ablation(SHARED, variant), 1, prefix=state)
+                run(problem, replace(SHARED, variant=variant), 1, prefix=state)
         with pytest.raises(ValueError, match="the state decides as Wo3P, not as one of WoOP, full"):
-            advance(state, {v: apply_ablation(SHARED, v) for v in ("WoOP", "full")})
+            advance(state, {v: replace(SHARED, variant=v) for v in ("WoOP", "full")})
         for variant, config in configs.items():
             continued = run(problem, config, 1, prefix=fork(state, config))
             assert result_view(continued) == result_view(run(problem, config, 1)), variant
@@ -814,7 +854,7 @@ CI_GRID = ("full", "WoRR", "WoS1C", "WoOP", "Wo3P")
 class TestShare:
     def test_each_variant_continues_its_own_state_to_its_solo_run(self):
         problem = make_problem("P1-overlap", 10)
-        configs = {v: apply_ablation(SHARED, v) for v in CI_GRID}
+        configs = {v: replace(SHARED, variant=v) for v in CI_GRID}
         states, diverged = share(problem, 1, configs)
         assert sorted(states) == sorted(CI_GRID)
         assert len({id(state) for state in states.values()}) == len(CI_GRID)
@@ -826,7 +866,7 @@ class TestShare:
 
     def test_failed_shared_generation_fails_only_the_variants_that_shared_it(self, monkeypatch):
         problem = make_problem("P1-overlap", 10)
-        configs = {v: apply_ablation(SHARED, v) for v in CI_GRID}
+        configs = {v: replace(SHARED, variant=v) for v in CI_GRID}
         solo = {v: result_view(run(problem, configs[v], 1)) for v in ("WoRR", "WoS1C")}
         inner = engine.stage1_apply
 
@@ -851,7 +891,7 @@ class TestDecideApply:
             stage1_step(stage1_state)
 
         def view(state):
-            return (state.rng.bit_generator.state, state.counter.count, log_bytes(state.log),
+            return (state.rng.bit_generator.state, state.fe, log_bytes(state.log),
                     state.pop_main, state.pop_aux, state.dra, state.tracker, state.epsilon,
                     state.phase, state.g, state.schedule, id(state.history.entries[-1]))
 
@@ -859,6 +899,6 @@ class TestDecideApply:
                               (full_stage1["P3-separated"][1], stage2_decide)):
             before = view(state)
             for variant in ALL_VARIANTS:
-                config = apply_ablation(SHARED, variant)
+                config = replace(SHARED, variant=variant)
                 assert decide(state, config) == decide(state, config), variant
             assert view(state) == before

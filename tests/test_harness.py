@@ -1,6 +1,7 @@
 import itertools
 import json
 from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -452,7 +453,7 @@ def solo_artifacts(cfg) -> dict:
     out = {}
     for (pid, dim), variant, seed in itertools.product(cfg.problems, cfg.variants, cfg.seeds):
         result = engine.run(harness.make_problem(pid, dim),
-                            engine.apply_ablation(cfg.run, variant), seed)
+                            replace(cfg.run, variant=variant), seed)
         name = f"{pid}__{variant}__s{seed}"
         out[Path("logs", f"{name}.jsonl")] = "".join(
             json.dumps(r, sort_keys=True) + "\n" for r in result.log).encode()
@@ -524,7 +525,7 @@ class TestSharedStage2:
 
     def test_shared_state_continues_only_under_its_cells_variants(self):
         problem = harness.make_problem("P3-separated", 10)
-        configs = {v: engine.apply_ablation(RunConfig(pop_size=30, max_fe=15_200), v)
+        configs = {v: replace(RunConfig(pop_size=30, max_fe=15_200), variant=v)
                    for v in ("full", "Wo3P", "WoOP")}
         states, diverged = engine.share(problem, 1, {v: configs[v] for v in ("full", "Wo3P")})
         assert diverged["Wo3P"] == states["full"].g == states["Wo3P"].g
@@ -711,6 +712,25 @@ class TestCli:
         assert main(["run", str(cfg)]) == 2
         assert "curvature" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])
+    def test_outdir_under_a_file_stops_before_any_cell(self, tmp_path, capsys, monkeypatch, outdir):
+        monkeypatch.setattr(harness, "_run_group", lambda *args: pytest.fail("a cell ran"))
+        (tmp_path / "afile").write_text("")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem = P1-overlap\nN = 10\nmaxFE = 100\nseeds = 1\noutdir = {tmp_path / outdir}\n")
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"cannot create directory {tmp_path / outdir / 'logs'}" in err
+
+    def test_plotdata_into_a_file_is_a_config_error(self, tmp_path, capsys):
+        outdir = tmp_path / "res"
+        assert main(["bench", "--outdir", str(outdir), "--seeds", "1", "--max-fe", "100",
+                     "--pop-size", "10", "--problems", "P1-overlap"]) == 0
+        (outdir / "plots").write_text("")
+        assert main(["plotdata", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"cannot create directory {outdir / 'plots'}" in err
 
     @pytest.mark.parametrize("flags", [["--pop-size", "4"],
                                        ["--pop-size", "100", "--max-fe", "150"]])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dpcmo.core import EvalCounter
 from dpcmo.problems import PROBLEM_IDS, _p2_arc, make_problem, reference_front
 from dpcmo.selection import unconstrained_nondominated
 
@@ -10,7 +9,7 @@ from oracles import constraint_violation, evaluate
 
 
 def _eval(problem, x):
-    return evaluate(problem, np.asarray(x, dtype=float), EvalCounter(1))
+    return evaluate(problem, np.asarray(x, dtype=float))
 
 
 class TestDefinitions:
