@@ -34,6 +34,7 @@ from .metrics import MetricConfig, igd
 from .problems import Problem, reference_front
 from .schedule import (
     DraState,
+    EPS0,
     EpsilonSchedule,
     aux_size,
     dra_allocate,
@@ -59,6 +60,7 @@ from .staging import (
 )
 from .variation import (
     ETA_MUTATION,
+    PBEST_FRACTION,
     de_current_to_pbest,
     de_current_to_rand,
     de_rand_1,
@@ -83,24 +85,18 @@ ABLATIONS = {
     "WoDRA": "static offspring allocation",
 }
 ABLATION_VARIANTS = tuple(ABLATIONS)
+PHASE1_EPS = 0.195  # stage 2 re-explores (phase 1) while epsilon is at least this
+IGD_POINTS = 1000  # reference-front samples for IGD and the hypervolume normalisation
 
 
 @dataclass(frozen=True)
 class RunConfig:
     pop_size: int = 100
     max_fe: int = 50_000
-    eps0: float = 0.2
-    curvature: float = 15.0
-    phase1_eps: float = 0.195
     phase3_eps: float = 0.005
     opposition_eps: float = 0.0005
     delta: float = DEFAULT_EQ_TOLERANCE
-    history_gap: int = 10
-    history_delta: float = 1e-7
-    pbest_fraction: float = 0.1
     coincident_threshold: float = 0.9
-    igd_points: int = 1000
-    hv_offset: float = 1.1
     variant: str = "full"  # "full" or one of ABLATION_VARIANTS
 
     def __post_init__(self):
@@ -120,22 +116,12 @@ class RunConfig:
         if self.max_fe < 2 * self.pop_size:
             raise ValueError("maxFE must be at least twice the population size, got "
                              f"max_fe={self.max_fe}, pop_size={self.pop_size}")
-        # hv_offset must put the reference point past the normalised ideal,
-        # and history_delta is the floor of rs_metric's denominator.
-        for name in ("eps0", "curvature", "hv_offset", "delta", "history_delta"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0 < self.pbest_fraction <= 1:
-            raise ValueError(f"pbest_fraction must lie in (0, 1], got {self.pbest_fraction}")
+        if not self.delta > 0:
+            raise ValueError(f"delta must be positive, got {self.delta}")
         if not 0 < self.coincident_threshold <= 1:  # compared with a feasible fraction
             raise ValueError(f"coincident_threshold must lie in (0, 1], got {self.coincident_threshold}")
-        if self.igd_points < 2:
-            raise ValueError(f"igd_points must be at least 2, got {self.igd_points}")
-        if not 0 <= self.phase3_eps < self.phase1_eps:
-            raise ValueError("need 0 <= phase3_eps < phase1_eps, got "
-                             f"phase3_eps={self.phase3_eps}, phase1_eps={self.phase1_eps}")
-        if self.history_gap < 1:
-            raise ValueError(f"history_gap must be at least 1, got {self.history_gap}")
+        if not 0 <= self.phase3_eps < PHASE1_EPS:
+            raise ValueError(f"need 0 <= phase3_eps < {PHASE1_EPS}, got phase3_eps={self.phase3_eps}")
         if self.variant != "full" and self.variant not in ABLATIONS:
             raise ValueError(f"unknown variant {self.variant!r}; expected 'full' or one of {ABLATION_VARIANTS}")
 
@@ -173,17 +159,17 @@ class RunState:
         self.switch_generation: int | None = None
         self.type_at_switch: int | None = None
         self.schedule: EpsilonSchedule | None = None  # None until the switch
-        self.epsilon = config.eps0
+        self.epsilon = EPS0
         self.tracker = TypeTracker(type=0)
         self.dra = DraState()
-        self.history = PointHistory(gap=config.history_gap, delta=config.history_delta)
+        self.history = PointHistory()
         self.rs = 1.0  # rs_metric(history), taken once per record for every variant
         self.phase = 0
         self.log: list[dict] = []
         self.seconds = 0.0  # wall seconds spent reaching this state
 
-        self.ref_points = reference_front(problem, config.igd_points)
-        self.metric_cfg = MetricConfig.from_front(self.ref_points, reference_offset=config.hv_offset)
+        self.ref_points = reference_front(problem, IGD_POINTS)
+        self.metric_cfg = MetricConfig.from_front(self.ref_points)
 
 
 @dataclass
@@ -290,12 +276,7 @@ def stage1_apply(state: RunState, decision: tuple[bool, bool]) -> None:
         seed_type = classify_relationship(state.pop_aux, cfg.coincident_threshold)
         state.type_at_switch = seed_type
         state.tracker = TypeTracker(type=seed_type)
-        state.schedule = EpsilonSchedule(
-            switch_fe=state.fe,
-            max_fe=cfg.max_fe,
-            eps0=cfg.eps0,
-            curvature=cfg.curvature,
-        )
+        state.schedule = EpsilonSchedule(switch_fe=state.fe, max_fe=cfg.max_fe)
 
     d = state.problem.dimension
     X1 = state.pop_main.X[random_pool(state.pop_main, n, rng)]
@@ -370,7 +351,7 @@ def _run_operator(state: RunState, op: str, kind: str | None, k: int, pop: Popul
     elif op == "cur_rand":
         X = de_current_to_rand(pool, bounds, rng)
     elif op == "pbest":
-        X = de_current_to_pbest(pool, state.pop_main, state.config.pbest_fraction, bounds, rng)
+        X = de_current_to_pbest(pool, state.pop_main, PBEST_FRACTION, bounds, rng)
     else:
         raise ValueError(f"unknown operator {op!r}")
     return X[:k]
@@ -427,7 +408,7 @@ def stage2_decide(state: RunState, config: RunConfig) -> tuple:
 
     if variant == "Wo3P":
         phase, aux_eps = 2, None
-    elif eps >= config.phase1_eps:
+    elif eps >= PHASE1_EPS:
         phase, aux_eps = 1, math.inf
     elif eps <= config.phase3_eps or tracker.type in (1, 2):
         phase, aux_eps = 3, (0.0 if tracker.type == 1 else eps)

@@ -133,7 +133,7 @@ def load_config(path) -> ExperimentConfig:
     run_kwargs: dict = {}
     first_lines: dict[str, tuple[int, str]] = {}  # seeds and n_seeds share one slot
 
-    for line_no, raw_line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw_line in enumerate(_read_lines(path, "config file"), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -185,6 +185,15 @@ def load_config(path) -> ExperimentConfig:
         config.problems = problems
     config.validate()
     return config
+
+
+def _read_lines(path: Path, what: str) -> list[str]:
+    """The lines of the file ``path``; one that cannot be read (a directory,
+    say) is a ConfigError naming it."""
+    try:
+        return path.read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
 def _make_dir(path: Path) -> None:
@@ -248,6 +257,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     outdir = Path(config.outdir)
     _make_dir(outdir / "logs")
     _make_dir(outdir / "fronts")
+    # A write to a directory would fail after every cell had run.
+    for path in [outdir / "summary.csv", outdir / "metadata.json"] + [
+            outdir / sub / f"{_cell_name(pid, variant, seed)}.{ext}"
+            for (pid, _), variant, seed in itertools.product(config.problems, config.variants, config.seeds)
+            for sub, ext in (("logs", "jsonl"), ("fronts", "csv"))]:
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"cannot write {path}: not a regular file")
 
     jobs = [(pid, dim, seed) for pid, dim in config.problems for seed in config.seeds]
     started = time.time()
@@ -325,10 +341,7 @@ def read_summary(path) -> list[dict]:
     name the file. An infinite metric is kept: an empty final front has IGD inf.
     """
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read summary {path}: {exc.strerror}") from None
+    lines = _read_lines(path, "summary")
     if not lines:
         raise ConfigError(f"{path}: empty summary, expected a header line")
     header = lines[0].split(",")
@@ -382,7 +395,7 @@ def _read_log(log_path: Path) -> np.ndarray:
     log, a line that is not a JSON record with both keys and a value that is
     not a number (a string, null, a bool or NaN) are ConfigErrors naming the
     file and line. An infinite IGD is kept: an empty front's IGD is inf."""
-    lines = log_path.read_text().splitlines()
+    lines = _read_lines(log_path, "log")
     if not lines:
         raise ConfigError(f"{log_path}: empty log, expected one record per generation")
     points = []
@@ -433,8 +446,7 @@ def emit_plot_data(results_dir) -> list[Path]:
             series.append(_read_log(log_path))
             front_path = results_dir / "fronts" / f"{name}.csv"
             if front_path.exists():
-                body = front_path.read_text().splitlines()[1:]
-                fronts.extend((seed, line) for line in body if line)
+                fronts.extend((seed, line) for line in _read_lines(front_path, "front")[1:] if line)
         if series:
             collected.append((pid, variant, series, fronts))
 

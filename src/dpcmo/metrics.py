@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 IGD_EMPTY = float("inf")
+HV_REFERENCE = 1.1  # each normalized objective's reference coordinate
 
 
 @dataclass(frozen=True)
@@ -24,13 +25,12 @@ class MetricConfig:
     """Normalization and reference-point convention for hypervolume.
 
     Objectives are rescaled by the analytic front's per-objective min/max;
-    the reference point sits at ``reference_offset`` per normalized
-    objective. Points outside the reference box are discarded, not clamped.
+    the reference point sits at ``HV_REFERENCE`` per normalized objective.
+    Points outside the reference box are discarded, not clamped.
     """
 
     ideal: np.ndarray
     nadir: np.ndarray
-    reference_offset: float = 1.1
     reference: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -40,12 +40,12 @@ class MetricConfig:
             raise ValueError("nadir must exceed ideal in every objective")
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "nadir", nadir)
-        object.__setattr__(self, "reference", np.full(ideal.size, self.reference_offset))
+        object.__setattr__(self, "reference", np.full(ideal.size, HV_REFERENCE))
 
     @classmethod
-    def from_front(cls, front_points: np.ndarray, reference_offset: float = 1.1) -> "MetricConfig":
+    def from_front(cls, front_points: np.ndarray) -> "MetricConfig":
         pts = np.asarray(front_points, dtype=float)
-        return cls(ideal=pts.min(axis=0), nadir=pts.max(axis=0), reference_offset=reference_offset)
+        return cls(ideal=pts.min(axis=0), nadir=pts.max(axis=0))
 
     def normalize(self, F: np.ndarray) -> np.ndarray:
         return (np.asarray(F, dtype=float) - self.ideal) / (self.nadir - self.ideal)

@@ -1,7 +1,7 @@
 """Feasibility-relaxation schedules, offspring-volume allocation and
 auxiliary-population sizing.
 
-The relaxation value epsilon starts at eps0 when the run enters its second
+The relaxation value epsilon starts at EPS0 when the run enters its second
 stage and decays to 1e-8 at the evaluation budget through three phases:
 a logarithmic shoulder, a damped oscillation around a falling baseline
 (period and shape depending on the front-relationship type), and a final
@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, replace
 
 DRA_FLOOR = 0.25 + 1e-6
+EPS0 = 0.2  # epsilon at the switch
+CURVATURE = 15.0  # of the phase-1 logarithmic shoulder
 EPS_TERMINAL = 1e-8
 
 
@@ -21,14 +23,10 @@ EPS_TERMINAL = 1e-8
 class EpsilonSchedule:
     switch_fe: int
     max_fe: int
-    eps0: float = 0.2
-    curvature: float = 15.0
 
     def __post_init__(self):
         if self.max_fe <= self.switch_fe:
             raise ValueError("max_fe must exceed switch_fe")
-        if self.eps0 <= 0 or self.curvature <= 0:
-            raise ValueError("eps0 and curvature must be positive")
 
     @property
     def t1(self) -> float:
@@ -40,45 +38,45 @@ class EpsilonSchedule:
 
     @property
     def k(self) -> float:
-        return math.log(0.005 * self.eps0 / EPS_TERMINAL)
+        return math.log(0.005 * EPS0 / EPS_TERMINAL)
 
 
 def epsilon_initial(sched: EpsilonSchedule, fe: float) -> float:
-    """Plain exponential decay from eps0; the single-phase alternative."""
+    """Plain exponential decay from EPS0; the single-phase alternative."""
     span = sched.max_fe - sched.switch_fe
-    return sched.eps0 * math.exp(-20.0 * (fe - sched.switch_fe) / span)
+    return EPS0 * math.exp(-20.0 * (fe - sched.switch_fe) / span)
 
 
-def phase2_baseline(sched: EpsilonSchedule, rel_type: int, t: float) -> float:
+def phase2_baseline(rel_type: int, t: float) -> float:
     if rel_type == 3:
-        return 0.05 * sched.eps0 - 0.045 * sched.eps0 * t
-    return 0.9 * sched.eps0 - 0.895 * sched.eps0 * t
+        return 0.05 * EPS0 - 0.045 * EPS0 * t
+    return 0.9 * EPS0 - 0.895 * EPS0 * t
 
 
-def phase2_amplitude(sched: EpsilonSchedule, rel_type: int, t: float) -> float:
+def phase2_amplitude(rel_type: int, t: float) -> float:
     if rel_type == 3:
-        return 0.005 * sched.eps0 * math.exp(-8.0 * t)
-    return 0.04 * sched.eps0 * math.exp(-5.0 * t)
+        return 0.005 * EPS0 * math.exp(-8.0 * t)
+    return 0.04 * EPS0 * math.exp(-5.0 * t)
 
 
 def epsilon_final(sched: EpsilonSchedule, fe: float, rel_type: int) -> float:
     """Three-phase relaxation value at evaluation count fe.
 
-    Phase 1 (fe <= t1): logarithmic shoulder ending at 0.9 * eps0.
+    Phase 1 (fe <= t1): logarithmic shoulder ending at 0.9 * EPS0.
     Phase 2 (t1 < fe <= t2): sinusoid around a falling baseline; separated
     fronts get a lower baseline and a slower oscillation (period 200 versus
     150 evaluations).
     Phase 3 (fe > t2): exponential decay reaching 1e-8 at the budget.
     """
-    a = sched.curvature
+    a = CURVATURE
     if fe <= sched.t1:
-        return sched.eps0 * (0.9 + 0.1 * math.log(1.0 + a * (1.0 - fe / sched.t1)) / math.log(1.0 + a))
+        return EPS0 * (0.9 + 0.1 * math.log(1.0 + a * (1.0 - fe / sched.t1)) / math.log(1.0 + a))
     if fe <= sched.t2:
         t = (fe - sched.t1) / (sched.t2 - sched.t1)
         period = 200.0 if rel_type == 3 else 150.0
-        return phase2_baseline(sched, rel_type, t) + phase2_amplitude(sched, rel_type, t) * math.sin(
+        return phase2_baseline(rel_type, t) + phase2_amplitude(rel_type, t) * math.sin(
             2.0 * math.pi * fe / period)
-    return 0.005 * sched.eps0 * math.exp(-sched.k * (fe - sched.t2) / (sched.max_fe - sched.t2))
+    return 0.005 * EPS0 * math.exp(-sched.k * (fe - sched.t2) / (sched.max_fe - sched.t2))
 
 
 @dataclass(frozen=True)

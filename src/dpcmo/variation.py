@@ -35,6 +35,7 @@ F_CHOICES = (0.6, 0.8, 1.0)
 CR_CHOICES_DE = (0.1, 0.2, 1.0)
 CR_CHOICES_TRANSFER = (0.1, 0.2, 0.3)
 ETA_CROSSOVER = 20.0
+PBEST_FRACTION = 0.1  # the elite share current-to-pbest draws its attractors from
 # Stage 2 lowers the mutation distribution index for a wider local search.
 ETA_MUTATION = {1: 20.0, 2: 1.0}
 

@@ -114,7 +114,7 @@ def test_criterion_4_relaxation_schedule_anchors():
         assert epsilon_final(s, s.t1, 1) == pytest.approx(0.18, rel=1e-12)
         assert epsilon_final(s, s.t1, 3) == pytest.approx(0.18, rel=1e-12)
         for rel_type in (1, 2, 3):
-            assert phase2_baseline(s, rel_type, 1.0) == pytest.approx(1e-3, rel=1e-12)
+            assert phase2_baseline(rel_type, 1.0) == pytest.approx(1e-3, rel=1e-12)
             assert epsilon_final(s, max_fe, rel_type) == pytest.approx(1e-8, rel=1e-12)
     report(4, "50/50 schedules hit 0.18 / 1e-3 / 1e-8 within 1e-12 relative")
 

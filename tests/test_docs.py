@@ -23,3 +23,11 @@ def test_readme_hops_table_matches_plans():
 
     rows = re.findall(r"^\| (\d) [^|]*\|([^|]*)\|([^|]*)\|$", README.read_text(), re.M)
     assert {int(t): (pairs(main), pairs(aux)) for t, main, aux in rows} == HOPS_PLANS
+
+
+def test_readme_config_keys_match_run_keys():
+    from dpcmo.harness import _RUN_KEYS
+
+    sentence = re.search(r"^Recognized keys also include (.*?):", README.read_text(), re.M | re.S)
+    keys = re.split(r",\s*|\s+and\s+", sentence.group(1).strip())
+    assert keys == [key for key in _RUN_KEYS if key not in ("N", "maxFE")]

@@ -13,6 +13,7 @@ from dpcmo.core import Bounds, Population, evaluate_batch
 from dpcmo.engine import (
     ABLATION_VARIANTS,
     HOPS_PLANS,
+    PHASE1_EPS,
     RunConfig,
     RunState,
     _fingerprint,
@@ -76,7 +77,7 @@ def hops_rows(plan_type, f1, f2, n) -> int:
 def budget_state(problem, remaining, max_fe=200):
     """A fresh state of ``problem`` with ``remaining`` of ``max_fe``
     evaluations left."""
-    state = RunState(problem, RunConfig(pop_size=5, max_fe=max_fe, igd_points=2), 0)
+    state = RunState(problem, RunConfig(pop_size=5, max_fe=max_fe), 0)
     state.fe = max_fe - remaining
     return state
 
@@ -127,24 +128,12 @@ class TestInitialize:
 
 class TestRunConfigBounds:
     @pytest.mark.parametrize("field,value", [
-        ("eps0", 0.0),
-        ("curvature", 0.0),
-        ("pbest_fraction", 0.0),
-        ("pbest_fraction", 1.5),
-        ("igd_points", 1),
         ("phase3_eps", -0.001),
         ("phase3_eps", 0.195),
-        ("history_gap", 0),
         ("delta", 0.0),
-        ("eps0", math.inf),
-        ("curvature", math.inf),
-        ("history_delta", math.nan),
-        ("history_delta", 0.0),
-        ("history_delta", -1.0),
-        ("hv_offset", math.nan),
-        ("hv_offset", 0.0),
-        ("hv_offset", -1.0),
+        ("delta", -1.0),
         ("delta", math.inf),
+        ("opposition_eps", math.nan),
         ("coincident_threshold", -math.inf),
         ("coincident_threshold", 0.0),
         ("coincident_threshold", -0.1),
@@ -152,12 +141,10 @@ class TestRunConfigBounds:
         ("variant", "WoXYZ"),
         ("max_fe", 1000.5),
         ("pop_size", 30.5),
-        ("history_gap", 2.5),
-        ("igd_points", 100.5),
-        ("history_gap", True),
-        ("eps0", True),
-        ("eps0", "0.2"),
-        ("curvature", None),
+        ("pop_size", True),
+        ("phase3_eps", True),
+        ("opposition_eps", "0.1"),
+        ("delta", None),
         ("variant", ["full"]),
     ])
     def test_rejected_at_construction(self, field, value):
@@ -165,8 +152,7 @@ class TestRunConfigBounds:
             RunConfig(**{field: value})
 
     def test_edge_values_accepted(self):
-        RunConfig(pbest_fraction=1.0, igd_points=2, phase3_eps=0.0,
-                  history_gap=1, coincident_threshold=1.0)
+        RunConfig(pop_size=5, max_fe=10, phase3_eps=0.0, coincident_threshold=1.0)
 
     def test_numpy_integers_are_stored_as_ints(self):
         config = RunConfig(pop_size=np.int64(30), max_fe=np.int64(1000))
@@ -174,34 +160,29 @@ class TestRunConfigBounds:
         assert config == RunConfig(pop_size=30, max_fe=1000)
 
     def test_numpy_reals_are_stored_as_floats(self):
-        config = RunConfig(eps0=np.float32(0.25), curvature=np.int64(12), delta=np.float64(1e-3))
-        assert type(config.eps0) is type(config.curvature) is type(config.delta) is float
-        plain = RunConfig(eps0=0.25, curvature=12.0, delta=1e-3)
+        config = RunConfig(phase3_eps=np.float32(0.125), opposition_eps=np.int64(0), delta=np.float64(1e-3))
+        assert type(config.phase3_eps) is type(config.opposition_eps) is type(config.delta) is float
+        plain = RunConfig(phase3_eps=0.125, opposition_eps=0.0, delta=1e-3)
         problem = make_problem("P1-overlap", 10)
         assert config == plain and _fingerprint(problem, config, 1) == _fingerprint(problem, plain, 1)
         # A Python int stays an int, so its fingerprint does not move.
-        assert type(RunConfig(curvature=12).curvature) is int
+        assert type(RunConfig(opposition_eps=0).opposition_eps) is int
 
     def test_default_fingerprint_is_pinned(self):
-        assert _fingerprint(make_problem("P1-overlap", 10), RunConfig(), 1) == "a449e8107365c515"
+        assert _fingerprint(make_problem("P1-overlap", 10), RunConfig(), 1) == "9c9ac9247360a3ea"
 
 
 @st.composite
 def small_configs(draw):
     """Any constructible small config: N in [5, 12], a budget from the two
     initial populations up to past the generation-250 switch cap, free
-    elite fraction and relaxation fields, and any variant."""
+    relaxation thresholds, and any variant."""
     n = draw(st.integers(5, 12))
-    phase1_eps = draw(st.floats(1e-4, 0.5))
     return RunConfig(
         pop_size=n,
         max_fe=draw(st.integers(2 * n, 2 * n * 260)),
-        eps0=draw(st.floats(1e-6, 1.0)),
-        curvature=draw(st.floats(1e-3, 100.0)),
-        phase1_eps=phase1_eps,
-        phase3_eps=draw(st.floats(0.0, phase1_eps, exclude_max=True)),
+        phase3_eps=draw(st.floats(0.0, PHASE1_EPS, exclude_max=True)),
         opposition_eps=draw(st.floats(0.0, 1.0)),
-        pbest_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
         variant=draw(st.sampled_from(("full",) + ABLATION_VARIANTS)),
     )
 
@@ -376,7 +357,7 @@ class TestGrant:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(20, 200), st.data())
     def test_a_generation_on_a_fork_leaves_the_prefix_budget(self, max_fe, data):
-        config = RunConfig(pop_size=5, max_fe=max_fe, igd_points=2)
+        config = RunConfig(pop_size=5, max_fe=max_fe)
         prefix = initialize(make_problem("P1-overlap", 4), config, 1)
         prefix.fe = fe = data.draw(st.integers(0, max_fe), label="fe")
         state = fork(prefix, config)
@@ -773,7 +754,7 @@ class TestSharedStage1:
         # full's config: WoRR continues it through a fork under its own.
         advance(prefix, {"full": SHARED, "WoRR": replace(SHARED, variant="WoRR")})
         for other in ((problem, SHARED, 2), (make_problem("P1-overlap", 12), SHARED, 1),
-                      (problem, replace(SHARED, eps0=0.3), 1), (problem, replace(SHARED, variant="WoRR"), 1),
+                      (problem, replace(SHARED, phase3_eps=0.001), 1), (problem, replace(SHARED, variant="WoRR"), 1),
                       (problem, replace(SHARED, variant="WoS1C"), 1)):
             with pytest.raises(ValueError, match="prefix belongs to another problem, seed or config"):
                 run(*other, prefix=prefix)
@@ -789,7 +770,7 @@ class TestSharedStage1:
             advance(state, {"full": config, "WoRR": replace(config, variant="WoRR")})
         # A member's config must be the state's whole config, not only its variant.
         with pytest.raises(ValueError, match="the state decides as WoS1C"):
-            advance(state, {"WoS1C": replace(state.config, eps0=0.3)})
+            advance(state, {"WoS1C": replace(state.config, phase3_eps=0.001)})
         assert state.fe == 2 * config.pop_size and len(state.log) == 1
 
     def test_prefix_under_another_variants_config_is_refused(self):

@@ -31,18 +31,10 @@ def write_config(tmp_path, text):
 RUN_KEY_CASES = [
     ("N = 50", "pop_size", 50),
     ("maxFE = 900", "max_fe", 900),
-    ("eps0 = 0.25", "eps0", 0.25),
-    ("curvature = 12", "curvature", 12.0),
-    ("phase1_eps = 0.19", "phase1_eps", 0.19),
     ("phase3_eps = 0.004", "phase3_eps", 0.004),
     ("opposition_eps = 0.001", "opposition_eps", 0.001),
     ("delta = 0.001", "delta", 0.001),
-    ("history_gap = 7", "history_gap", 7),
-    ("history_delta = 1e-6", "history_delta", 1e-6),
-    ("pbest_fraction = 0.2", "pbest_fraction", 0.2),
     ("coincident_threshold = 0.8", "coincident_threshold", 0.8),
-    ("igd_points = 500", "igd_points", 500),
-    ("hv_offset = 1.2", "hv_offset", 1.2),
 ]
 
 
@@ -65,16 +57,16 @@ seeds = 3, 1, 2
 variants = full, WoOP
 outdir = out
 parallel = 2
-eps0 = 0.3
-history_gap = 7
+phase3_eps = 0.003
+coincident_threshold = 0.7
 """))
         assert cfg.problems == [("P1-overlap", 12), ("P3-separated", 10)]
         assert cfg.run.pop_size == 60
         assert cfg.run.max_fe == 9000
         assert cfg.seeds == [3, 1, 2]
         assert cfg.variants == ["full", "WoOP"]
-        assert cfg.run.eps0 == 0.3
-        assert cfg.run.history_gap == 7
+        assert cfg.run.phase3_eps == 0.003
+        assert cfg.run.coincident_threshold == 0.7
         assert cfg.parallel == 2
 
     def test_duplicate_seeds_rejected(self, tmp_path):
@@ -94,8 +86,8 @@ history_gap = 7
         assert not (tmp_path / "out").exists()
 
     def test_unknown_key_suggests_fix(self, tmp_path):
-        with pytest.raises(ConfigError, match="eps0"):
-            load_config(write_config(tmp_path, "epslion0 = 0.2\n"))
+        with pytest.raises(ConfigError, match="opposition_eps"):
+            load_config(write_config(tmp_path, "opositon_eps = 0.2\n"))
 
     def test_parse_error_reports_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2"):
@@ -122,10 +114,8 @@ history_gap = 7
             load_config(tmp_path / "absent.cfg")
 
     @pytest.mark.parametrize("line", [
-        "eps0 = 0", "curvature = 0", "pbest_fraction = 0",
-        "igd_points = 1", "phase3_eps = 0.3", "history_gap = 0",
-        "eps0 = inf", "curvature = inf", "history_delta = nan", "history_delta = 0",
-        "hv_offset = nan",
+        "delta = 0", "delta = -0.001", "phase3_eps = 0.3", "phase3_eps = -0.1",
+        "delta = inf", "opposition_eps = nan",
         "coincident_threshold = 0.0", "coincident_threshold = -0.1", "coincident_threshold = 5.0",
         "seeds = 3, -1",
     ])
@@ -147,9 +137,13 @@ history_gap = 7
     def test_run_key_set(self):
         assert set(harness._RUN_KEYS) == {line.split()[0] for line, _, _ in RUN_KEY_CASES}
 
-    @pytest.mark.parametrize("line", ["pop_size = 50", "max_fe = 900", "disable_dra = true",
-                                      "fixed_aux_size = 1", "reset_cnt_on_update = yes",
-                                      "variant = Wo3P"])
+    @pytest.mark.parametrize("line", [
+        "pop_size = 50", "max_fe = 900", "disable_dra = true", "fixed_aux_size = 1",
+        "reset_cnt_on_update = yes", "variant = Wo3P",
+        # RunConfig fields that became module constants
+        "eps0 = 0.2", "curvature = 15", "phase1_eps = 0.195", "history_gap = 10",
+        "history_delta = 1e-7", "pbest_fraction = 0.1", "igd_points = 1000", "hv_offset = 1.1",
+    ])
     def test_field_names_without_a_key_are_unknown(self, tmp_path, line):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write_config(tmp_path, f"problem = P1-overlap\n{line}\n"))
@@ -182,7 +176,7 @@ history_gap = 7
         ("seeds = 1", "seeds = 2"),
         ("variants = full", "variants = WoOP"),
         ("problems = P1-overlap", "problems = P2-partial"),
-        ("eps0 = 0.2", "eps0 = 0.3"),
+        ("phase3_eps = 0.001", "phase3_eps = 0.002"),
     ])
     def test_repeated_key_names_both_lines(self, tmp_path, first, second):
         text = f"problem = P1-overlap\n{first}\n# comment\n{second}\n"
@@ -708,9 +702,9 @@ class TestCli:
 
     def test_invalid_run_value_stops_before_any_cell(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"problem = P1-overlap\ncurvature = 0\noutdir = {tmp_path / 'out'}\n")
+        cfg.write_text(f"problem = P1-overlap\ndelta = 0\noutdir = {tmp_path / 'out'}\n")
         assert main(["run", str(cfg)]) == 2
-        assert "curvature" in capsys.readouterr().err
+        assert "delta must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])
@@ -731,6 +725,43 @@ class TestCli:
         assert main(["plotdata", str(outdir)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and f"cannot create directory {outdir / 'plots'}" in err
+
+    def test_config_path_that_is_a_directory_is_a_config_error(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"cannot read config file {tmp_path}" in err
+
+    @pytest.mark.parametrize("artifact", ["summary.csv", "metadata.json",
+                                          "logs/P1-overlap__full__s1.jsonl", "fronts/P1-overlap__full__s1.csv"])
+    def test_bench_artifact_that_is_a_directory_stops_before_any_cell(self, tmp_path, capsys,
+                                                                      monkeypatch, artifact):
+        outdir = tmp_path / "out"
+        (outdir / artifact).mkdir(parents=True)
+        argv = ["bench", "--outdir", str(outdir), "--seeds", "1", "--max-fe", "100",
+                "--pop-size", "10", "--problems", "P1-overlap"]
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "_run_group", lambda *args: pytest.fail("a cell ran"))
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"cannot write {outdir / artifact}: not a regular file" in err
+        assert not [p for p in outdir.rglob("*") if p.is_file()]
+        # Unpatched, the same grid stops there too, having written nothing.
+        assert main(argv) == 2
+        assert not [p for p in outdir.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("kind,artifact", [("log", "logs/P1-overlap__full__s1.jsonl"),
+                                               ("front", "fronts/P1-overlap__full__s1.csv")])
+    def test_plotdata_with_a_directory_for_a_listed_file_is_a_config_error(self, tmp_path, capsys,
+                                                                          kind, artifact):
+        outdir = tmp_path / "res"
+        assert main(["bench", "--outdir", str(outdir), "--seeds", "1", "--max-fe", "100",
+                     "--pop-size", "10", "--problems", "P1-overlap"]) == 0
+        (outdir / artifact).unlink()
+        (outdir / artifact).mkdir()
+        assert main(["plotdata", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"cannot read {kind} {outdir / artifact}" in err
+        assert not (outdir / "plots").exists()
 
     @pytest.mark.parametrize("flags", [["--pop-size", "4"],
                                        ["--pop-size", "100", "--max-fe", "150"]])
@@ -848,6 +879,6 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("epslion0 = 0.1\n")
+        cfg.write_text("phase3_esp = 0.1\n")
         assert main(["run", str(cfg)]) == 2
-        assert "eps0" in capsys.readouterr().err
+        assert "did you mean 'phase3_eps'" in capsys.readouterr().err

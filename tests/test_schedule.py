@@ -5,6 +5,7 @@ import pytest
 
 from dpcmo.schedule import (
     DRA_FLOOR,
+    EPS0,
     DraState,
     EpsilonSchedule,
     aux_size,
@@ -48,11 +49,10 @@ class TestEpsilonFinal:
         assert epsilon_final(s, s.t1, 3) == pytest.approx(0.18, abs=1e-15)
 
     def test_phase2_baseline_endpoints(self):
-        s = sched()
         for rel_type in (1, 2, 3):
-            assert phase2_baseline(s, rel_type, 1.0) == pytest.approx(0.005 * s.eps0)
-        assert phase2_baseline(s, 1, 0.0) == pytest.approx(0.18)
-        assert phase2_baseline(s, 3, 0.0) == pytest.approx(0.01)
+            assert phase2_baseline(rel_type, 1.0) == pytest.approx(0.005 * EPS0)
+        assert phase2_baseline(1, 0.0) == pytest.approx(0.18)
+        assert phase2_baseline(3, 0.0) == pytest.approx(0.01)
 
     def test_terminal_value(self):
         s = sched()
@@ -63,7 +63,7 @@ class TestEpsilonFinal:
         s = sched()
         just_after = math.nextafter(s.t2, s.max_fe)
         for rel_type in (1, 3):
-            assert epsilon_final(s, just_after, rel_type) == pytest.approx(0.005 * s.eps0, rel=1e-6)
+            assert epsilon_final(s, just_after, rel_type) == pytest.approx(0.005 * EPS0, rel=1e-6)
 
     def test_positive_everywhere(self):
         for switch, max_fe in ((500, 20_000), (10_000, 50_000), (40_000, 50_001)):
