@@ -176,7 +176,7 @@ coincident_threshold = 0.7
         ("seeds = 1", "seeds = 2"),
         ("variants = full", "variants = WoOP"),
         ("problems = P1-overlap", "problems = P2-partial"),
-        ("phase3_eps = 0.001", "phase3_eps = 0.002"),
+        ("delta = 0.1", "delta = 0.2"),
     ])
     def test_repeated_key_names_both_lines(self, tmp_path, first, second):
         text = f"problem = P1-overlap\n{first}\n# comment\n{second}\n"
