@@ -2,11 +2,10 @@
 plot-data emission.
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments,
-list values comma-separated; only ``problem`` may repeat, and ``seeds``
-excludes ``n_seeds``. Example::
+list values comma-separated; no key may repeat. Example::
 
     # minimal experiment
-    problem = P1-overlap
+    problems = P1-overlap
     seeds = 1, 2, 3
     variants = full, WoOP
 
@@ -44,18 +43,20 @@ class ConfigError(ValueError):
     an output directory or a summary.csv."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    problems: list[tuple[str, int]] = field(
-        default_factory=lambda: [(pid, DEFAULT_DIMENSION) for pid in PROBLEM_IDS])
-    seeds: list[int] = field(default_factory=lambda: list(range(1, DEFAULT_SEED_COUNT + 1)))
-    variants: list[str] = field(default_factory=lambda: ["full"])
+    """A (problem x variant x seed) grid, checked when built (and by
+    ``dataclasses.replace``): an invalid field is a ConfigError. The grid
+    fields are stored as tuples of plain values, so a built config stays
+    valid and echoes into metadata.json as JSON numbers."""
+    problems: tuple[tuple[str, int], ...] = tuple((pid, DEFAULT_DIMENSION) for pid in PROBLEM_IDS)
+    seeds: tuple[int, ...] = tuple(range(1, DEFAULT_SEED_COUNT + 1))
+    variants: tuple[str, ...] = ("full",)
     outdir: Path = Path("results")
     parallel: int = 1
     run: RunConfig = field(default_factory=RunConfig)
 
-    def validate(self) -> None:
-        """Check the grid's fields, then store its numbers as plain ints."""
+    def __post_init__(self) -> None:
         for kind in ("problems", "seeds", "variants"):
             if isinstance(getattr(self, kind), (str, numbers.Number)):
                 raise ConfigError(f"{kind} must be a list, got {getattr(self, kind)!r}")
@@ -87,14 +88,14 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if not is_integer(self.parallel) or self.parallel < 1:
             raise ConfigError(f"parallel must be an integer >= 1, got {self.parallel!r}")
-        # numpy numbers become plain ones for the metadata.json echo
-        self.problems = [(pid, int(dim)) for pid, dim in self.problems]
-        self.seeds = [int(seed) for seed in self.seeds]
-        self.parallel = int(self.parallel)
+        for name, value in (("problems", tuple((pid, int(dim)) for pid, dim in self.problems)),
+                            ("seeds", tuple(map(int, self.seeds))),
+                            ("variants", tuple(map(str, self.variants))),
+                            ("outdir", Path(self.outdir)), ("parallel", int(self.parallel))):
+            object.__setattr__(self, name, value)
 
 
 def _parse_problem_token(token: str, line_no: int) -> tuple[str, int]:
-    token = token.strip()
     if ":" in token:
         pid, _, dim = token.partition(":")
         try:
@@ -118,7 +119,7 @@ _RUN_KEYS = {
     _KEY_ALIASES.get(f.name, f.name): (f.name, type(f.default))
     for f in fields(RunConfig) if f.name != "variant"
 }
-_TOP_KEYS = ("problem", "problems", "seeds", "n_seeds", "variants", "outdir", "parallel")
+_TOP_KEYS = ("problems", "seeds", "variants", "outdir", "parallel")
 _ALL_KEYS = tuple(_RUN_KEYS) + _TOP_KEYS
 
 
@@ -126,12 +127,9 @@ def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment config file. An unknown key is
     rejected with a closest-match suggestion, a repeated one with both lines."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    problems: list[tuple[str, int]] = []
     top: dict = {}
     run_kwargs: dict = {}
-    first_lines: dict[str, tuple[int, str]] = {}  # seeds and n_seeds share one slot
+    first_lines: dict[str, int] = {}
 
     for line_no, raw_line in enumerate(_read_lines(path, "config file"), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -150,28 +148,23 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: unknown key {key!r}{suffix}")
         if not value:  # Path("") would be the working directory
             raise ConfigError(f"line {line_no}: key {key!r} has no value")
-        first_no, first_key = first_lines.setdefault("seeds" if key == "n_seeds" else key, (line_no, key))
-        if first_no != line_no and key != "problem":
-            raise ConfigError(f"line {line_no}: key {key!r} repeats {first_key!r} from line {first_no}")
+        first_no = first_lines.setdefault(key, line_no)
+        if first_no != line_no:
+            raise ConfigError(f"line {line_no}: key {key!r} repeats {key!r} from line {first_no}")
         if key in ("problems", "seeds", "variants"):
             items = [t.strip() for t in value.split(",")]
             if not all(items):
                 raise ConfigError(f"line {line_no}: key {key!r} has an empty item")
-        if key == "problem":
-            problems.append(_parse_problem_token(value, line_no))
-        elif key == "problems":
-            problems.extend(_parse_problem_token(t, line_no) for t in items)
+        if key == "problems":
+            top[key] = [_parse_problem_token(t, line_no) for t in items]
         elif key == "seeds":
-            top["seeds"] = [_parse_scalar(key, t, int, line_no) for t in items]
-        elif key == "n_seeds":
-            count = _parse_scalar(key, value, int, line_no)
-            top["seeds"] = list(range(1, count + 1))
+            top[key] = [_parse_scalar(key, t, int, line_no) for t in items]
         elif key == "variants":
-            top["variants"] = items
+            top[key] = items
         elif key == "outdir":
-            top["outdir"] = Path(value)
+            top[key] = value
         elif key == "parallel":
-            top["parallel"] = _parse_scalar(key, value, int, line_no)
+            top[key] = _parse_scalar(key, value, int, line_no)
         else:
             attr, kind = _RUN_KEYS[key]
             run_kwargs[attr] = _parse_scalar(key, value, kind, line_no)
@@ -180,11 +173,7 @@ def load_config(path) -> ExperimentConfig:
         run_config = RunConfig(**run_kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    config = ExperimentConfig(run=run_config, **top)
-    if problems:
-        config.problems = problems
-    config.validate()
-    return config
+    return ExperimentConfig(run=run_config, **top)
 
 
 def _read_lines(path: Path, what: str) -> list[str]:
@@ -203,6 +192,15 @@ def _make_dir(path: Path) -> None:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create directory {path}: {exc.strerror}") from None
+
+
+def _refuse_non_files(paths) -> None:
+    """Refuse, as a ConfigError naming it, an output path that exists and is
+    not a regular file (a directory, say): its write would fail only after
+    the work it records was done."""
+    for path in paths:
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"cannot write {path}: not a regular file")
 
 
 def _cell_name(pid: str, variant: str, seed: int) -> str:
@@ -253,17 +251,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     configs; wall times (each including the shared seconds it took part in),
     timestamps and ``diverged_from_full`` live only in the metadata file.
     """
-    config.validate()
-    outdir = Path(config.outdir)
+    outdir = config.outdir
     _make_dir(outdir / "logs")
     _make_dir(outdir / "fronts")
-    # A write to a directory would fail after every cell had run.
-    for path in [outdir / "summary.csv", outdir / "metadata.json"] + [
-            outdir / sub / f"{_cell_name(pid, variant, seed)}.{ext}"
-            for (pid, _), variant, seed in itertools.product(config.problems, config.variants, config.seeds)
-            for sub, ext in (("logs", "jsonl"), ("fronts", "csv"))]:
-        if path.exists() and not path.is_file():
-            raise ConfigError(f"cannot write {path}: not a regular file")
+    _refuse_non_files([outdir / "summary.csv", outdir / "metadata.json"] + [
+        outdir / sub / f"{_cell_name(pid, variant, seed)}.{ext}"
+        for (pid, _), variant, seed in itertools.product(config.problems, config.variants, config.seeds)
+        for sub, ext in (("logs", "jsonl"), ("fronts", "csv"))])
 
     jobs = [(pid, dim, seed) for pid, dim in config.problems for seed in config.seeds]
     started = time.time()
@@ -419,8 +413,8 @@ def emit_plot_data(results_dir) -> list[Path]:
 
     Produces a median-IGD-versus-FE series (runs aligned on generation
     index) and a final-front scatter file. Missing logs produce a warning
-    and partial output. A broken log is a ConfigError, raised before any
-    file is written.
+    and partial output. A broken log, or a plot path that exists and is not
+    a regular file, is a ConfigError, raised before any file is written.
     """
     results_dir = Path(results_dir)
     summary_path = results_dir / "summary.csv"
@@ -451,6 +445,8 @@ def emit_plot_data(results_dir) -> list[Path]:
             collected.append((pid, variant, series, fronts))
 
     plots = results_dir / "plots"
+    _refuse_non_files(plots / f"{kind}__{pid}__{variant}.csv"
+                      for pid, variant, _, _ in collected for kind in ("igd", "front"))
     _make_dir(plots)
     written = []
     for pid, variant, series, fronts in collected:

@@ -31,3 +31,13 @@ def test_readme_config_keys_match_run_keys():
     sentence = re.search(r"^Recognized keys also include (.*?):", README.read_text(), re.M | re.S)
     keys = re.split(r",\s*|\s+and\s+", sentence.group(1).strip())
     assert keys == [key for key in _RUN_KEYS if key not in ("N", "maxFE")]
+
+
+def test_readme_config_example_loads(tmp_path):
+    from dpcmo.harness import load_config
+
+    block = re.search(r"^```\n(problems = P1-overlap, P3-separated:12\n.*?)^```$", README.read_text(), re.M | re.S)
+    path = tmp_path / "example.cfg"
+    path.write_text(block.group(1))
+    config = load_config(path)
+    assert config.problems == (("P1-overlap", 10), ("P3-separated", 12))

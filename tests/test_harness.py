@@ -1,7 +1,8 @@
 import itertools
 import json
+import re
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +41,12 @@ RUN_KEY_CASES = [
 
 class TestLoadConfig:
     def test_minimal_fills_defaults(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, "problem = P1-overlap\n"))
-        assert cfg.problems == [("P1-overlap", 10)]
+        cfg = load_config(write_config(tmp_path, "problems = P1-overlap\n"))
+        assert cfg.problems == (("P1-overlap", 10),)
         assert cfg.run.pop_size == 100
         assert cfg.run.max_fe == 50_000
-        assert cfg.seeds == list(range(1, 31))
-        assert cfg.variants == ["full"]
+        assert cfg.seeds == tuple(range(1, 31))
+        assert cfg.variants == ("full",)
 
     def test_full_file(self, tmp_path):
         cfg = load_config(write_config(tmp_path, """
@@ -60,23 +61,23 @@ parallel = 2
 phase3_eps = 0.003
 coincident_threshold = 0.7
 """))
-        assert cfg.problems == [("P1-overlap", 12), ("P3-separated", 10)]
+        assert cfg.problems == (("P1-overlap", 12), ("P3-separated", 10))
         assert cfg.run.pop_size == 60
         assert cfg.run.max_fe == 9000
-        assert cfg.seeds == [3, 1, 2]
-        assert cfg.variants == ["full", "WoOP"]
+        assert cfg.seeds == (3, 1, 2)
+        assert cfg.variants == ("full", "WoOP")
         assert cfg.run.phase3_eps == 0.003
         assert cfg.run.coincident_threshold == 0.7
         assert cfg.parallel == 2
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="distinct"):
-            load_config(write_config(tmp_path, "problem = P1-overlap\nseeds = 1, 1\n"))
+            load_config(write_config(tmp_path, "problems = P1-overlap\nseeds = 1, 1\n"))
 
     @pytest.mark.parametrize("text", [
         "problems = P1-overlap, P1-overlap\n",
         "problems = P1-overlap:10, P1-overlap:20\n",  # one cell name for both
-        "problem = P1-overlap\nvariants = full, WoOP, full\n",
+        "variants = full, WoOP, full\n",
     ])
     def test_duplicate_problems_or_variants_rejected(self, tmp_path, text):
         with pytest.raises(ConfigError, match="distinct"):
@@ -91,27 +92,28 @@ coincident_threshold = 0.7
 
     def test_parse_error_reports_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2"):
-            load_config(write_config(tmp_path, "problem = P1-overlap\nnonsense line\n"))
+            load_config(write_config(tmp_path, "problems = P1-overlap\nnonsense line\n"))
 
     def test_unknown_problem(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown problem"):
-            load_config(write_config(tmp_path, "problem = P7-weird\n"))
+            load_config(write_config(tmp_path, "problems = P7-weird\n"))
 
     def test_problem_dimension_below_two(self, tmp_path):
         with pytest.raises(ConfigError, match="dimension must be >= 2, got 1"):
-            load_config(write_config(tmp_path, "problem = P1-overlap:1\n"))
+            load_config(write_config(tmp_path, "problems = P1-overlap:1\n"))
 
     def test_unknown_variant(self, tmp_path):
         with pytest.raises(ConfigError, match="variant"):
-            load_config(write_config(tmp_path, "problem = P1-overlap\nvariants = Full\n"))
+            load_config(write_config(tmp_path, "problems = P1-overlap\nvariants = Full\n"))
 
     def test_budget_invariant(self, tmp_path):
         with pytest.raises(ConfigError, match="maxFE"):
-            load_config(write_config(tmp_path, "problem = P1-overlap\nN = 100\nmaxFE = 120\n"))
+            load_config(write_config(tmp_path, "problems = P1-overlap\nN = 100\nmaxFE = 120\n"))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
-            load_config(tmp_path / "absent.cfg")
+        path = tmp_path / "absent.cfg"
+        with pytest.raises(ConfigError, match=f"^cannot read config file {path}: "):
+            load_config(path)
 
     @pytest.mark.parametrize("line", [
         "delta = 0", "delta = -0.001", "phase3_eps = 0.3", "phase3_eps = -0.1",
@@ -122,15 +124,15 @@ coincident_threshold = 0.7
     def test_out_of_range_run_value_rejected(self, tmp_path, line):
         key = line.split(" ")[0]
         with pytest.raises(ConfigError, match=key):
-            load_config(write_config(tmp_path, f"problem = P1-overlap\n{line}\n"))
+            load_config(write_config(tmp_path, f"problems = P1-overlap\n{line}\n"))
 
     def test_tiny_population_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="population size"):
-            load_config(write_config(tmp_path, "problem = P1-overlap\nN = 4\n"))
+            load_config(write_config(tmp_path, "problems = P1-overlap\nN = 4\n"))
 
     @pytest.mark.parametrize("line,attr,value", RUN_KEY_CASES)
     def test_run_key_parses_to_field(self, tmp_path, line, attr, value):
-        cfg = load_config(write_config(tmp_path, f"problem = P1-overlap\n{line}\n"))
+        cfg = load_config(write_config(tmp_path, f"problems = P1-overlap\n{line}\n"))
         parsed = getattr(cfg.run, attr)
         assert parsed == value and type(parsed) is type(value)
 
@@ -146,11 +148,22 @@ coincident_threshold = 0.7
     ])
     def test_field_names_without_a_key_are_unknown(self, tmp_path, line):
         with pytest.raises(ConfigError, match="unknown key"):
-            load_config(write_config(tmp_path, f"problem = P1-overlap\n{line}\n"))
+            load_config(write_config(tmp_path, f"problems = P1-overlap\n{line}\n"))
+
+    @pytest.mark.parametrize("line,suggestion", [("problem = P1-overlap", "problems"),
+                                                 ("n_seeds = 5", "seeds")])
+    def test_alias_keys_are_unknown(self, tmp_path, capsys, line, suggestion):
+        key = line.split()[0]
+        cfg = write_config(tmp_path, f"{line}\noutdir = {tmp_path / 'out'}\n")
+        with pytest.raises(ConfigError, match=rf"^line 1: unknown key '{key}'; did you mean '{suggestion}'\?$"):
+            load_config(cfg)
+        assert main(["run", str(cfg)]) == 2
+        assert f"unknown key '{key}'; did you mean '{suggestion}'?" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_suggests_the_closest(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2: unknown key 'seed'; did you mean 'seeds'"):
-            load_config(write_config(tmp_path, "problem = P1-overlap\nseed = 1\n"))
+            load_config(write_config(tmp_path, "problems = P1-overlap\nseed = 1\n"))
 
     @pytest.mark.parametrize("line", [
         "problems = P1-overlap, ", "problems = P1-overlap,,P2-partial",
@@ -159,19 +172,13 @@ coincident_threshold = 0.7
     def test_empty_list_item_names_line_and_key(self, tmp_path, line):
         key = line.split(" ")[0]
         with pytest.raises(ConfigError, match=f"^line 2: key '{key}' has an empty item$"):
-            load_config(write_config(tmp_path, f"problem = P3-separated\n{line}\n"))
+            load_config(write_config(tmp_path, f"parallel = 1\n{line}\n"))
 
     def test_unknown_ablation_variant(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown variant 'WoXYZ'"):
-            load_config(write_config(tmp_path, "problem = P1-overlap\nvariants = full, WoXYZ\n"))
-
-    def test_n_seeds_shortcut(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, "problem = P1-overlap\nn_seeds = 5\n"))
-        assert cfg.seeds == [1, 2, 3, 4, 5]
+            load_config(write_config(tmp_path, "problems = P1-overlap\nvariants = full, WoXYZ\n"))
 
     @pytest.mark.parametrize("first,second", [
-        ("seeds = 1, 2", "n_seeds = 5"),
-        ("n_seeds = 5", "seeds = 1, 2"),
         ("N = 10", "N = 20"),
         ("seeds = 1", "seeds = 2"),
         ("variants = full", "variants = WoOP"),
@@ -179,18 +186,59 @@ coincident_threshold = 0.7
         ("delta = 0.1", "delta = 0.2"),
     ])
     def test_repeated_key_names_both_lines(self, tmp_path, first, second):
-        text = f"problem = P1-overlap\n{first}\n# comment\n{second}\n"
+        text = f"parallel = 1\n{first}\n# comment\n{second}\n"
         with pytest.raises(ConfigError, match=r"line 4: .* from line 2$"):
             load_config(write_config(tmp_path, text))
 
     @pytest.mark.parametrize("key", ["outdir", "variants", "problems"])
     def test_empty_value_names_line_and_key(self, tmp_path, key):
         with pytest.raises(ConfigError, match=f"line 2: key '{key}' has no value"):
-            load_config(write_config(tmp_path, f"problem = P1-overlap\n{key} =\n"))
+            load_config(write_config(tmp_path, f"problems = P1-overlap\n{key} =\n"))
 
-    def test_problem_key_may_repeat(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, "problem = P1-overlap\nproblem = P3-separated\n"))
-        assert cfg.problems == [("P1-overlap", 10), ("P3-separated", 10)]
+
+# Each invalid grid field value, with the ConfigError message it raises.
+INVALID_GRID_FIELDS = [
+    ("problems", ["P1-overlap"], "problems must hold (id, dimension) pairs"),
+    ("problems", [("P9", 3)], "unknown problem id 'P9'"),
+    ("problems", [("P1-overlap", 10.5)], "dimension must be an integer, got 10.5"),
+    ("problems", [("P1-overlap", True)], "dimension must be an integer, got True"),
+    ("problems", [("P1-overlap", 1)], "dimension must be >= 2, got 1"),
+    ("problems", [("P1-overlap", 10), ("P1-overlap", 20)], "problems must be distinct"),
+    ("problems", [], "at least one problem is required"),
+    ("seeds", 3, "seeds must be a list, got 3"),
+    ("seeds", [1.5], "seeds must be integers, got 1.5"),
+    ("seeds", [2, True], "seeds must be integers, got 2, True"),
+    ("seeds", [3, -1], "seeds must be non-negative, got -1"),
+    ("seeds", [1, 1], "seeds must be distinct, got 1, 1"),
+    ("seeds", [], "at least one seed is required"),
+    ("variants", "full", "variants must be a list, got 'full'"),
+    ("variants", ["full", "nope"], "unknown variant 'nope'"),
+    ("variants", ["full", "WoOP", "full"], "variants must be distinct, got full, WoOP, full"),
+    ("variants", [], "at least one variant is required"),
+    ("parallel", 1.5, "parallel must be an integer >= 1, got 1.5"),
+    ("parallel", 0, "parallel must be an integer >= 1, got 0"),
+]
+
+
+class TestExperimentConfig:
+    @pytest.mark.parametrize("field,value,message", INVALID_GRID_FIELDS,
+                             ids=[f"{field}={value!r}" for field, value, _ in INVALID_GRID_FIELDS])
+    def test_refused_when_built(self, tmp_path, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            ExperimentConfig(outdir=tmp_path / "e", **{field: value})
+        valid = ExperimentConfig(outdir=tmp_path / "e")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            replace(valid, **{field: value})
+        assert not (tmp_path / "e").exists()
+
+    def test_fields_are_frozen_plain_values(self):
+        cfg = ExperimentConfig(problems=[["P1-overlap", np.int64(12)]], seeds=[np.int64(0), 1, 2],
+                               variants=["full", "WoOP"], outdir="out", parallel=np.int64(2))
+        assert cfg == ExperimentConfig(problems=(("P1-overlap", 12),), seeds=(0, 1, 2),
+                                       variants=("full", "WoOP"), outdir=Path("out"), parallel=2)
+        assert type(cfg.seeds[0]) is int and type(cfg.problems[0][1]) is int and type(cfg.parallel) is int
+        with pytest.raises(FrozenInstanceError):
+            cfg.seeds = (-1,)
 
 
 def tiny_experiment(outdir, seeds=(1, 2, 3), variants=("full",), parallel=1):
@@ -236,8 +284,8 @@ class TestRunExperiment:
         assert artifact_bytes(tmp_path / "p") == artifact_bytes(tmp_path / "s")
 
     def test_grid_shape(self, tmp_path):
-        cfg = tiny_experiment(tmp_path / "g", seeds=(1, 2), variants=("full", "WoOP"))
-        cfg.problems = [("P1-overlap", 10), ("P3-separated", 10)]
+        cfg = replace(tiny_experiment(tmp_path / "g", seeds=(1, 2), variants=("full", "WoOP")),
+                      problems=[("P1-overlap", 10), ("P3-separated", 10)])
         report = run_experiment(cfg)
         rows = read_summary(report.summary_path)
         assert len(rows) == 8  # 2 problems x 2 variants x 2 seeds
@@ -287,9 +335,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("dimension", [10.5, True])
     def test_fractional_dimension_is_config_error(self, tmp_path, dimension):
         cfg = tiny_experiment(tmp_path / "e")
-        cfg.problems = [("P1-overlap", dimension)]
         with pytest.raises(ConfigError, match=f"dimension must be an integer, got {dimension}"):
-            run_experiment(cfg)
+            run_experiment(replace(cfg, problems=[("P1-overlap", dimension)]))
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("field,value,message", [
@@ -299,17 +346,15 @@ class TestRunExperiment:
     ])
     def test_misshapen_grid_field_is_config_error(self, tmp_path, field, value, message):
         cfg = tiny_experiment(tmp_path / "e")
-        setattr(cfg, field, value)
         with pytest.raises(ConfigError, match=message):
-            run_experiment(cfg)
+            run_experiment(replace(cfg, **{field: value}))
         assert not (tmp_path / "e").exists()
 
     def test_numpy_numbers_echo_as_plain_ints(self, tmp_path):
         echoes = []
         for number in (int, np.int64):
-            cfg = tiny_experiment(tmp_path / "e", seeds=[number(1)], parallel=number(1))
-            cfg.problems = [("P1-overlap", number(10))]
-            cfg.run = RunConfig(pop_size=10, max_fe=100)
+            cfg = replace(tiny_experiment(tmp_path / "e", seeds=[number(1)], parallel=number(1)),
+                          problems=[("P1-overlap", number(10))], run=RunConfig(pop_size=10, max_fe=100))
             run_experiment(cfg)
             echoes.append(json.loads((tmp_path / "e" / "metadata.json").read_text())["config"])
         assert echoes[0] == echoes[1]
@@ -325,10 +370,9 @@ def shared_grid(outdir, parallel=1):
     """P3 x seeds {1, 2} x {full, WoOP, WoRR}: each seed's cells share stage 1
     until full switches where WoRR does not (generations 160 and 111), and
     full and WoOP share it to the switch."""
-    cfg = tiny_experiment(outdir, seeds=(1, 2), variants=("full", "WoOP", "WoRR"),
-                          parallel=parallel)
-    cfg.run = RunConfig(pop_size=30, max_fe=15_200)
-    return cfg
+    return replace(tiny_experiment(outdir, seeds=(1, 2), variants=("full", "WoOP", "WoRR"),
+                                   parallel=parallel),
+                   run=RunConfig(pop_size=30, max_fe=15_200))
 
 
 def stage1_generations(outdir, name) -> int:
@@ -695,14 +739,14 @@ class TestCli:
 
     def test_run_subcommand(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("problem = P3-separated\nN = 25\nmaxFE = 600\nseeds = 1\n"
+        cfg.write_text("problems = P3-separated\nN = 25\nmaxFE = 600\nseeds = 1\n"
                        f"outdir = {tmp_path / 'out'}\n")
         assert main(["run", str(cfg)]) == 0
         assert (tmp_path / "out" / "summary.csv").exists()
 
     def test_invalid_run_value_stops_before_any_cell(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"problem = P1-overlap\ndelta = 0\noutdir = {tmp_path / 'out'}\n")
+        cfg.write_text(f"problems = P1-overlap\ndelta = 0\noutdir = {tmp_path / 'out'}\n")
         assert main(["run", str(cfg)]) == 2
         assert "delta must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -712,7 +756,7 @@ class TestCli:
         monkeypatch.setattr(harness, "_run_group", lambda *args: pytest.fail("a cell ran"))
         (tmp_path / "afile").write_text("")
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"problem = P1-overlap\nN = 10\nmaxFE = 100\nseeds = 1\noutdir = {tmp_path / outdir}\n")
+        cfg.write_text(f"problems = P1-overlap\nN = 10\nmaxFE = 100\nseeds = 1\noutdir = {tmp_path / outdir}\n")
         assert main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and f"cannot create directory {tmp_path / outdir / 'logs'}" in err
@@ -762,6 +806,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error:" in err and f"cannot read {kind} {outdir / artifact}" in err
         assert not (outdir / "plots").exists()
+
+    @pytest.mark.parametrize("plot", ["igd__P1-overlap__full.csv", "front__P1-overlap__full.csv"],
+                             ids=["igd", "front"])
+    def test_plotdata_into_a_directory_is_a_config_error(self, tmp_path, capsys, plot):
+        outdir = tmp_path / "res"
+        assert main(["bench", "--outdir", str(outdir), "--seeds", "1", "--max-fe", "100",
+                     "--pop-size", "10", "--problems", "P1-overlap"]) == 0
+        (outdir / "plots" / plot).mkdir(parents=True)
+        assert main(["plotdata", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"cannot write {outdir / 'plots' / plot}: not a regular file" in err
+        assert not [p for p in (outdir / "plots").rglob("*") if p.is_file()]
 
     @pytest.mark.parametrize("flags", [["--pop-size", "4"],
                                        ["--pop-size", "100", "--max-fe", "150"]])
@@ -860,7 +916,7 @@ class TestCli:
 
     def test_negative_seed_stops_before_any_cell(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"problem = P1-overlap\nseeds = 3, -1\noutdir = {tmp_path / 'out'}\n")
+        cfg.write_text(f"problems = P1-overlap\nseeds = 3, -1\noutdir = {tmp_path / 'out'}\n")
         assert main(["run", str(cfg)]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -285,7 +285,7 @@ def _run_and_plotdata_entry(tmp_path: Path) -> tuple[str, str]:
     # One small cell: the run logs IGD and HV every generation.
     outdir = tmp_path / "out"
     config = tmp_path / "exp.cfg"
-    config.write_text(f"problem = P1-overlap\nN = 10\nmaxFE = 300\nseeds = 1\noutdir = {outdir}\n")
+    config.write_text(f"problems = P1-overlap\nN = 10\nmaxFE = 300\nseeds = 1\noutdir = {outdir}\n")
     return (f"from dpcmo import cli\nassert cli.main(['run', {str(config)!r}]) == 0\n"
             f"assert cli.main(['plotdata', {str(outdir)!r}]) == 0\n", "completed 1 runs")
 
