@@ -45,17 +45,13 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _grid_config(args, variants: list[str]) -> ExperimentConfig:
-    try:
-        run_config = RunConfig(pop_size=args.pop_size, max_fe=args.max_fe)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     return ExperimentConfig(
         problems=[(pid, DEFAULT_DIMENSION) for pid in args.problems],
         seeds=list(range(1, args.seeds + 1)),
         variants=variants,
         outdir=args.outdir,
         parallel=args.parallel,
-        run=run_config,
+        run=RunConfig(pop_size=args.pop_size, max_fe=args.max_fe),
     )
 
 
@@ -92,8 +88,7 @@ def _cmd_stats(args) -> int:
     problems = sorted({r["problem"] for r in rows})
     variants = [v for v in dict.fromkeys(r["variant"] for r in rows) if v != args.baseline]
     if not any(r["variant"] == args.baseline for r in rows):
-        print(f"baseline variant {args.baseline!r} not present in summary")
-        return 2
+        raise ConfigError(f"{args.summary}: baseline variant {args.baseline!r} not present in summary")
 
     # Runs that made full's every decision are full's runs: no test is needed.
     identical = identical_to_full(args.summary, rows) if args.baseline == "full" else set()

@@ -1,5 +1,5 @@
-"""Core domain types: populations, bounds, constraint violation and batch
-evaluation.
+"""Core domain types: populations, bounds, constraint violation, batch
+evaluation and the error for invalid user input.
 
 A population is a set of row-aligned float64 matrices: decisions X (n x D),
 objectives F (n x M) and the scalar constraint violation cv (n), one row per
@@ -16,6 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_EQ_TOLERANCE = 1e-4
+
+
+class ConfigError(ValueError):
+    """Malformed or invalid experiment input: a config file, grid options, a
+    run config, a problem spec, an output directory or a summary.csv."""
 
 
 def is_integer(value) -> bool:

@@ -26,6 +26,7 @@ import numpy as np
 from .core import (
     DEFAULT_EQ_TOLERANCE,
     Bounds,
+    ConfigError,
     Population,
     evaluate_batch,
     is_integer,
@@ -91,6 +92,7 @@ IGD_POINTS = 1000  # reference-front samples for IGD and the hypervolume normali
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, checked when built: an invalid value is a ConfigError."""
     pop_size: int = 100
     max_fe: int = 50_000
     phase3_eps: float = 0.005
@@ -103,27 +105,27 @@ class RunConfig:
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             if kind is int and not is_integer(value):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             if kind is float and not (isinstance(value, numbers.Real) and not isinstance(value, bool)
                                       and math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
             if kind is str and not isinstance(value, str):
-                raise ValueError(f"{f.name} must be a string, got {value!r}")
+                raise ConfigError(f"{f.name} must be a string, got {value!r}")
             if type(value) not in (int, float, str):  # numpy numbers become plain ones for JSON
                 object.__setattr__(self, f.name, kind(value))
         if self.pop_size < 5:
-            raise ValueError(f"population size must be at least 5, got {self.pop_size}")
+            raise ConfigError(f"population size must be at least 5, got {self.pop_size}")
         if self.max_fe < 2 * self.pop_size:
-            raise ValueError("maxFE must be at least twice the population size, got "
-                             f"max_fe={self.max_fe}, pop_size={self.pop_size}")
+            raise ConfigError("maxFE must be at least twice the population size, got "
+                              f"max_fe={self.max_fe}, pop_size={self.pop_size}")
         if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+            raise ConfigError(f"delta must be positive, got {self.delta}")
         if not 0 < self.coincident_threshold <= 1:  # compared with a feasible fraction
-            raise ValueError(f"coincident_threshold must lie in (0, 1], got {self.coincident_threshold}")
+            raise ConfigError(f"coincident_threshold must lie in (0, 1], got {self.coincident_threshold}")
         if not 0 <= self.phase3_eps < PHASE1_EPS:
-            raise ValueError(f"need 0 <= phase3_eps < {PHASE1_EPS}, got phase3_eps={self.phase3_eps}")
+            raise ConfigError(f"need 0 <= phase3_eps < {PHASE1_EPS}, got phase3_eps={self.phase3_eps}")
         if self.variant != "full" and self.variant not in ABLATIONS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected 'full' or one of {ABLATION_VARIANTS}")
+            raise ConfigError(f"unknown variant {self.variant!r}; expected 'full' or one of {ABLATION_VARIANTS}")
 
 
 # Each relationship type's HOps plan: the main and the auxiliary population's

@@ -2,7 +2,9 @@
 plot-data emission.
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments,
-list values comma-separated; no key may repeat. Example::
+list values comma-separated; no key may repeat. Each key has one converter
+in one table (``_KEYS``), and every error in a config file is a ConfigError
+that names the file. Example::
 
     # minimal experiment
     problems = P1-overlap
@@ -31,16 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import is_integer
+from .core import ConfigError, is_integer
 from .engine import RunConfig, RunResult, run, share
 from .problems import DEFAULT_DIMENSION, PROBLEM_IDS, make_problem
 
 DEFAULT_SEED_COUNT = 30
-
-
-class ConfigError(ValueError):
-    """Malformed or invalid experiment input: a config file, grid options,
-    an output directory or a summary.csv."""
 
 
 @dataclass(frozen=True)
@@ -79,13 +76,10 @@ class ExperimentConfig:
         if not self.variants:
             raise ConfigError("at least one variant is required")
         # The problem factory and the run config know the valid names.
-        try:
-            for pid, dim in self.problems:
-                make_problem(pid, dim)
-            for v in self.variants:
-                replace(self.run, variant=v)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        for pid, dim in self.problems:
+            make_problem(pid, dim)
+        for v in self.variants:
+            replace(self.run, variant=v)
         if not is_integer(self.parallel) or self.parallel < 1:
             raise ConfigError(f"parallel must be an integer >= 1, got {self.parallel!r}")
         for name, value in (("problems", tuple((pid, int(dim)) for pid, dim in self.problems)),
@@ -95,21 +89,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
 
 
-def _parse_problem_token(token: str, line_no: int) -> tuple[str, int]:
-    if ":" in token:
-        pid, _, dim = token.partition(":")
-        try:
-            return pid.strip(), int(dim)
-        except ValueError:
-            raise ConfigError(f"line {line_no}: bad dimension in problem spec {token!r}")
-    return token, DEFAULT_DIMENSION
-
-
-def _parse_scalar(key: str, raw: str, kind, line_no: int):
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: key {key!r} expects {kind.__name__}, got {raw!r}")
+def _problem_spec(token: str) -> tuple[str, int]:
+    """``P1-overlap`` or ``P1-overlap:12`` as an (id, dimension) pair."""
+    pid, colon, dim = token.partition(":")
+    return pid.strip(), (int(dim) if colon else DEFAULT_DIMENSION)
 
 
 # Every RunConfig field but variant is a config key, parsed as the type of its
@@ -119,19 +102,37 @@ _RUN_KEYS = {
     _KEY_ALIASES.get(f.name, f.name): (f.name, type(f.default))
     for f in fields(RunConfig) if f.name != "variant"
 }
-_TOP_KEYS = ("problems", "seeds", "variants", "outdir", "parallel")
-_ALL_KEYS = tuple(_RUN_KEYS) + _TOP_KEYS
+_EXPECTS = "key {key!r} expects {convert.__name__}, got {raw!r}"
+# Every config key: the converter of its value (of each comma-separated item,
+# for a list key), whether it is a list, and the message for a refused value.
+_KEYS = {
+    **{key: (kind, False, _EXPECTS) for key, (_, kind) in _RUN_KEYS.items()},
+    "problems": (_problem_spec, True, "bad dimension in problem spec {raw!r}"),
+    "seeds": (int, True, _EXPECTS),
+    "variants": (str, True, _EXPECTS),
+    "outdir": (str, False, _EXPECTS),
+    "parallel": (int, False, _EXPECTS),
+}
+_ALL_KEYS = tuple(_KEYS)
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config file. An unknown key is
-    rejected with a closest-match suggestion, a repeated one with both lines."""
+    """Parse an experiment config file, each key through ``_KEYS``, into a
+    checked ExperimentConfig. An unknown key is rejected with a closest-match
+    suggestion, a repeated one with both lines; every ConfigError names the file."""
     path = Path(path)
-    top: dict = {}
-    run_kwargs: dict = {}
-    first_lines: dict[str, int] = {}
+    lines = _read_lines(path, "config file")
+    try:
+        return _parse_config(lines)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
-    for line_no, raw_line in enumerate(_read_lines(path, "config file"), start=1):
+
+def _parse_config(lines: list[str]) -> ExperimentConfig:
+    """The config that ``lines`` set; its errors name the line, ``load_config`` the file."""
+    values: dict = {}
+    first_lines: dict[str, int] = {}
+    for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -151,29 +152,20 @@ def load_config(path) -> ExperimentConfig:
         first_no = first_lines.setdefault(key, line_no)
         if first_no != line_no:
             raise ConfigError(f"line {line_no}: key {key!r} repeats {key!r} from line {first_no}")
-        if key in ("problems", "seeds", "variants"):
-            items = [t.strip() for t in value.split(",")]
-            if not all(items):
-                raise ConfigError(f"line {line_no}: key {key!r} has an empty item")
-        if key == "problems":
-            top[key] = [_parse_problem_token(t, line_no) for t in items]
-        elif key == "seeds":
-            top[key] = [_parse_scalar(key, t, int, line_no) for t in items]
-        elif key == "variants":
-            top[key] = items
-        elif key == "outdir":
-            top[key] = value
-        elif key == "parallel":
-            top[key] = _parse_scalar(key, value, int, line_no)
-        else:
-            attr, kind = _RUN_KEYS[key]
-            run_kwargs[attr] = _parse_scalar(key, value, kind, line_no)
+        convert, is_list, refused = _KEYS[key]
+        items = [t.strip() for t in value.split(",")] if is_list else [value]
+        if not all(items):
+            raise ConfigError(f"line {line_no}: key {key!r} has an empty item")
+        parsed = []
+        try:
+            for raw in items:
+                parsed.append(convert(raw))
+        except ValueError:
+            raise ConfigError(f"line {line_no}: {refused.format(key=key, convert=convert, raw=raw)}") from None
+        values[key] = parsed if is_list else parsed[0]
 
-    try:
-        run_config = RunConfig(**run_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return ExperimentConfig(run=run_config, **top)
+    run_config = RunConfig(**{_RUN_KEYS[key][0]: v for key, v in values.items() if key in _RUN_KEYS})
+    return ExperimentConfig(run=run_config, **{key: v for key, v in values.items() if key not in _RUN_KEYS})
 
 
 def _read_lines(path: Path, what: str) -> list[str]:
@@ -230,7 +222,6 @@ def _run_group(pid: str, dim: int, seed: int, variants: list[str], run_config: R
 
 @dataclass
 class ExperimentReport:
-    outdir: Path
     summary_path: Path
     completed: int
     failed: list[tuple[str, str]]
@@ -320,8 +311,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     }
     (outdir / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True, default=str) + "\n")
 
-    return ExperimentReport(outdir=outdir, summary_path=summary_path,
-                            completed=len(rows), failed=failed)
+    return ExperimentReport(summary_path=summary_path, completed=len(rows), failed=failed)
 
 
 _SUMMARY_COLUMNS = ("problem", "variant", "seed", "final_hv", "final_igd")

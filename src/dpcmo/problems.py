@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Bounds, is_integer
+from .core import Bounds, ConfigError, is_integer
 
 PROBLEM_IDS = ("P1-overlap", "P2-partial", "P3-separated")
 DEFAULT_DIMENSION = 10
@@ -111,14 +111,14 @@ _DEFINITIONS = {
 
 
 def make_problem(problem_id: str, dimension: int = DEFAULT_DIMENSION) -> Problem:
-    """Construct one of the three analytic problems with D decision
-    variables on [0, 1]^D."""
+    """One of the three analytic problems with D decision variables on
+    [0, 1]^D; an unknown id or a bad dimension is a ConfigError."""
     if problem_id not in _DEFINITIONS:
-        raise ValueError(f"unknown problem id {problem_id!r}; expected one of {PROBLEM_IDS}")
+        raise ConfigError(f"unknown problem id {problem_id!r}; expected one of {PROBLEM_IDS}")
     if not is_integer(dimension):
-        raise ValueError(f"dimension must be an integer, got {dimension!r}")
+        raise ConfigError(f"dimension must be an integer, got {dimension!r}")
     if dimension < 2:
-        raise ValueError(f"dimension must be >= 2, got {dimension}")
+        raise ConfigError(f"dimension must be >= 2, got {dimension}")
     evaluator, sampler = _DEFINITIONS[problem_id]
     bounds = Bounds(np.zeros(dimension), np.ones(dimension))
     return Problem(

@@ -10,6 +10,7 @@ import pytest
 
 from dpcmo import engine, harness
 from dpcmo.cli import _grid_config, build_parser, main
+from dpcmo.core import ConfigError as CoreConfigError
 from dpcmo.harness import (
     ConfigError,
     ExperimentConfig,
@@ -19,6 +20,7 @@ from dpcmo.harness import (
     read_summary,
     run_experiment,
 )
+from dpcmo.problems import PROBLEM_IDS, make_problem
 
 
 def write_config(tmp_path, text):
@@ -155,7 +157,8 @@ coincident_threshold = 0.7
     def test_alias_keys_are_unknown(self, tmp_path, capsys, line, suggestion):
         key = line.split()[0]
         cfg = write_config(tmp_path, f"{line}\noutdir = {tmp_path / 'out'}\n")
-        with pytest.raises(ConfigError, match=rf"^line 1: unknown key '{key}'; did you mean '{suggestion}'\?$"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(cfg))}: line 1: unknown key '{key}'; "
+                                              rf"did you mean '{suggestion}'\?$"):
             load_config(cfg)
         assert main(["run", str(cfg)]) == 2
         assert f"unknown key '{key}'; did you mean '{suggestion}'?" in capsys.readouterr().err
@@ -171,8 +174,9 @@ coincident_threshold = 0.7
     ])
     def test_empty_list_item_names_line_and_key(self, tmp_path, line):
         key = line.split(" ")[0]
-        with pytest.raises(ConfigError, match=f"^line 2: key '{key}' has an empty item$"):
-            load_config(write_config(tmp_path, f"parallel = 1\n{line}\n"))
+        cfg = write_config(tmp_path, f"parallel = 1\n{line}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(cfg))}: line 2: key '{key}' has an empty item$"):
+            load_config(cfg)
 
     def test_unknown_ablation_variant(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown variant 'WoXYZ'"):
@@ -230,6 +234,17 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             replace(valid, **{field: value})
         assert not (tmp_path / "e").exists()
+
+    def test_run_config_and_problem_factory_raise_config_error(self):
+        assert ConfigError is CoreConfigError and issubclass(ConfigError, ValueError)
+        with pytest.raises(ConfigError, match="^population size must be at least 5, got 4$"):
+            RunConfig(pop_size=4)
+        with pytest.raises(ConfigError, match="^unknown variant 'nope'"):
+            RunConfig(variant="nope")
+        with pytest.raises(ConfigError, match="^unknown problem id 'P9'"):
+            make_problem("P9")
+        with pytest.raises(ConfigError, match="^dimension must be >= 2, got 1$"):
+            make_problem("P1-overlap", 1)
 
     def test_fields_are_frozen_plain_values(self):
         cfg = ExperimentConfig(problems=[["P1-overlap", np.int64(12)]], seeds=[np.int64(0), 1, 2],
@@ -599,15 +614,16 @@ class TestSharedStage2:
 
 class TestPlotData:
     def test_series_and_fronts(self, tmp_path):
-        report = run_experiment(tiny_experiment(tmp_path / "r"))
-        written = emit_plot_data(report.outdir)
+        outdir = tmp_path / "r"
+        run_experiment(tiny_experiment(outdir))
+        written = emit_plot_data(outdir)
         names = {p.name for p in written}
         assert "igd__P3-separated__full.csv" in names
         assert "front__P3-separated__full.csv" in names
-        series = (report.outdir / "plots" / "igd__P3-separated__full.csv").read_text().splitlines()
-        n_gens = min(len(list((report.outdir / "logs").glob("*.jsonl"))) and
+        series = (outdir / "plots" / "igd__P3-separated__full.csv").read_text().splitlines()
+        n_gens = min(len(list((outdir / "logs").glob("*.jsonl"))) and
                      len(p.read_text().splitlines())
-                     for p in (report.outdir / "logs").glob("*.jsonl"))
+                     for p in (outdir / "logs").glob("*.jsonl"))
         assert len(series) - 1 == n_gens
 
     @staticmethod
@@ -651,10 +667,11 @@ class TestPlotData:
                 assert line.split(",") == [str(g), *expected]
 
     def test_missing_log_yields_partial_emission(self, tmp_path, capsys):
-        report = run_experiment(tiny_experiment(tmp_path / "r"))
-        victim = sorted((report.outdir / "logs").glob("*.jsonl"))[0]
+        outdir = tmp_path / "r"
+        run_experiment(tiny_experiment(outdir))
+        victim = sorted((outdir / "logs").glob("*.jsonl"))[0]
         victim.unlink()
-        written = emit_plot_data(report.outdir)
+        written = emit_plot_data(outdir)
         assert "warning" in capsys.readouterr().out
         assert any(p.name.startswith("igd__") for p in written)
 
@@ -932,6 +949,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert ("config error:" in captured.err) == (code == 2)
         assert ("WoOP" in captured.out) == (code == 0)
+
+    # One bad line per case, with the message that follows the file name:
+    # the grid-field, problem and variant checks, a run-key check, and each
+    # converter's refusal.
+    @pytest.mark.parametrize("line,message", [
+        ("seeds = 3, -1", "seeds must be non-negative, got -1"),
+        ("problems = P9", f"unknown problem id 'P9'; expected one of {PROBLEM_IDS}"),
+        ("variants = full, WoXYZ",
+         f"unknown variant 'WoXYZ'; expected 'full' or one of {engine.ABLATION_VARIANTS}"),
+        ("delta = 0", "delta must be positive, got 0.0"),
+        ("seeds = 1, x", "line 1: key 'seeds' expects int, got 'x'"),
+        ("N = 3.5", "line 1: key 'N' expects int, got '3.5'"),
+        ("parallel = two", "line 1: key 'parallel' expects int, got 'two'"),
+        ("problems = P1-overlap:x", "line 1: bad dimension in problem spec 'P1-overlap:x'"),
+    ], ids=["negative-seed", "unknown-problem", "unknown-variant", "delta", "seed-not-int",
+            "N-not-int", "parallel-not-int", "dimension-not-int"])
+    def test_config_file_errors_name_the_file(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\noutdir = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_stats_unknown_baseline_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "summary.csv"
+        path.write_text("problem,variant,seed,final_hv,final_igd\n" + "".join(
+            f"P1-overlap,{variant},{seed},0.{seed}{k},0.0{seed}{k}\n"
+            for k, variant in enumerate(("full", "WoOP")) for seed in (1, 2)))
+        assert main(["stats", str(path), "--baseline", "Wo3P"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {path}: baseline variant 'Wo3P' not present in summary\n"
+        assert captured.out == ""
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
