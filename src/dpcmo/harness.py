@@ -402,19 +402,14 @@ def emit_plot_data(results_dir) -> list[Path]:
     """Write per-(problem, variant) plot inputs from stored artifacts.
 
     Produces a median-IGD-versus-FE series (runs aligned on generation
-    index) and a final-front scatter file. Missing logs produce a warning
-    and partial output. A broken log, or a plot path that exists and is not
-    a regular file, is a ConfigError, raised before any file is written.
+    index) and a final-front scatter file. A summary, log or front that
+    cannot be read (missing, say), a broken log, or a plot path that exists
+    and is not a regular file, is a ConfigError, raised before any file is
+    written.
     """
     results_dir = Path(results_dir)
-    summary_path = results_dir / "summary.csv"
-    if not summary_path.exists():
-        print(f"warning: no summary.csv under {results_dir}; nothing to emit")
-        return []
-    rows = read_summary(summary_path)
-
     groups: dict[tuple[str, str], list[int]] = {}
-    for row in rows:
+    for row in read_summary(results_dir / "summary.csv"):
         groups.setdefault((row["problem"], row["variant"]), []).append(row["seed"])
 
     collected = []
@@ -423,16 +418,10 @@ def emit_plot_data(results_dir) -> list[Path]:
         fronts = []
         for seed in sorted(seeds):
             name = _cell_name(pid, variant, seed)
-            log_path = results_dir / "logs" / f"{name}.jsonl"
-            if not log_path.exists():
-                print(f"warning: missing log {log_path}")
-                continue
-            series.append(_read_log(log_path))
-            front_path = results_dir / "fronts" / f"{name}.csv"
-            if front_path.exists():
-                fronts.extend((seed, line) for line in _read_lines(front_path, "front")[1:] if line)
-        if series:
-            collected.append((pid, variant, series, fronts))
+            series.append(_read_log(results_dir / "logs" / f"{name}.jsonl"))
+            front = _read_lines(results_dir / "fronts" / f"{name}.csv", "front")
+            fronts.extend((seed, line) for line in front[1:] if line)
+        collected.append((pid, variant, series, fronts))
 
     plots = results_dir / "plots"
     _refuse_non_files(plots / f"{kind}__{pid}__{variant}.csv"

@@ -121,9 +121,12 @@ def signed_rank_multiproblem(deltas, alpha: float = 0.05) -> TestReport:
     Zero differences are dropped before ranking. The report's extras carry
     the positive and negative rank sums (R+ and R-); the verdict orients on
     the sign convention that positive deltas favor the first method.
-    The p-value is exact for at most 12 nonzero differences.
+    The p-value is exact for at most 12 nonzero differences. No
+    differences, or one to four nonzero ones, raise ValueError.
     """
     deltas = np.asarray(deltas, dtype=float)
+    if deltas.size == 0:
+        raise ValueError("no per-problem deltas")
     if np.isnan(deltas).any():
         raise ValueError("a per-problem delta is NaN")
     nonzero = deltas[deltas != 0.0]

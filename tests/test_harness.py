@@ -638,6 +638,7 @@ class TestPlotData:
         for seed, log in logs.items():
             (outdir / "logs" / f"P__v__s{seed}.jsonl").write_text("".join(
                 json.dumps({"g": g, "fe": fe, "igd": igd}) + "\n" for g, (fe, igd) in enumerate(log)))
+            (outdir / "fronts" / f"P__v__s{seed}.csv").write_text("f1,f2\n0.5,0.5\n")
         return outdir
 
     def test_median_of_constructed_logs(self, tmp_path):
@@ -666,19 +667,11 @@ class TestPlotData:
                 expected = [repr(float(np.median([log[g][k] for log in logs.values()]))) for k in (0, 1)]
                 assert line.split(",") == [str(g), *expected]
 
-    def test_missing_log_yields_partial_emission(self, tmp_path, capsys):
-        outdir = tmp_path / "r"
-        run_experiment(tiny_experiment(outdir))
-        victim = sorted((outdir / "logs").glob("*.jsonl"))[0]
-        victim.unlink()
-        written = emit_plot_data(outdir)
-        assert "warning" in capsys.readouterr().out
-        assert any(p.name.startswith("igd__") for p in written)
-
     @staticmethod
     def _two_seed_results(tmp_path):
         outdir = tmp_path / "r"
         (outdir / "logs").mkdir(parents=True)
+        (outdir / "fronts").mkdir()
         (outdir / "summary.csv").write_text(
             "problem,variant,seed,final_hv,final_igd,evaluations,generations\n"
             "P,v,1,0.5,0.1,20,2\nP,v,2,0.5,0.2,20,2\n")
@@ -686,7 +679,21 @@ class TestPlotData:
             (outdir / "logs" / f"P__v__s{seed}.jsonl").write_text(
                 json.dumps({"g": 0, "fe": 10, "igd": 0.5}) + "\n"
                 + json.dumps({"g": 1, "fe": 20, "igd": 0.1}) + "\n")
+            (outdir / "fronts" / f"P__v__s{seed}.csv").write_text("f1,f2\n0.1,0.9\n")
         return outdir
+
+    @pytest.mark.parametrize("artifact,kind", [("summary.csv", "summary"),
+                                               ("logs/P__v__s2.jsonl", "log"),
+                                               ("fronts/P__v__s2.csv", "front")],
+                             ids=["summary", "log", "front"])
+    def test_missing_artifact_is_a_config_error(self, tmp_path, capsys, artifact, kind):
+        outdir = self._two_seed_results(tmp_path)
+        (outdir / artifact).unlink()
+        assert main(["plotdata", str(outdir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: cannot read {kind} {outdir / artifact}: No such file or directory\n"
+        assert not (outdir / "plots").exists()
 
     def test_empty_log_is_a_config_error(self, tmp_path, capsys):
         outdir = self._two_seed_results(tmp_path)
@@ -726,10 +733,6 @@ class TestPlotData:
         emit_plot_data(outdir)
         lines = (outdir / "plots" / "igd__P__v.csv").read_text().splitlines()
         assert lines[1:] == ["0,10.0,inf", "1,20.0,0.1"]
-
-    def test_empty_directory_warns(self, tmp_path, capsys):
-        assert emit_plot_data(tmp_path) == []
-        assert "warning" in capsys.readouterr().out
 
 
 class TestCli:
@@ -896,6 +899,15 @@ class TestCli:
             assert main(["stats", str(path)]) == 2
             err = capsys.readouterr().err
             assert "config error:" in err and f"{path}, line 2" in err
+
+    def test_stats_without_a_comparison_prints_no_p_value(self, tmp_path, capsys):
+        # One seed per arm: no problem has the two runs a rank-sum test needs.
+        path = tmp_path / "summary.csv"
+        path.write_text("problem,variant,seed,final_hv,final_igd\n"
+                        "P1-overlap,full,1,0.5,0.01\nP1-overlap,WoOP,1,0.4,0.02\n")
+        assert main(["stats", str(path)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "WoOP" in line]
+        assert lines == ["  WoOP         0/0/0  signed-rank n/a (no per-problem deltas)"] * 2
 
     def test_stats_infinite_igd_accepted(self, tmp_path, capsys):
         """An empty final front has IGD inf, and the harness writes it."""

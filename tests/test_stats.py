@@ -159,6 +159,10 @@ class TestSignedRank:
         assert report.p_value == 1.0
         assert report.verdict == "equal"
 
+    def test_no_deltas_refused(self):
+        with pytest.raises(ValueError, match="no per-problem deltas"):
+            signed_rank_multiproblem([])
+
     def test_too_few_nonzero(self):
         with pytest.raises(ValueError):
             signed_rank_multiproblem([1.0, 2.0, 3.0, 4.0])
